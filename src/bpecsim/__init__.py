@@ -8,8 +8,6 @@ from .channel import (
     ModeSchedule,
     SlotState,
     build_schedule,
-    erasure_prob_at,
-    sample_slot,
 )
 from .montecarlo import AggregateStats, convergence_sweep, simulate
 from .protocol import (

@@ -109,21 +109,9 @@ class ModeSchedule:
         """Erasure probability of slot t, 1-based, 1 <= t <= n."""
         if not 1 <= t <= self.n:
             raise IndexError(f"slot index {t} outside 1..{self.n}")
-        return self._prob_at_extended(t - 1)
-
-    def _prob_at_extended(self, t0: int) -> float:
-        """0-based lookup; slots past the horizon continue the final mode."""
-        if t0 >= self.n:
-            return self.delta_b
-        for start, stop, mode in self.segments():
-            if start <= t0 < stop:
-                return mode.erasure_prob
-        raise IndexError(t0)
-
-
-def erasure_prob_at(schedule: ModeSchedule, t: int) -> float:
-    """Erasure probability of 1-based slot t; errors outside 1..n."""
-    return schedule.erasure_prob_at(t)
+        return next(
+            mode.erasure_prob for start, stop, mode in self.segments() if start < t <= stop
+        )
 
 
 def build_schedule(
@@ -211,10 +199,3 @@ class ChannelSampler:
             raise IndexError(f"slot index {t} outside 1..{self.schedule.n}")
         s1, s2 = self.slots(t, t + 1)
         return SlotState(int(s1[0]), int(s2[0]))
-
-
-def sample_slot(schedule: ModeSchedule, t: int, sampler: ChannelSampler) -> SlotState:
-    """Draw the slot-t link states from a sampler bound to the same schedule."""
-    if sampler.schedule is not schedule and sampler.schedule != schedule:
-        raise ValueError("sampler is bound to a different schedule")
-    return sampler.slot(t)

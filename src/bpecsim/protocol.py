@@ -1,16 +1,20 @@
 """Feedback network-coding protocol over a sampled multi-modal channel.
 
-The transmitter runs event-driven rounds of three phases: uncoded packets for
-user 1, uncoded packets for user 2, then XOR multicast of the two virtual
-queues (packets each user is still missing but the other user overheard).
-An inter-modal trial runs one core round spanning the mode boundary plus an
-optional fresh-tail round that refills slack reserved by the concentration
-guard.  Intra-modal trials run one round per non-transient mode; the
-no-feedback baseline sends idealized erasure-coded streams.
+A feedback scheme is a list of rounds, and ``SchemePlan.rounds()`` is the
+only place that defines it.  Every round has the same three phases: uncoded
+packets for user 1, uncoded packets for user 2, then XOR multicast of the two
+virtual queues (packets each user is still missing but the other user
+overheard).  Rounds differ only in size, in the slot where they start and in
+the slot where they must stop.  The inter-modal scheme is one core round
+spanning the mode boundary, plus an optional fresh-tail round chained to its
+end that refills slack reserved by the concentration guard.  The intra-modal
+scheme is one round per non-transient mode.  The no-feedback baseline has no
+rounds; it sends idealized erasure-coded streams.
 
-Two drivers produce identical ``TrialStats``: a per-slot reference loop
-(supports action recording, per-slot observers and deadline-free runs) and a
-batched driver that jumps between resolution slots for large blocklengths.
+Two drivers iterate the same rounds and produce identical ``TrialStats``: a
+per-slot reference loop (supports action recording, per-slot observers and
+deadline-free runs) and a batched driver that jumps between resolution slots
+for large blocklengths.
 """
 from __future__ import annotations
 
@@ -81,6 +85,19 @@ class ProtocolError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class RoundSpec(NamedTuple):
+    """One three-phase round: ``m1``/``m2`` packets per user, sent no earlier
+    than slot ``start`` and abandoned at slot ``limit``.  A chained round
+    starts when the previous round finishes instead."""
+
+    label: str  # prefix of the round's phase-boundary keys
+    m1: int
+    m2: int
+    start: int
+    limit: int
+    chained: bool = False
+
+
 @dataclass(frozen=True)
 class SchemePlan:
     """Precomputed per-trial budget.
@@ -89,6 +106,7 @@ class SchemePlan:
     ``tail1``/``tail2`` the fresh-tail round; a user's full message is the sum.
     Intra-modal messages split into per-mode rounds ``run_a``/``run_b``; the
     no-feedback baseline carries per-mode erasure-code sizes per user.
+    ``rounds()`` turns these fields into the rounds both drivers run.
     """
 
     scheme: Scheme
@@ -105,12 +123,24 @@ class SchemePlan:
     fec_a: tuple[int, int] = (0, 0)
     fec_b: tuple[int, int] = (0, 0)
 
-    def message_size(self, user: int) -> int:
+    def rounds(self) -> tuple[RoundSpec, ...]:
+        """The scheme's rounds in order; packet indices run on across rounds."""
         if self.scheme is Scheme.INTER_MODAL:
-            return (self.m1 if user == 1 else self.m2) + (
-                self.tail1 if user == 1 else self.tail2
+            core = RoundSpec("", self.m1, self.m2, 0, self.n)
+            if self.tail1 + self.tail2 == 0:
+                return (core,)
+            return (core, RoundSpec("tail_", self.tail1, self.tail2, 0, self.n, chained=True))
+        if self.scheme is Scheme.INTRA_MODAL:
+            return (
+                RoundSpec("a_", self.run_a, self.run_a, 0, self.n_a),
+                RoundSpec("b_", self.run_b, self.run_b, self.n_a, self.n),
             )
-        return self.m1 if user == 1 else self.m2
+        return ()
+
+    def message_size(self, user: int) -> int:
+        if self.scheme is Scheme.NO_FEEDBACK:
+            return self.m1 if user == 1 else self.m2
+        return sum(r.m1 if user == 1 else r.m2 for r in self.rounds())
 
 
 def _resolve_span(
@@ -185,7 +215,7 @@ def _round_timeline(
     return t_mc, var_total
 
 
-def _plan_intermodal(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
+def _plan_intermodal(p: ModeParams, n: int, n_a: int, guard: int) -> SchemePlan:
     if p.delta_a < p.delta_b:
         raise UnsupportedParametersError(
             "inter-modal scheme requires delta_a >= delta_b"
@@ -194,8 +224,6 @@ def _plan_intermodal(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
         raise UnsupportedParametersError(
             "inter-modal scheme requires both erasure probabilities below 1"
         )
-    n_a = floor_index(p.eta * n)
-    guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
     alpha = min(optimal_raw_fraction(p), p.eta)
     m_core = max(0, floor_index((1.0 - p.delta_a**2) * (alpha * n - guard) / 2.0))
 
@@ -233,11 +261,9 @@ def _plan_intermodal(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
     )
 
 
-def _plan_intramodal(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
-    n_a = floor_index(p.eta * n)
-    n_b = n - n_a
-    guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
-
+def _plan_intramodal(
+    p: ModeParams, n: int, n_a: int, guard: int, guard_coeff: float
+) -> SchemePlan:
     def round_size(length: int, delta: float) -> int:
         if length <= 0:
             return 0
@@ -245,7 +271,7 @@ def _plan_intramodal(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
         return max(0, floor_index((1.0 - delta**2) * (length - g) / (2.0 + delta)))
 
     run_a = round_size(n_a, p.delta_a)
-    run_b = round_size(n_b, p.delta_b)
+    run_b = round_size(n - n_a, p.delta_b)
     m = run_a + run_b
     return SchemePlan(
         scheme=Scheme.INTRA_MODAL,
@@ -265,9 +291,7 @@ def _even_count(start: int, stop: int) -> int:
     return (stop + 1) // 2 - (start + 1) // 2
 
 
-def _plan_nofeedback(p: ModeParams, n: int, guard_coeff: float) -> SchemePlan:
-    n_a = floor_index(p.eta * n)
-    guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
+def _plan_nofeedback(p: ModeParams, n: int, n_a: int, guard: int) -> SchemePlan:
     derate = max(0.0, 1.0 - guard / n)
 
     def stream_sizes(start: int, stop: int, delta: float) -> tuple[int, int]:
@@ -302,23 +326,18 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
         raise ValueError(f"blocklength must be at least 1, got {n}")
     if guard_coeff < 0:
         raise ValueError(f"guard coefficient must be non-negative, got {guard_coeff}")
+    n_a = floor_index(p.eta * n)
+    guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
     if scheme is Scheme.INTER_MODAL:
-        return _plan_intermodal(p, n, guard_coeff)
+        return _plan_intermodal(p, n, n_a, guard)
     if scheme is Scheme.INTRA_MODAL:
-        return _plan_intramodal(p, n, guard_coeff)
-    return _plan_nofeedback(p, n, guard_coeff)
+        return _plan_intramodal(p, n, n_a, guard, guard_coeff)
+    return _plan_nofeedback(p, n, n_a, guard)
 
 
 # ---------------------------------------------------------------------------
 # Reference state machines
 # ---------------------------------------------------------------------------
-
-
-class _Stage(Enum):
-    RAW1 = 0
-    RAW2 = 1
-    MC = 2
-    DONE = 3
 
 
 class _Engine:
@@ -351,33 +370,31 @@ class _Engine:
         self.statuses = statuses
         self.label = label
         self.boundaries = boundaries
-        self.stage = _Stage.RAW1
-        for key in ("raw1", "raw2", "multicast"):
-            boundaries[self._key(key)] = None
+        self.stage = Phase.RAW1
         self._advance(start_t)
-
-    def _key(self, phase: str) -> str:
-        return f"{self.label}{phase}"
 
     @property
     def done(self) -> bool:
-        return self.stage is _Stage.DONE
+        return self.stage is Phase.DONE
 
     def _advance(self, t_next: int) -> None:
         """Move past exhausted stages; t_next is the slot count elapsed so far."""
-        if self.stage is _Stage.RAW1 and self.pos1 >= len(self.q1):
-            self.boundaries[self._key("raw1")] = t_next
-            self.stage = _Stage.RAW2
-        if self.stage is _Stage.RAW2 and self.pos2 >= len(self.q2):
-            self.boundaries[self._key("raw2")] = t_next
-            self.stage = _Stage.MC
+        if self.stage is Phase.RAW1 and self.pos1 >= len(self.q1):
+            self.boundaries[self.label + "raw1"] = t_next
+            self.stage = Phase.RAW2
+        if self.stage is Phase.RAW2 and self.pos2 >= len(self.q2):
+            self.boundaries[self.label + "raw2"] = t_next
+            self.stage = Phase.MULTICAST
         if (
-            self.stage is _Stage.MC
+            self.stage is Phase.MULTICAST
             and self.vpos1 >= len(self.v1)
             and self.vpos2 >= len(self.v2)
         ):
-            self.boundaries[self._key("multicast")] = t_next
-            self.stage = _Stage.DONE
+            self.boundaries[self.label + "multicast"] = t_next
+            self.stage = Phase.DONE
+
+    def _raw_head(self) -> PacketId:
+        return self.q1[self.pos1] if self.stage is Phase.RAW1 else self.q2[self.pos2]
 
     def _mc_sides(self) -> tuple[Optional[PacketId], Optional[PacketId]]:
         """Current XOR constituents: queue head, or the last resolved packet
@@ -396,29 +413,22 @@ class _Engine:
         def bit_of(pid: PacketId) -> int:
             return int((bits1 if pid.user == 1 else bits2)[pid.index])
 
-        if self.stage is _Stage.RAW1:
-            pid = self.q1[self.pos1]
-            self.statuses[pid] = PacketStatus.AWAITING
-            return Action("raw", (pid,), bit_of(pid))
-        if self.stage is _Stage.RAW2:
-            pid = self.q2[self.pos2]
-            self.statuses[pid] = PacketStatus.AWAITING
-            return Action("raw", (pid,), bit_of(pid))
-        if self.stage is _Stage.MC:
+        if self.stage is Phase.DONE:
+            raise ProtocolError("no action in a finished round")
+        if self.stage is Phase.MULTICAST:
             side1, side2 = self._mc_sides()
             if side1 is not None and side2 is not None:
                 return Action("xor", (side1, side2), bit_of(side1) ^ bit_of(side2))
             pid = side1 if side1 is not None else side2
             return Action("raw", (pid,), bit_of(pid))
-        raise ProtocolError("no action in a finished round")
+        pid = self._raw_head()
+        self.statuses[pid] = PacketStatus.AWAITING
+        return Action("raw", (pid,), bit_of(pid))
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
-        if self.stage is _Stage.RAW1 or self.stage is _Stage.RAW2:
-            own, other = (s1, s2) if self.stage is _Stage.RAW1 else (s2, s1)
-            if self.stage is _Stage.RAW1:
-                pid = self.q1[self.pos1]
-            else:
-                pid = self.q2[self.pos2]
+        if self.stage is Phase.RAW1 or self.stage is Phase.RAW2:
+            own, other = (s1, s2) if self.stage is Phase.RAW1 else (s2, s1)
+            pid = self._raw_head()
             if own:
                 self.statuses[pid] = PacketStatus.DELIVERED
             elif other:
@@ -426,11 +436,11 @@ class _Engine:
                 (self.v1 if pid.user == 1 else self.v2).append(pid)
             else:
                 return  # retransmit: packet stays at the head
-            if self.stage is _Stage.RAW1:
+            if self.stage is Phase.RAW1:
                 self.pos1 += 1
             else:
                 self.pos2 += 1
-        elif self.stage is _Stage.MC:
+        elif self.stage is Phase.MULTICAST:
             if s1 and self.vpos1 < len(self.v1):
                 self.statuses[self.v1[self.vpos1]] = PacketStatus.DELIVERED
                 self.vpos1 += 1
@@ -441,10 +451,13 @@ class _Engine:
 
 
 class Transmitter:
-    """Causal transmitter state: rounds, queues and per-packet statuses.
+    """Causal transmitter state: the plan's rounds, queues and per-packet statuses.
 
-    ``ignore_boundaries`` removes the intra-modal mode switch (used by
-    deadline-free runs, where every round simply drains).
+    Rounds run in order.  A round waits for its start slot and is abandoned at
+    its limit; a chained round starts when the previous round finishes.
+    ``ignore_boundaries`` lets every round start as soon as the previous one
+    finishes and lifts every limit (used by deadline-free runs, where every
+    round simply drains).
     """
 
     def __init__(
@@ -465,151 +478,90 @@ class Transmitter:
         for user, total in ((1, plan.message_size(1)), (2, plan.message_size(2))):
             for i in range(total):
                 self.statuses[PacketId(user, i)] = PacketStatus.FRESH
-        if plan.scheme is Scheme.INTER_MODAL:
-            self._core = _Engine(
-                [PacketId(1, i) for i in range(plan.m1)],
-                [PacketId(2, i) for i in range(plan.m2)],
-                self.statuses,
-                0,
-                "",
-                self.boundaries,
-            )
-            self._tail: Optional[_Engine] = None
-            if self._has_tail():
-                for key in ("tail_raw1", "tail_raw2", "tail_multicast"):
-                    self.boundaries[key] = None
-        else:
-            self._core = _Engine(
-                [PacketId(1, i) for i in range(plan.run_a)],
-                [PacketId(2, i) for i in range(plan.run_a)],
-                self.statuses,
-                0,
-                "a_",
-                self.boundaries,
-            )
-            self._tail = None
-            self._engine_b = _Engine(
-                [PacketId(1, plan.run_a + i) for i in range(plan.run_b)],
-                [PacketId(2, plan.run_a + i) for i in range(plan.run_b)],
-                self.statuses,
-                plan.n_a,
-                "b_",
-                self.boundaries,
-            )
+        self._rounds = plan.rounds()
+        self._windows = [
+            (0, _INF) if ignore_boundaries else (spec.start, spec.limit)
+            for spec in self._rounds
+        ]
+        self._engines: list[Optional[_Engine]] = [None] * len(self._rounds)
+        for i, spec in enumerate(self._rounds):
+            for phase in (Phase.RAW1, Phase.RAW2, Phase.MULTICAST):
+                self.boundaries[spec.label + phase.value] = None
+            if not spec.chained:  # a chained round opens when it is reached
+                self._open(i, spec.start)
+        self._cursor = 0
 
-    def _has_tail(self) -> bool:
-        return self.plan.tail1 + self.plan.tail2 > 0
+    def _open(self, i: int, t: int) -> _Engine:
+        spec = self._rounds[i]
+        first1 = sum(r.m1 for r in self._rounds[:i])  # packet indices run on
+        first2 = sum(r.m2 for r in self._rounds[:i])
+        engine = self._engines[i] = _Engine(
+            [PacketId(1, k) for k in range(first1, first1 + spec.m1)],
+            [PacketId(2, k) for k in range(first2, first2 + spec.m2)],
+            self.statuses,
+            t,
+            spec.label,
+            self.boundaries,
+        )
+        return engine
 
-    def _active_engine(self, t: int) -> Optional[_Engine]:
-        if self.plan.scheme is Scheme.INTER_MODAL:
-            if not self._core.done:
-                return self._core
-            if self._has_tail():
-                if self._tail is None:
-                    self._tail = _Engine(
-                        [PacketId(1, self.plan.m1 + i) for i in range(self.plan.tail1)],
-                        [PacketId(2, self.plan.m2 + i) for i in range(self.plan.tail2)],
-                        self.statuses,
-                        t,
-                        "tail_",
-                        self.boundaries,
-                    )
-                return self._tail if not self._tail.done else None
-            return None
-        if self.ignore_boundaries:
-            if not self._core.done:
-                return self._core
-            return self._engine_b if not self._engine_b.done else None
-        if t < self.plan.n_a:
-            return self._core if not self._core.done else None
-        return self._engine_b if not self._engine_b.done else None
+    def _pending(self, t: int) -> Optional[_Engine]:
+        """The round that owns slot t, or None once every round is over.
+
+        A round is over when it is past its limit, or done and past its start.
+        Rounds end in order and never resume, so the cursor only moves forward.
+        """
+        while self._cursor < len(self._rounds):
+            start, limit = self._windows[self._cursor]
+            if t < limit:
+                engine = self._engines[self._cursor] or self._open(self._cursor, t)
+                if t < start or not engine.done:
+                    return engine
+            self._cursor += 1
+        return None
 
     def done_at(self, t: int) -> bool:
-        engine = self._active_engine(t)
-        if engine is not None:
-            return False
-        if (
-            self.plan.scheme is Scheme.INTRA_MODAL
-            and not self.ignore_boundaries
-            and t < self.plan.n_a
-        ):
-            return False  # idle gap before the mode-B round starts
-        return True
+        return self._pending(t) is None
 
     @property
     def phase(self) -> Phase:
-        if self.plan.scheme is Scheme.INTER_MODAL:
-            if not self._core.done:
-                return {
-                    _Stage.RAW1: Phase.RAW1,
-                    _Stage.RAW2: Phase.RAW2,
-                    _Stage.MC: Phase.MULTICAST,
-                }[self._core.stage]
-            if self._has_tail() and (self._tail is None or not self._tail.done):
-                return Phase.FRESH_TAIL
-            return Phase.DONE
-        for engine in (self._core, self._engine_b):
-            if not engine.done:
-                return {
-                    _Stage.RAW1: Phase.RAW1,
-                    _Stage.RAW2: Phase.RAW2,
-                    _Stage.MC: Phase.MULTICAST,
-                }[engine.stage]
+        """Phase of the round that owns the latest slot; a chained round
+        reports FRESH_TAIL until it is done."""
+        for i in range(self._cursor, len(self._rounds)):
+            engine = self._engines[i]
+            if engine is None or not engine.done:
+                return Phase.FRESH_TAIL if self._rounds[i].chained else engine.stage
         return Phase.DONE
-
-    @property
-    def raw_queue_1(self) -> list[PacketId]:
-        return [
-            pid
-            for pid, st in self.statuses.items()
-            if pid.user == 1 and st in (PacketStatus.FRESH, PacketStatus.AWAITING)
-        ]
-
-    @property
-    def raw_queue_2(self) -> list[PacketId]:
-        return [
-            pid
-            for pid, st in self.statuses.items()
-            if pid.user == 2 and st in (PacketStatus.FRESH, PacketStatus.AWAITING)
-        ]
 
     @property
     def v_1_given_2(self) -> list[PacketId]:
         out = []
-        for engine in self._engines():
-            out.extend(engine.v1[engine.vpos1 :])
+        for engine in self._engines:
+            if engine is not None:
+                out.extend(engine.v1[engine.vpos1 :])
         return out
 
     @property
     def v_2_given_1(self) -> list[PacketId]:
         out = []
-        for engine in self._engines():
-            out.extend(engine.v2[engine.vpos2 :])
+        for engine in self._engines:
+            if engine is not None:
+                out.extend(engine.v2[engine.vpos2 :])
         return out
-
-    def _engines(self) -> list[_Engine]:
-        engines = [self._core]
-        if self.plan.scheme is Scheme.INTER_MODAL:
-            if self._tail is not None:
-                engines.append(self._tail)
-        else:
-            engines.append(self._engine_b)
-        return engines
 
     def next_action(self, t: int) -> Optional[Action]:
         """Pick slot t's symbol from feedback through slot t-1; None when idle."""
-        if self.done_at(t):
-            raise ProtocolError("transmitter is done; no further actions")
-        engine = self._active_engine(t)
+        engine = self._pending(t)
         if engine is None:
-            return None
+            raise ProtocolError("transmitter is done; no further actions")
+        if t < self._windows[self._cursor][0]:
+            return None  # idle until the round's start slot
         return engine.next_action(self.bits1, self.bits2)
 
     def apply_feedback(self, t: int, action: Optional[Action], s1: int, s2: int) -> None:
         if action is None:
             return
-        engine = self._active_engine(t)
-        engine.apply_feedback(t, s1, s2)
+        self._pending(t).apply_feedback(t, s1, s2)
 
 
 class Receiver:
@@ -632,9 +584,9 @@ class Receiver:
             return
         mine = action.pids[0] if action.pids[0].user == self.user else action.pids[1]
         other = action.pids[1] if action.pids[0].user == self.user else action.pids[0]
-        if mine.index not in self.received_own:
+        if mine.index not in self.received_own and other not in self.overheard:
             # every useful multicast reception resolves exactly one own packet
-            assert other in self.overheard, "multicast symbol not resolvable"
+            raise ProtocolError("multicast symbol not resolvable")
         self.coded_observations.append((action.pids, action.bit))
 
     def decode(self, m: int) -> tuple[bool, dict[int, int]]:
@@ -784,20 +736,14 @@ def _run_reference(
     m2 = plan.message_size(2)
     ok1, rec1 = rx1.decode(m1)
     ok2, rec2 = rx2.decode(m2)
-    if ok1:
-        assert all(rec1[i] == int(bits1[i]) for i in range(m1)), "decode mismatch"
-    if ok2:
-        assert all(rec2[i] == int(bits2[i]) for i in range(m2)), "decode mismatch"
+    for ok, rec, bits, m in ((ok1, rec1, bits1, m1), (ok2, rec2, bits2, m2)):
+        if ok and any(rec[i] != int(bits[i]) for i in range(m)):
+            raise ProtocolError("decoded bits differ from the message")
 
-    boundaries = dict(tx.boundaries)
-    raw_slots = None
-    backlog_1 = backlog_2 = None
-    core = tx._core
-    key2 = core._key("raw2")
-    if boundaries.get(key2) is not None:
-        raw_slots = boundaries[key2]
-        backlog_1 = len(core.v1)
-        backlog_2 = len(core.v2)
+    first = tx._engines[0]
+    raw_slots = tx.boundaries[first.label + "raw2"]
+    backlog_1 = len(first.v1) if raw_slots is not None else None
+    backlog_2 = len(first.v2) if raw_slots is not None else None
     return TrialStats(
         n=plan.n,
         m1=m1,
@@ -806,7 +752,7 @@ def _run_reference(
         decode_ok_2=ok2,
         bits_delivered_1=m1 if ok1 else 0,
         bits_delivered_2=m2 if ok2 else 0,
-        phase_boundaries=boundaries,
+        phase_boundaries=dict(tx.boundaries),
         empirical_erasure=_empirical_erasure(schedule, s1, s2),
         raw_slots=raw_slots,
         backlog_1=backlog_1,
@@ -822,12 +768,14 @@ def _run_reference(
 class _RoundResult(NamedTuple):
     resolved1: int
     resolved2: int
-    end0: Optional[int]  # next free slot when the round completed, else None
-    raw1_end: Optional[int]
+    raw1_end: Optional[int]  # phase boundaries; None when the phase did not finish
     raw2_end: Optional[int]
     mc_end: Optional[int]
     backlog1: int
     backlog2: int
+
+
+_UNSTARTED = _RoundResult(0, 0, None, None, None, 0, 0)
 
 
 def _batched_round(
@@ -843,32 +791,27 @@ def _batched_round(
 ) -> _RoundResult:
     """Replay one three-phase round over slots [t0, limit) by jumping between
     resolution slots; matches the per-slot reference exactly."""
-    # raw phase, user 1
-    i0 = int(np.searchsorted(useful_idx, t0))
-    sel1 = useful_idx[i0 : i0 + m1]
-    sel1 = sel1[sel1 < limit]
-    del1 = int(s1[sel1].sum())
-    v1_count = len(sel1) - del1
-    if len(sel1) < m1:
-        return _RoundResult(del1, 0, None, None, None, None, v1_count, 0)
-    raw1_end = int(sel1[-1]) + 1 if m1 else t0
-
-    # raw phase, user 2
-    i0 = int(np.searchsorted(useful_idx, raw1_end))
-    sel2 = useful_idx[i0 : i0 + m2]
-    sel2 = sel2[sel2 < limit]
-    del2 = int(s2[sel2].sum())
-    v2_count = len(sel2) - del2
-    if len(sel2) < m2:
-        return _RoundResult(del1, del2, None, raw1_end, None, None, v1_count, v2_count)
-    raw2_end = int(sel2[-1]) + 1 if m2 else raw1_end
+    # raw phases: user 1's packets, then user 2's, each until somebody hears it
+    delivered = [0, 0]
+    backlog = [0, 0]
+    raw_end: list[Optional[int]] = [None, None]
+    t = t0
+    for u, (s, m) in enumerate(((s1, m1), (s2, m2))):
+        i0 = int(np.searchsorted(useful_idx, t))
+        sel = useful_idx[i0 : i0 + m]
+        sel = sel[sel < limit]
+        delivered[u] = int(s[sel].sum())
+        backlog[u] = len(sel) - delivered[u]
+        if len(sel) < m:
+            return _RoundResult(*delivered, *raw_end, None, *backlog)
+        t = raw_end[u] = int(sel[-1]) + 1 if m else t
 
     # multicast: heads re-pair each slot, so each queue drains on its own link
-    mc_last = raw2_end
+    mc_last = t
     resolved = []
     complete = True
-    for idx, count in ((s1_idx, v1_count), (s2_idx, v2_count)):
-        k = int(np.searchsorted(idx, raw2_end))
+    for idx, count in ((s1_idx, backlog[0]), (s2_idx, backlog[1])):
+        k = int(np.searchsorted(idx, t))
         slots = idx[k : k + count]
         slots = slots[slots < limit]
         resolved.append(len(slots))
@@ -876,16 +819,12 @@ def _batched_round(
             complete = False
         elif count:
             mc_last = max(mc_last, int(slots[-1]) + 1)
-    mc_end = mc_last if complete else None
     return _RoundResult(
-        del1 + resolved[0],
-        del2 + resolved[1],
-        mc_end,
-        raw1_end,
-        raw2_end,
-        mc_end,
-        v1_count,
-        v2_count,
+        delivered[0] + resolved[0],
+        delivered[1] + resolved[1],
+        *raw_end,
+        mc_last if complete else None,
+        *backlog,
     )
 
 
@@ -897,57 +836,28 @@ def _run_batched(
     useful_idx = np.flatnonzero(s1 | s2)
     s1_idx = np.flatnonzero(s1)
     s2_idx = np.flatnonzero(s2)
-    n = plan.n
     boundaries: dict[str, Optional[int]] = {}
-
-    if plan.scheme is Scheme.INTER_MODAL:
-        core = _batched_round(s1, s2, useful_idx, s1_idx, s2_idx, 0, n, plan.m1, plan.m2)
-        boundaries["raw1"] = core.raw1_end
-        boundaries["raw2"] = core.raw2_end
-        boundaries["multicast"] = core.mc_end
-        res1, res2 = core.resolved1, core.resolved2
-        if plan.tail1 + plan.tail2 > 0:
-            if core.end0 is not None:
-                tail = _batched_round(
-                    s1, s2, useful_idx, s1_idx, s2_idx, core.end0, n, plan.tail1, plan.tail2
-                )
-                boundaries["tail_raw1"] = tail.raw1_end
-                boundaries["tail_raw2"] = tail.raw2_end
-                boundaries["tail_multicast"] = tail.mc_end
-                res1 += tail.resolved1
-                res2 += tail.resolved2
-            else:
-                boundaries["tail_raw1"] = None
-                boundaries["tail_raw2"] = None
-                boundaries["tail_multicast"] = None
-        raw_slots = core.raw2_end
-        backlog_1 = core.backlog1 if core.raw2_end is not None else None
-        backlog_2 = core.backlog2 if core.raw2_end is not None else None
-    else:
-        round_a = _batched_round(
-            s1, s2, useful_idx, s1_idx, s2_idx, 0, plan.n_a, plan.run_a, plan.run_a
+    results = []
+    for spec in plan.rounds():
+        start = results[-1].mc_end if spec.chained else spec.start
+        rr = _UNSTARTED if start is None else _batched_round(
+            s1, s2, useful_idx, s1_idx, s2_idx, start, spec.limit, spec.m1, spec.m2
         )
-        round_b = _batched_round(
-            s1, s2, useful_idx, s1_idx, s2_idx, plan.n_a, n, plan.run_b, plan.run_b
-        )
-        boundaries["a_raw1"] = round_a.raw1_end
-        boundaries["a_raw2"] = round_a.raw2_end
-        boundaries["a_multicast"] = round_a.mc_end
-        boundaries["b_raw1"] = round_b.raw1_end
-        boundaries["b_raw2"] = round_b.raw2_end
-        boundaries["b_multicast"] = round_b.mc_end
-        res1 = round_a.resolved1 + round_b.resolved1
-        res2 = round_a.resolved2 + round_b.resolved2
-        raw_slots = round_a.raw2_end
-        backlog_1 = round_a.backlog1 if round_a.raw2_end is not None else None
-        backlog_2 = round_a.backlog2 if round_a.raw2_end is not None else None
+        boundaries[spec.label + "raw1"] = rr.raw1_end
+        boundaries[spec.label + "raw2"] = rr.raw2_end
+        boundaries[spec.label + "multicast"] = rr.mc_end
+        results.append(rr)
+    first = results[0]
+    raw_slots = first.raw2_end
+    backlog_1 = first.backlog1 if raw_slots is not None else None
+    backlog_2 = first.backlog2 if raw_slots is not None else None
 
     m1 = plan.message_size(1)
     m2 = plan.message_size(2)
-    ok1 = res1 == m1
-    ok2 = res2 == m2
+    ok1 = sum(rr.resolved1 for rr in results) == m1
+    ok2 = sum(rr.resolved2 for rr in results) == m2
     return TrialStats(
-        n=n,
+        n=plan.n,
         m1=m1,
         m2=m2,
         decode_ok_1=ok1,

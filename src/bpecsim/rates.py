@@ -223,7 +223,8 @@ def optimal_raw_fraction(p: ModeParams) -> float:
         residual = alpha + alpha * p.delta_a * (1.0 - p.delta_a) / (
             2.0 * multicast_delivery_rate(p, alpha)
         )
-        assert abs(residual - 1.0) < IDENTITY_TOL, "raw-fraction self-check failed"
+        if abs(residual - 1.0) >= IDENTITY_TOL:
+            raise RuntimeError("raw-fraction self-check failed")
     return alpha
 
 

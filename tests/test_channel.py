@@ -10,7 +10,6 @@ from bpecsim.channel import (
     ModeSchedule,
     SlotState,
     build_schedule,
-    sample_slot,
 )
 
 
@@ -141,10 +140,6 @@ def test_sampler_cross_user_independence():
 
 def test_sample_slot_function_validates_schedule():
     sched = build_schedule(10, 0.5, 0, 0.5, 0.0, 0.0)
-    other = build_schedule(12, 0.5, 0, 0.5, 0.0, 0.0)
     sampler = ChannelSampler(sched, seed=1)
-    assert sample_slot(sched, 3, sampler) == sampler.slot(3)
-    with pytest.raises(ValueError):
-        sample_slot(other, 3, sampler)
     with pytest.raises(IndexError):
         sampler.slot(11)

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -44,6 +46,26 @@ def test_fresh_tail_phase_is_reported():
     assert {Phase.RAW1, Phase.RAW2, Phase.MULTICAST} <= seen
 
 
+def test_intramodal_phase_follows_round_b_after_cutoff():
+    # mode A fully erased cuts round A off at n_a = 200; mode B is clean
+    p = ModeParams(0.75, 0.0, 0.5)
+    n = 400
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+    assert plan.guard == 0 and plan.run_b == 100
+    clean = np.array([0] * 200 + [1] * 200, dtype=np.uint8)
+    phases = {}
+
+    def watch(t, action, tx):
+        phases[t] = tx.phase
+
+    stats = run_trial(p, n, 0, 0.0, plan, seed=5, channel=(clean, clean), observer=watch)
+    assert stats.phase_boundaries["a_multicast"] is None
+    assert stats.phase_boundaries["b_raw1"] == 300
+    assert all(phases[t] is Phase.RAW1 for t in range(200, 299))
+    assert all(phases[t] is Phase.RAW2 for t in range(300, 399))
+    assert phases[399] is Phase.DONE
+
+
 def test_run_trial_validates_inputs():
     p = ModeParams(0.75, 0.0, 32 / 35)
     plan = plan_scheme(p, 1000, Scheme.INTER_MODAL, 1.0)
@@ -79,6 +101,17 @@ def test_region_json_null_intermodal_for_reversed_deltas(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["inter_modal_sum"] is None
     assert report["outer_bound_achievable"] is False
+
+
+def test_package_has_no_assert_statements():
+    # invariants must raise; an assert vanishes under python -O
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "bpecsim"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_console_entry_point_runs():

@@ -231,6 +231,12 @@ def test_receiver_observe_and_decode():
     assert ok2 and rec2 == {0: 1, 1: 1, 2: 1}
 
 
+def test_receiver_rejects_unresolvable_multicast():
+    # neither the own packet nor the overheard partner is known
+    with pytest.raises(ProtocolError):
+        Receiver(1).observe(Action("xor", (PacketId(1, 0), PacketId(2, 0)), 0))
+
+
 def test_decode_fails_without_covering_observation():
     rx = Receiver(2)
     rx.observe(Action("raw", (PacketId(2, 0),), 0))

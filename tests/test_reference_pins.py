@@ -40,12 +40,12 @@ LOG_SHA256 = {
     "inter-clipped-tail": "20db8c9e996cf06a039f8572d4ded5532beb3f4816de712e14ece40eed7a1dd7",
     "inter-no-deadline": "2d5f1872f3b605e6c6aafd291b1b3d48627c8dcc687f89f5d73c500d3f52ec47",
     "inter-transient": "fced2f45669b701d59d8668860cb6f234b8a67479cea0f33b00c1d4067740910",
-    "intra-cutoff": "b420c3c2a73ab989bf1d3bb5352ae34e02fd247532b281d1dfa4bf703eb314d1",
+    "intra-cutoff": "c75fbff6a9f1af392e86e891a02a28c59472aa9d549bd6745ab9dac9172ff21d",
     "intra-empty-b": "2a005513b41c0258f7826b5d392abd3efbc615de8564515a824e4f011f3cc78b",
     "intra-empty-b-no-deadline": "10c6342fa6b8da44cb0a0d03bdbd0b4ef964cc560a9bf020639f556b9a494714",
     "intra-no-deadline": "f16e79fed3545c62c60b5fb07efc5f53eb7ee919ec69c23bcc49117df40591d2",
     "intra-plain": "3c155172af0af5634ca784aeadec6915a72a24f89dd568572a28eea9e3a4b600",
-    "intra-transient": "ac7192c1a92dbb01a92247627e151686b96e56f05df749aa23b6c9a9ac312d3b",
+    "intra-transient": "9b4fdf8b2b7e70e6365ed7e541ab50a9475cb4b16d9d7435cbef6425b1e27456",
 }
 
 
