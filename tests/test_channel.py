@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from bpecsim.channel import (
     ChannelSampler,
@@ -143,3 +145,60 @@ def test_sample_slot_function_validates_schedule():
     sampler = ChannelSampler(sched, seed=1)
     with pytest.raises(IndexError):
         sampler.slot(11)
+
+
+# The sampler contract: sha256 of s1.tobytes() + s2.tobytes() for slots(t0, t1).
+# name -> (build_schedule args, seed, t0, t1, sha256); seed None is the first
+# child spawned from SeedSequence(12345), as run_trial seeds its channel.
+GOLDEN_SLOTS = {
+    "full-seed-1": (
+        (1000, 32 / 35, 0, 0.75, 0.0, 0.0), 1, 1, 1001,
+        "42f4de1aaff9412f37831115efe3f5b775d16470f4a9d6a283040e4defa111b4",
+    ),
+    "full-seed-12345": (
+        (1000, 32 / 35, 0, 0.75, 0.0, 0.0), 12345, 1, 1001,
+        "7b894a4bc3e3f025350b8f10bb344f33a90500a7b5b6be9d8d5dceb426f829fb",
+    ),
+    "full-spawned-child": (
+        (1000, 32 / 35, 0, 0.75, 0.0, 0.0), None, 1, 1001,
+        "acded6376a6788732a14c0803176bdf22f90319f4f5052082dd30a09d66194fa",
+    ),
+    "transient": (
+        (1000, 0.5, 100, 0.75, 0.5, 0.125), 7, 1, 1001,
+        "4c2312235d49d1d8c7c5624e5313c14533f808cdc29a8076936c73227108969e",
+    ),
+    # t0 even: the first word sits mid-way through a Philox block
+    "odd-offset": (
+        (1000, 0.5, 100, 0.75, 0.5, 0.125), 7, 38, 613,
+        "dd5293b05a57f03a66098027c93f6bdd1a63a3be4162a2ffdc228b7e67d65c80",
+    ),
+    # slots past n take the mode-B probability
+    "past-n": (
+        (1000, 0.5, 100, 0.75, 0.5, 0.125), 7, 900, 1307,
+        "31ced70472689740fa149d0584989c11a383d7cf86652c261dfb226080ed1703",
+    ),
+    "p0-p1": (
+        (600, 0.5, 50, 1.0, 0.3, 0.0), 3, 1, 601,
+        "c38b0fdf1cc6301debf1e9bb5da2ab71248a688da5f0e99bb0f1aee2f483205c",
+    ),
+    "p1-past-n": (
+        (300, 0.5, 10, 0.0, 0.5, 1.0), 4, 100, 351,
+        "a7ccf6bf75f1238e8007f70b31867a5f34ed3f9c7a66330dcf3d82310a5a8479",
+    ),
+    "p-edges": (
+        (400, 0.25, 200, 5e-324, 2**-53, 1 - 2**-53), 5, 3, 402,
+        "934f6ecfb18abfa3fe17700d27d13f08444bd3fdd28ea07959b5500a74a8ddf1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SLOTS))
+def test_sampler_slots_are_pinned(name):
+    sched_args, seed, t0, t1, digest = GOLDEN_SLOTS[name]
+    if seed is None:
+        seed = SeedSequence(12345).spawn(2)[0]
+    s1, s2 = ChannelSampler(build_schedule(*sched_args), seed).slots(t0, t1)
+    for s in (s1, s2):
+        assert s.dtype == np.uint8 and len(s) == t1 - t0
+        assert set(np.unique(s).tolist()) <= {0, 1}
+    assert hashlib.sha256(s1.tobytes() + s2.tobytes()).hexdigest() == digest
