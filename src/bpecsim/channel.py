@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 _FLOOR_EPS = 1e-9
 
@@ -140,6 +140,21 @@ def build_schedule(
     return ModeSchedule(modes=modes, n=n)
 
 
+def received(words: np.ndarray, erasure_prob: float, out: np.ndarray) -> np.ndarray:
+    """Write into bool ``out`` whether each 64-bit Philox word delivers its slot.
+
+    A word w delivers when its 53-bit uniform (w >> 11) * 2**-53 is at least the
+    erasure probability p.  Both sides of that test are exact, so it is the
+    integer test w >= ceil(p * 2**53) << 11; for p = 1 the threshold is 2**64
+    and no word delivers.
+    """
+    threshold = math.ceil(erasure_prob * 2**53) << 11
+    if threshold >> 64:
+        out[...] = False
+        return out
+    return np.greater_equal(words, np.uint64(threshold), out=out)
+
+
 class ChannelSampler:
     """Counter-addressable sampler: slot t is a pure function of (seed, t).
 
@@ -151,46 +166,35 @@ class ChannelSampler:
     def __init__(self, schedule: ModeSchedule, seed: int | SeedSequence):
         self.schedule = schedule
         self._ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-        base = Philox(seed=self._ss)
-        state = base.state
-        self._key = state["state"]["key"].copy()
-        self._counter0 = state["state"]["counter"].copy()
+        # a seeded Philox starts at counter 0, so the key alone addresses every word
+        self._key = Philox(seed=self._ss).state["state"]["key"].copy()
 
-    def _uniforms(self, offset: int, count: int) -> np.ndarray:
-        """`count` uniforms in [0, 1) starting at absolute word offset."""
-        block, rem = divmod(offset, 4)
-        counter = self._counter0.copy()
-        carry = block
-        for i in range(4):
-            total = int(counter[i]) + carry
-            counter[i] = total & 0xFFFFFFFFFFFFFFFF
-            carry = total >> 64
-            if carry == 0:
-                break
-        bg = Philox(counter=counter, key=self._key)
-        gen = Generator(bg)
-        words = gen.integers(0, 2**64, size=rem + count, dtype=np.uint64, endpoint=False)
-        return (words[rem:] >> np.uint64(11)) * 2.0**-53
+    def _segments(self, t0: int, t1: int) -> Iterator[tuple[int, int, float]]:
+        """(lo, hi, p) covering 0-based slots [t0, t1), offsets relative to t0.
 
-    def _erasure_probs(self, t0: int, t1: int) -> np.ndarray:
-        probs = np.empty(t1 - t0, dtype=np.float64)
+        Slots past n take the mode-B probability (deadline-free runs read them).
+        """
         for start, stop, mode in self.schedule.segments():
             lo, hi = max(start, t0), min(stop, t1)
             if lo < hi:
-                probs[lo - t0 : hi - t0] = mode.erasure_prob
+                yield lo - t0, hi - t0, mode.erasure_prob
         if t1 > self.schedule.n:
-            probs[max(self.schedule.n, t0) - t0 :] = self.schedule.delta_b
-        return probs
+            yield max(self.schedule.n, t0) - t0, t1 - t0, self.schedule.delta_b
 
     def slots(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """Link states for 1-based slots t0..t1-1 as uint8 arrays (s=1: received)."""
         if t0 < 1 or t1 < t0:
             raise IndexError(f"invalid slot range [{t0}, {t1})")
         count = t1 - t0
-        u = self._uniforms(2 * (t0 - 1), 2 * count)
-        probs = self._erasure_probs(t0 - 1, t1 - 1)
-        s1 = (u[0::2] >= probs).astype(np.uint8)
-        s2 = (u[1::2] >= probs).astype(np.uint8)
+        # Philox yields 4 words per counter step
+        block, rem = divmod(2 * (t0 - 1), 4)
+        bg = Philox(key=self._key)
+        bg.advance(block)
+        words = bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
+        states = np.empty((2, count), dtype=bool)
+        for lo, hi, p in self._segments(t0 - 1, t1 - 1):
+            received(words[:, lo:hi], p, states[:, lo:hi])
+        s1, s2 = states.view(np.uint8)
         return s1, s2
 
     def slot(self, t: int) -> SlotState:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
 from bpecsim.channel import (
@@ -12,6 +14,7 @@ from bpecsim.channel import (
     ModeSchedule,
     SlotState,
     build_schedule,
+    received,
 )
 
 
@@ -202,3 +205,20 @@ def test_sampler_slots_are_pinned(name):
         assert s.dtype == np.uint8 and len(s) == t1 - t0
         assert set(np.unique(s).tolist()) <= {0, 1}
     assert hashlib.sha256(s1.tobytes() + s2.tobytes()).hexdigest() == digest
+
+
+@settings(derandomize=True, max_examples=500)
+@given(word=st.integers(0, 2**64 - 1), p=st.floats(0.0, 1.0))
+@example(word=0, p=0.0)
+@example(word=2**64 - 1, p=1.0)
+@example(word=2**11, p=5e-324)
+@example(word=2**11, p=2**-53)
+@example(word=2**64 - 2**11, p=1 - 2**-53)
+@example(word=2**64 - 2**12, p=float(np.nextafter(1.0, 0.0)))
+def test_integer_threshold_matches_53_bit_uniform(word, p):
+    # the word drawn, plus the two words on either side of the rule's boundary
+    k = math.ceil(p * 2**53)
+    words = [w for w in (word, (k << 11) - 1, k << 11) if 0 <= w < 2**64]
+    out = np.empty(len(words), dtype=bool)
+    received(np.array(words, dtype=np.uint64), p, out)
+    assert out.tolist() == [(w >> 11) * 2.0**-53 >= p for w in words]
