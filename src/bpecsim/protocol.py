@@ -833,9 +833,11 @@ def _run_batched(
 ) -> TrialStats:
     if plan.scheme is Scheme.NO_FEEDBACK:
         return _nofb_stats(plan, schedule, s1, s2)
-    useful_idx = np.flatnonzero(s1 | s2)
-    s1_idx = np.flatnonzero(s1)
-    s2_idx = np.flatnonzero(s2)
+    # flatnonzero is several times faster on bool than on uint8 arrays
+    b1, b2 = s1.view(bool), s2.view(bool)
+    useful_idx = np.flatnonzero(b1 | b2)
+    s1_idx = np.flatnonzero(b1)
+    s2_idx = np.flatnonzero(b2)
     boundaries: dict[str, Optional[int]] = {}
     results = []
     for spec in plan.rounds():
@@ -892,7 +894,7 @@ def run_trial(
 ) -> TrialStats:
     """Simulate one block with unit-delay feedback.
 
-    ``channel`` injects explicit slot-state arrays (deterministic tests);
+    ``channel`` injects explicit 0/1 slot-state arrays (deterministic tests);
     otherwise slots come from a counter-addressable sampler seeded by ``seed``.
     ``observer(t, action, transmitter)`` is called once per slot after feedback
     and forces the per-slot reference driver, as does ``run_to_completion``.
@@ -904,10 +906,12 @@ def run_trial(
     channel_ss, msg_ss = ss.spawn(2)
     sampler = None
     if channel is not None:
-        s1 = np.asarray(channel[0], dtype=np.uint8)
-        s2 = np.asarray(channel[1], dtype=np.uint8)
+        s1, s2 = (np.asarray(s) for s in channel)
         if len(s1) != n or len(s2) != n:
             raise ValueError("injected channel arrays must have length n")
+        if not (np.isin(s1, (0, 1)).all() and np.isin(s2, (0, 1)).all()):
+            raise ValueError("injected channel arrays must hold only 0 and 1")
+        s1, s2 = np.asarray(s1, dtype=np.uint8), np.asarray(s2, dtype=np.uint8)
     else:
         sampler = ChannelSampler(schedule, channel_ss)
         s1, s2 = sampler.slots(1, n + 1)

@@ -85,6 +85,28 @@ def test_run_trial_validates_inputs():
         run_trial(p, 1000, 0, 0.0, nofb, seed=1, run_to_completion=True)
 
 
+@pytest.mark.parametrize("bad", [2, 0.5, -1])
+@pytest.mark.parametrize("driver", ["batched", "reference"])
+def test_injected_channel_must_hold_only_0_and_1(bad, driver):
+    p = ModeParams(0.75, 0.0, 32 / 35)
+    plan = plan_scheme(p, 35, Scheme.INTER_MODAL, 0.0)
+    s1 = [1] * 35
+    s2 = [1] * 34 + [bad]
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        run_trial(p, 35, 0, 0.0, plan, seed=1, channel=(s1, s2), driver=driver)
+
+
+def test_injected_channel_accepts_python_bools():
+    p = ModeParams(0.75, 0.0, 32 / 35)
+    plan = plan_scheme(p, 35, Scheme.INTER_MODAL, 0.0)
+    flags = [t % 3 != 0 for t in range(35)]
+    ints = np.array(flags, dtype=np.uint8)
+    for driver in ("batched", "reference"):
+        as_bools = run_trial(p, 35, 0, 0.0, plan, seed=1, channel=(flags, flags), driver=driver)
+        as_ints = run_trial(p, 35, 0, 0.0, plan, seed=1, channel=(ints, ints), driver=driver)
+        assert repr(as_bools) == repr(as_ints)
+
+
 def test_sampler_rejects_bad_ranges():
     sampler = ChannelSampler(build_schedule(10, 0.5, 0, 0.5, 0.0, 0.0), seed=1)
     with pytest.raises(IndexError):
