@@ -297,6 +297,41 @@ def _validate_simulate(args, parser) -> None:
         parser.error("guard-coeff must be non-negative")
 
 
+def _apply_config(parser, args, tokens: list[str], config) -> None:
+    """Set the subcommand flags not given in ``tokens`` from a config mapping.
+
+    Each value is coerced by its flag's argparse ``type`` and checked against
+    its ``choices``.  A key that is not a flag of the chosen subcommand, or a
+    value that cannot be coerced, raises ValueError.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest: a
+        for a in sub.choices[args.command]._actions
+        if a.option_strings and a.dest != "help"
+    }
+    explicit = {t.split("=", 1)[0] for t in tokens if t.startswith("--")}
+    for key, value in config.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} must be a string or a number, got {value!r}")
+        convert = action.type or str
+        try:
+            value = convert(str(value))
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: {value!r} is not a valid {convert.__name__}"
+            ) from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
+        if explicit.isdisjoint(action.option_strings):
+            setattr(args, action.dest, value)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
@@ -304,14 +339,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                defaults = json.load(fh)
+                config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-        explicit = {t.split("=", 1)[0] for t in tokens if t.startswith("--")}
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and f"--{key.replace('_', '-')}" not in explicit:
-                setattr(args, attr, value)
+        try:
+            _apply_config(parser, args, tokens, config)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.command == "simulate" and args.delta_t is None:
         args.delta_t = args.delta_b
     if args.command in ("region", "sweep", "simulate"):

@@ -182,3 +182,37 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     )
     report = json.loads(out)
     assert report["n"] == 1500 and report["trials"] == 4
+
+
+def test_config_values_are_coerced_by_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "1500", "trials": "3", "seed": 11, "n-t": "0", "eta": "0.5"}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n"], report["trials"], report["n_t"], report["eta"]) == (1500, 3, 0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["simulate"], {"bogus_key": 1}),
+        (["simulate"], {"config": "other.json"}),
+        (["region", "0.75", "0", "0.5"], {"delta_a": 0.1}),  # positional, not a flag
+        (["sweep", "--delta-a", "0.75", "--delta-b", "0"], {"trials": 5}),
+        (["simulate"], {"trials": "five"}),
+        (["simulate"], {"trials": 2.5}),
+        (["simulate"], {"trials": True}),
+        (["simulate"], {"n": None}),
+        (["simulate"], {"seed": [1, 2]}),
+        (["simulate"], {"scheme": "turbo"}),
+        (["simulate"], ["trials", 5]),
+    ],
+)
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *command)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
