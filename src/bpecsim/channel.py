@@ -140,7 +140,7 @@ def build_schedule(
     return ModeSchedule(modes=modes, n=n)
 
 
-def received(words: np.ndarray, erasure_prob: float, out: np.ndarray) -> np.ndarray:
+def received(words: np.ndarray, erasure_prob: float, out: np.ndarray) -> None:
     """Write into bool ``out`` whether each 64-bit Philox word delivers its slot.
 
     A word w delivers when its 53-bit uniform (w >> 11) * 2**-53 is at least the
@@ -151,8 +151,8 @@ def received(words: np.ndarray, erasure_prob: float, out: np.ndarray) -> np.ndar
     threshold = math.ceil(erasure_prob * 2**53) << 11
     if threshold >> 64:
         out[...] = False
-        return out
-    return np.greater_equal(words, np.uint64(threshold), out=out)
+    else:
+        np.greater_equal(words, np.uint64(threshold), out=out)
 
 
 class ChannelSampler:

@@ -297,26 +297,21 @@ def _validate_simulate(args, parser) -> None:
         parser.error("guard-coeff must be non-negative")
 
 
-def _apply_config(parser, args, tokens: list[str], config) -> None:
-    """Set the subcommand flags not given in ``tokens`` from a config mapping.
+def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
+    """Flag defaults for one subcommand from a JSON config mapping.
 
     Each value is coerced by its flag's argparse ``type`` and checked against
-    its ``choices``.  A key that is not a flag of the chosen subcommand, or a
-    value that cannot be coerced, raises ValueError.
+    its ``choices``.  A key that is not a flag of ``command``, or a value that
+    cannot be coerced, raises ValueError.
     """
     if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        a.dest: a
-        for a in sub.choices[args.command]._actions
-        if a.option_strings and a.dest != "help"
-    }
-    explicit = {t.split("=", 1)[0] for t in tokens if t.startswith("--")}
+        raise ValueError("config must hold a JSON object")
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
     for key, value in config.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+            raise ValueError(f"config key {key!r} is not a flag of {command.prog}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"config key {key!r} must be a string or a number, got {value!r}")
         convert = action.type or str
@@ -328,8 +323,8 @@ def _apply_config(parser, args, tokens: list[str], config) -> None:
             ) from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
-        if explicit.isdisjoint(action.option_strings):
-            setattr(args, action.dest, value)
+        defaults[action.dest] = value
+    return defaults
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -342,11 +337,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        command = sub.choices[args.command]
         try:
-            _apply_config(parser, args, tokens, config)
+            command.set_defaults(**_config_defaults(command, config))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        # flags given on the command line override the config defaults
+        args = parser.parse_args(tokens)
     if args.command == "simulate" and args.delta_t is None:
         args.delta_t = args.delta_b
     if args.command in ("region", "sweep", "simulate"):

@@ -191,6 +191,10 @@ def test_config_values_are_coerced_by_flag_type(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["n"], report["trials"], report["n_t"], report["eta"]) == (1500, 3, 0, 0.5)
+    # any spelling argparse accepts on the command line overrides the config
+    for flag in (["--trials=2"], ["--tri", "2"]):
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate", *flag)
+        assert code == 0 and json.loads(out)["trials"] == 2
 
 
 @pytest.mark.parametrize(
