@@ -165,9 +165,8 @@ class ChannelSampler:
 
     def __init__(self, schedule: ModeSchedule, seed: int | SeedSequence):
         self.schedule = schedule
-        self._ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
         # a seeded Philox starts at counter 0, so the key alone addresses every word
-        self._key = Philox(seed=self._ss).state["state"]["key"].copy()
+        self._key = Philox(seed=seed).state["state"]["key"].copy()
 
     def _segments(self, t0: int, t1: int) -> Iterator[tuple[int, int, float]]:
         """(lo, hi, p) covering 0-based slots [t0, t1), offsets relative to t0.
