@@ -23,6 +23,9 @@ from .rates import ModeParams
 
 CSV_HEADER = "eta,outer_sum,c1_sum,c2_sum,c3_sum,inter_modal_sum,intra_modal_sum,no_feedback_sum"
 
+# a step of 1e-6 over [0, 1]; a finer grid would only exhaust memory
+_MAX_GRID_POINTS = 1_000_001
+
 _SCHEMES = {"inter": Scheme.INTER_MODAL, "intra": Scheme.INTRA_MODAL, "nofb": Scheme.NO_FEEDBACK}
 
 
@@ -36,8 +39,13 @@ def _eta_grid(grid: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise ValueError(f"grid must be start:stop:step, got {grid!r}") from exc
-    if not (0.0 <= start <= stop <= 1.0) or step <= 0.0:
+    if not (0.0 <= start <= stop <= 1.0 and step > 0.0):
         raise ValueError(f"grid must satisfy 0 <= start <= stop <= 1 with step > 0, got {grid!r}")
+    # checked before rounding: the quotient may be too large for an int
+    if (stop - start) / step >= _MAX_GRID_POINTS - 0.5:
+        raise ValueError(
+            f"grid {grid!r} has more than {_MAX_GRID_POINTS} points; use a coarser step"
+        )
     count = int(round((stop - start) / step)) + 1
     grid = [min(start + k * step, stop) for k in range(count)]
     grid[-1] = stop
@@ -330,22 +338,33 @@ def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # The first parse only finds the command and the config file, so it does
+    # not yet demand the required flags a config file may supply.
+    required = [
+        a for c in sub.choices.values() for a in c._actions if a.required and a.option_strings
+    ]
+    for action in required:
+        action.required = False
     args = parser.parse_args(tokens)
+    supplied: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         command = sub.choices[args.command]
         try:
-            command.set_defaults(**_config_defaults(command, config))
+            supplied = _config_defaults(command, config)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        # flags given on the command line override the config defaults
-        args = parser.parse_args(tokens)
+        command.set_defaults(**supplied)
+    for action in required:
+        action.required = action.dest not in supplied
+    # flags given on the command line override the config defaults
+    args = parser.parse_args(tokens)
     if args.command == "simulate" and args.delta_t is None:
         args.delta_t = args.delta_b
     if args.command in ("region", "sweep", "simulate"):

@@ -2,11 +2,16 @@
 
 Per-trial seeds derive from (master_seed, trial_index), so results are
 reproducible and independent of any execution order; aggregation is a
-deterministic reduction over trial indices.
+deterministic reduction over trial indices.  That lets ``simulate`` run
+contiguous chunks of trial indices in forked child processes, one per core the
+process may use, and still report the same bytes as a one-core run.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 from numpy.random import SeedSequence
@@ -16,6 +21,9 @@ from .protocol import Scheme, plan_scheme, run_trial
 from .rates import ModeParams
 
 _Z95 = 1.959963984540054
+# Below this many slots per simulate call the trials run in process: starting
+# and reaping a fork costs about 2 ms, and 2**20 slots are about 8 ms of work.
+_FORK_MIN_SLOTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,13 +64,22 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = plan_scheme(p, n, scheme, guard_coeff)
-    sum_rates = []
-    fail1 = fail2 = 0
-    for k in range(trials):
-        stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
-        sum_rates.append(stats.sum_rate)
-        fail1 += not stats.decode_ok_1
-        fail2 += not stats.decode_ok_2
+
+    def _trial_chunk(lo: int, hi: int) -> list[tuple[float, bool, bool]]:
+        """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
+        outcomes = []
+        for k in range(lo, hi):
+            stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
+            outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
+        return outcomes
+
+    k = min(trials, _worker_count(trials * n))
+    bounds = [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
+    chunks = _run_chunks(_trial_chunk, bounds)
+    outcomes = [outcome for chunk in chunks for outcome in chunk]
+    sum_rates = [sum_rate for sum_rate, _, _ in outcomes]
+    fail1 = sum(not ok1 for _, ok1, _ in outcomes)
+    fail2 = sum(not ok2 for _, _, ok2 in outcomes)
     mean = sum(sum_rates) / trials
     if trials > 1:
         var = sum((x - mean) ** 2 for x in sum_rates) / (trials - 1)
@@ -76,6 +93,79 @@ def simulate(
         failure_rate_1=fail1 / trials,
         failure_rate_2=fail2 / trials,
     )
+
+
+def _worker_count(slots: int) -> int:
+    """How many processes should share a simulate call of ``slots`` slots.
+
+    One per core in the CPU affinity mask (``taskset`` restricts it), but one
+    for small calls, where a fork costs more than it saves, and in a process
+    with other threads, where a forked child can deadlock on a lock one of
+    them held.
+    """
+    if slots < _FORK_MIN_SLOTS or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_chunks(chunk, bounds: list[tuple[int, int]]) -> list:
+    """[chunk(lo, hi) for (lo, hi) in bounds], the first in this process.
+
+    Every other chunk runs in a forked child, which pickles ``(True,
+    result)`` or ``(False, exception)`` to a pipe and leaves through
+    ``os._exit``, so no exit handler or stdio flush of the parent runs twice.
+    The parent reads every pipe and reaps every child even when its own chunk
+    raises, then re-raises the first child exception in chunk order.
+    """
+    children = []
+    try:
+        for lo, hi in bounds[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(chunk, lo, hi, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [chunk(*bounds[0])]
+    finally:
+        payloads = []
+        for pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+            payloads.append((data, os.waitpid(pid, 0)[1]))
+    for data, status in payloads:
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"trial worker ended without a result (exit code {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child(chunk, lo: int, hi: int, read_fd: int, write_fd: int) -> None:
+    """Body of a forked worker: run one chunk, send the outcome, exit."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, chunk(lo, hi))
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def convergence_sweep(

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from bpecsim.cli import CSV_HEADER, main
+from bpecsim.cli import CSV_HEADER, _eta_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,22 @@ def test_sweep_rejects_malformed_grid(capsys):
     )
     assert code == 1
     assert "grid" in err
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:5e-324", "0:1:9.99999e-7"])
+def test_sweep_rejects_grid_with_too_many_points(capsys, grid):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "sweep", "--delta-a", "0.75", "--delta-b", "0", "--eta-grid", grid
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid") and err.count("\n") == 1
+
+
+def test_eta_grid_accepts_a_million_steps():
+    grid = _eta_grid("0:1:1e-6")
+    assert len(grid) == 1_000_001 and grid[0] == 0.0 and grid[-1] == 1.0
 
 
 def test_figure_fig3_contains_threshold_row(tmp_path, capsys):
@@ -220,3 +237,39 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, command, c
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    flags = ["sweep", "--eta-grid", "0:1:0.05", "--out"]
+    assert main([*flags, str(tmp_path / "flags.csv"), "--delta-a", "0.75", "--delta-b", "0"]) == 0
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"delta_a": 0.75, "delta_b": 0}))
+    assert main(["--config", str(cfg), *flags, str(tmp_path / "config.csv")]) == 0
+    expected = (tmp_path / "flags.csv").read_bytes()
+    assert (tmp_path / "config.csv").read_bytes() == expected
+    # a config may supply some required flags and the command line the rest
+    cfg.write_text(json.dumps({"delta_a": 0.75}))
+    out = str(tmp_path / "mixed.csv")
+    assert main(["--config", str(cfg), *flags, out, "--delta-b", "0"]) == 0
+    assert (tmp_path / "mixed.csv").read_bytes() == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config, missing",
+    [
+        (None, "--delta-a, --delta-b"),
+        ({"delta_a": 0.75}, "--delta-b"),
+        ({}, "--delta-a, --delta-b"),
+    ],
+)
+def test_required_flags_missing_from_command_line_and_config(tmp_path, capsys, config, missing):
+    argv = ["sweep"]
+    if config is not None:
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import math
+import os
+import threading
 
 import pytest
 
+from bpecsim import cli, montecarlo
 from bpecsim.montecarlo import (
     AggregateStats,
     convergence_sweep,
@@ -9,7 +12,7 @@ from bpecsim.montecarlo import (
     simulate,
     trial_seed,
 )
-from bpecsim.protocol import Scheme, plan_scheme, run_trial
+from bpecsim.protocol import ProtocolError, Scheme, plan_scheme, run_trial
 from bpecsim.rates import ModeParams, max_sum_rate, outer_region
 
 CAPACITY = ModeParams(0.75, 0.0, 32 / 35)
@@ -106,3 +109,100 @@ def test_default_transient_length_clamped():
     assert default_transient_length(1000, 32 / 35) == 1000 - 914
     assert default_transient_length(1_000_000, 0.5) == 10_000
     assert default_transient_length(10, 1.0) == 0
+
+
+def _force_workers(monkeypatch, k):
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda slots: k)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("trials, guard", [(7, 3.0), (1, 3.0), (7, 0.0)])
+def test_worker_count_leaves_stats_and_report_bytes_unchanged(
+    monkeypatch, tmp_path, scheme, trials, guard
+):
+    argv = [
+        "simulate", "--delta-a", "0.75", "--delta-b", "0", "--eta", repr(32 / 35),
+        "--n", "2000", "--n-t", "0", "--scheme", scheme.value, "--trials", str(trials),
+        "--seed", "41", "--guard-coeff", repr(guard),
+    ]
+    stats, reports = [], []
+    for k in (1, 2, 3):
+        _force_workers(monkeypatch, k)
+        stats.append(simulate(CAPACITY, 2000, 0, 0.0, scheme, guard, trials, 41))
+        out = tmp_path / f"report-{k}.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        _assert_no_child_left()
+    assert stats[0] == stats[1] == stats[2]
+    assert reports[0] == reports[1] == reports[2]
+    if guard == 0.0:
+        # decode failures fall in the first and the last chunk of each split
+        plan = plan_scheme(CAPACITY, 2000, scheme, guard)
+        trial = [run_trial(CAPACITY, 2000, 0, 0.0, plan, trial_seed(41, i)) for i in range(trials)]
+        failed = [i for i, t in enumerate(trial) if not (t.decode_ok_1 and t.decode_ok_2)]
+        assert failed[0] < 2 and failed[-1] >= 4
+
+
+def _failing_run_trial(monkeypatch, index, fail):
+    real = montecarlo.run_trial
+
+    def run_trial(p, n, n_t, delta_t, plan, seed):
+        if seed.entropy[1] == index:
+            fail()
+        return real(p, n, n_t, delta_t, plan, seed)
+
+    monkeypatch.setattr(montecarlo, "run_trial", run_trial)
+
+
+@pytest.mark.parametrize("index", [1, 6])  # in the parent's chunk, in a child's
+def test_trial_error_reaches_caller_and_children_are_reaped(monkeypatch, index):
+    def fail():
+        raise ProtocolError(f"trial {index} failed")
+
+    _force_workers(monkeypatch, 2)
+    _failing_run_trial(monkeypatch, index, fail)
+    with pytest.raises(ProtocolError, match=f"trial {index} failed"):
+        simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
+    _assert_no_child_left()
+
+
+def test_child_that_dies_without_result_raises_runtime_error(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    _failing_run_trial(monkeypatch, 6, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
+    _assert_no_child_left()
+
+
+class _Forked(Exception):
+    pass
+
+
+def test_fork_only_for_large_calls_without_other_threads(monkeypatch):
+    def fork():
+        raise _Forked
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n = 1 << 17
+    small = montecarlo._FORK_MIN_SLOTS // n - 1
+    simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small, 5)
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small + 1, 5)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    with pytest.raises(_Forked):
+        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small + 1, 5)
