@@ -3,14 +3,15 @@
 Per-trial seeds derive from (master_seed, trial_index), so results are
 reproducible and independent of any execution order; aggregation is a
 deterministic reduction over trial indices.  That lets ``simulate`` run
-contiguous chunks of trial indices in forked child processes, one per core the
-process may use, and still report the same bytes as a one-core run.
+contiguous chunks of trial indices in forked child processes, up to one per
+core the process may use, and still report the same bytes as a one-core run.
 """
 from __future__ import annotations
 
 import math
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -21,9 +22,15 @@ from .protocol import Scheme, plan_scheme, run_trial
 from .rates import ModeParams
 
 _Z95 = 1.959963984540054
-# Below this many slots per simulate call the trials run in process: starting
-# and reaping a fork costs about 2 ms, and 2**20 slots are about 8 ms of work.
-_FORK_MIN_SLOTS = 1 << 20
+# Cost model of a simulate call, measured on a 2-vCPU AMD EPYC host with the
+# inter-modal scheme (the slowest) at n = 1e2 ... 1e5: a trial takes about
+# _TRIAL_S + n * _SLOT_S, and each forked worker adds about _FORK_S of wall
+# time (the fork, its copy-on-write faults, reading its result, reaping it).
+# Measured, two workers beat one from 3-4 ms of work (32 trials at n = 1e3,
+# 4 at n = 1e5); the model puts that point at 2 * _FORK_S.
+_TRIAL_S = 70e-6
+_SLOT_S = 9e-9
+_FORK_S = 2e-3
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,10 @@ class AggregateStats:
 def trial_seed(master_seed: int, index: int) -> SeedSequence:
     """Stable per-trial seed derivation."""
     return SeedSequence((master_seed, index))
+
+
+# what simulate's trials call, looked up at call time; see _watched
+_TRIAL_HOOKS = (run_trial, trial_seed)
 
 
 def simulate(
@@ -73,7 +84,7 @@ def simulate(
             outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
         return outcomes
 
-    k = min(trials, _worker_count(trials * n))
+    k = min(trials, _worker_count(trials, n))
     bounds = [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
     chunks = _run_chunks(_trial_chunk, bounds)
     outcomes = [outcome for chunk in chunks for outcome in chunk]
@@ -95,27 +106,41 @@ def simulate(
     )
 
 
-def _worker_count(slots: int) -> int:
-    """How many processes should share a simulate call of ``slots`` slots.
+def _worker_count(trials: int, n: int) -> int:
+    """How many processes should share a simulate call of ``trials`` x ``n``.
 
-    One per core in the CPU affinity mask (``taskset`` restricts it), but one
-    for small calls, where a fork costs more than it saves, and in a process
-    with other threads, where a forked child can deadlock on a lock one of
-    them held.
+    k workers take about W / k + (k - 1) * _FORK_S for W seconds of work, so
+    a k-th worker pays while k * (k - 1) * _FORK_S < W; the count is also
+    capped by the cores in the CPU affinity mask (``taskset`` restricts it)
+    and by ``trials``.  One process when another thread runs, where a forked
+    child can deadlock on a lock that thread held, and when something in this
+    process watches the trials, which would not see those run in a child.
     """
-    if slots < _FORK_MIN_SLOTS or threading.active_count() > 1 or not hasattr(os, "fork"):
+    if threading.active_count() > 1 or not hasattr(os, "fork") or _watched():
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    work = trials * (_TRIAL_S + n * _SLOT_S)
+    k = 1
+    while k < min(cores, trials) and (k + 1) * k * _FORK_S < work:
+        k += 1
+    return k
+
+
+def _watched() -> bool:
+    """A trace or profile function is set, or ``run_trial`` or ``trial_seed``
+    was replaced here (a tracer's wrapper, a test double)."""
+    replaced = (run_trial, trial_seed) != _TRIAL_HOOKS
+    return replaced or sys.gettrace() is not None or sys.getprofile() is not None
 
 
 def _run_chunks(chunk, bounds: list[tuple[int, int]]) -> list:
     """[chunk(lo, hi) for (lo, hi) in bounds], the first in this process.
 
-    Every other chunk runs in a forked child, which pickles ``(True,
-    result)`` or ``(False, exception)`` to a pipe and leaves through
+    Every other chunk runs in a forked child, which pickles its result, or
+    its exception with the formatted traceback, to a pipe and leaves through
     ``os._exit``, so no exit handler or stdio flush of the parent runs twice.
     The parent reads every pipe and reaps every child even when its own chunk
     raises, then re-raises the first child exception in chunk order.
@@ -126,7 +151,7 @@ def _run_chunks(chunk, bounds: list[tuple[int, int]]) -> list:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except BaseException:
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
@@ -147,9 +172,25 @@ def _run_chunks(chunk, bounds: list[tuple[int, int]]) -> list:
             raise RuntimeError(f"trial worker ended without a result (exit code {code})")
         ok, value = pickle.loads(data)
         if not ok:
-            raise value
+            _reraise(*value)
         results.append(value)
     return results
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a trial worker, as text."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _reraise(exc_data: bytes | None, tb: str) -> None:
+    """Raise a child's exception, with its traceback as the cause."""
+    try:
+        exc = pickle.loads(exc_data)
+    except Exception:  # it could not be pickled in the child or unpickled here
+        raise RuntimeError(f"trial worker failed:\n{tb}") from None
+    raise exc from _ChildTraceback(tb)
 
 
 def _child(chunk, lo: int, hi: int, read_fd: int, write_fd: int) -> None:
@@ -160,12 +201,23 @@ def _child(chunk, lo: int, hi: int, read_fd: int, write_fd: int) -> None:
         try:
             payload = (True, chunk(lo, hi))
         except BaseException as exc:  # sent to the parent, which re-raises it
-            payload = (False, exc)
+            payload = (False, _exception_payload(exc))
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(payload, pipe)
         code = 0
     finally:
         os._exit(code)
+
+
+def _exception_payload(exc: BaseException) -> tuple[bytes | None, str]:
+    """(pickled exc, or None if it cannot be pickled; its formatted traceback)."""
+    import traceback  # only a failing worker needs it
+
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        return pickle.dumps(exc), tb
+    except Exception:
+        return None, tb
 
 
 def convergence_sweep(

@@ -1,6 +1,10 @@
 import math
 import os
+import sys
 import threading
+import warnings
+
+import numpy as np
 
 import pytest
 
@@ -112,7 +116,7 @@ def test_default_transient_length_clamped():
 
 
 def _force_workers(monkeypatch, k):
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda slots: k)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda trials, n: k)
 
 
 def _assert_no_child_left():
@@ -166,8 +170,43 @@ def test_trial_error_reaches_caller_and_children_are_reaped(monkeypatch, index):
 
     _force_workers(monkeypatch, 2)
     _failing_run_trial(monkeypatch, index, fail)
-    with pytest.raises(ProtocolError, match=f"trial {index} failed"):
+    with pytest.raises(ProtocolError, match=f"trial {index} failed") as excinfo:
         simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
+    _assert_no_child_left()
+    if index == 6:
+        # the child's traceback, pointing at the trial code, is the cause
+        assert "in fail" in str(excinfo.value.__cause__)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: it is rebuilt from one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_local():
+    class LocalError(Exception):  # a class defined in a function cannot be pickled
+        pass
+
+    raise LocalError("local trouble")
+
+
+def _raise_two_arg():
+    raise _TwoArgError("two-arg trouble", "slot 3")
+
+
+@pytest.mark.parametrize(
+    "fail, text",
+    [(_raise_local, "LocalError: local trouble"),
+     (_raise_two_arg, "_TwoArgError: two-arg trouble at slot 3")],
+)
+def test_child_error_that_cannot_cross_the_pipe_keeps_its_traceback(monkeypatch, fail, text):
+    _force_workers(monkeypatch, 2)
+    _failing_run_trial(monkeypatch, 6, fail)
+    with pytest.raises(RuntimeError, match="trial worker failed") as excinfo:
+        simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
+    assert text in str(excinfo.value) and f"in {fail.__name__}" in str(excinfo.value)
     _assert_no_child_left()
 
 
@@ -179,30 +218,132 @@ def test_child_that_dies_without_result_raises_runtime_error(monkeypatch):
     _assert_no_child_left()
 
 
-class _Forked(Exception):
+class _Forked(BaseException):
     pass
 
 
-def test_fork_only_for_large_calls_without_other_threads(monkeypatch):
+def _forbid_fork(monkeypatch):
     def fork():
         raise _Forked
 
     monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_closes_its_pipe_and_reaps_earlier_children(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def fork():  # the second fork fails, with an error that is not an OSError
+        forks.append(1)
+        if len(forks) == 2:
+            raise _Forked
+        return real_fork()
+
+    _force_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(_Forked):
+        simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 9, 5)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    _assert_no_child_left()
+
+
+def _modeled_trials(n, forks_worth):
+    """Trials of length n that the cost model puts at forks_worth fork costs."""
+    per_trial = montecarlo._TRIAL_S + n * montecarlo._SLOT_S
+    return math.ceil(forks_worth * montecarlo._FORK_S / per_trial)
+
+
+def test_fork_only_when_it_pays_and_no_other_thread_runs(monkeypatch):
+    _forbid_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    n = 1 << 17
-    small = montecarlo._FORK_MIN_SLOTS // n - 1
-    simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small, 5)
+    n = 1000
+    # two workers pay from two fork costs of work on
+    simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, _modeled_trials(n, 1.9), 5)
+    trials = _modeled_trials(n, 2.1)
 
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small + 1, 5)
+        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
 
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
     with pytest.raises(_Forked):
-        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, small + 1, 5)
+        simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
+
+
+def test_worker_count_follows_work_not_core_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    for n in (1000, 100_000):
+        for forks_worth in (1.9, 2.1, 10, 100, 10_000):
+            trials = _modeled_trials(n, forks_worth)
+            work = trials * (montecarlo._TRIAL_S + n * montecarlo._SLOT_S)
+            k = montecarlo._worker_count(trials, n)
+            # the k-th worker pays for its fork, a (k + 1)-th would not
+            assert k == 1 or k * (k - 1) * montecarlo._FORK_S < work
+            assert k == 64 or (k + 1) * k * montecarlo._FORK_S >= work
+    assert montecarlo._worker_count(_modeled_trials(1000, 10), 1000) == 3
+    assert montecarlo._worker_count(3, 10**9) == 3  # never more workers than trials
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert montecarlo._worker_count(_modeled_trials(1000, 10_000), 1000) == 2
+
+
+def test_many_cores_fork_no_more_children_than_the_work_pays_for(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    n = 100_000
+    trials = _modeled_trials(n, 10)
+    forked = simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    _force_workers(monkeypatch, 1)
+    assert forked == simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
+
+
+def test_watched_trials_stay_in_process(monkeypatch):
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    n = 1000
+    trials = _modeled_trials(n, 10)
+    assert montecarlo._worker_count(trials, n) == 2
+
+    seen = []
+    real = montecarlo.run_trial
+
+    def counting_run_trial(*args, **kwargs):  # as a tracer's wrapper does
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", counting_run_trial)
+    simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
+    assert len(seen) == trials
+    monkeypatch.undo()
+
+    old = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        assert montecarlo._worker_count(trials, n) == 1
+    finally:
+        sys.setprofile(old)
+
+
+def test_fork_after_blas_threads_ran_warns_nothing(monkeypatch):
+    # numpy's OpenBLAS pool stops its threads before a fork, so Python 3.12's
+    # "process is multi-threaded" DeprecationWarning must not fire here
+    a = np.ones((300, 300))
+    a @ a
+    _force_workers(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 4, 5)
+    _assert_no_child_left()
