@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from . import montecarlo, rates
 from .protocol import Scheme
-from .rates import ModeParams
+from .rates import ModeParams, UnsupportedParametersError
 
 CSV_HEADER = "eta,outer_sum,c1_sum,c2_sum,c3_sum,inter_modal_sum,intra_modal_sum,no_feedback_sum"
 
 # a step of 1e-6 over [0, 1]; a finer grid would only exhaust memory
 _MAX_GRID_POINTS = 1_000_001
-
-_SCHEMES = {"inter": Scheme.INTER_MODAL, "intra": Scheme.INTRA_MODAL, "nofb": Scheme.NO_FEEDBACK}
 
 
 def _fmt(x: float) -> str:
@@ -52,6 +51,14 @@ def _eta_grid(grid: str) -> list[float]:
     return grid
 
 
+def _inter_sum(p: ModeParams) -> Optional[float]:
+    """The inter-modal sum rate, or None where ``rates`` rules the analysis out."""
+    try:
+        return rates.achievable_intermodal_sum(p)
+    except UnsupportedParametersError:
+        return None
+
+
 def _region_report(delta_a: float, delta_b: float, eta: float) -> dict:
     p = ModeParams(delta_a=delta_a, delta_b=delta_b, eta=eta)
     regions = {
@@ -62,9 +69,6 @@ def _region_report(delta_a: float, delta_b: float, eta: float) -> dict:
     sums = {name: rates.max_sum_rate(reg) for name, reg in regions.items()}
     outer = rates.outer_region(p)
     verts = rates.vertices(outer)
-    inter: Optional[float] = None
-    if delta_a >= delta_b and delta_b < 1.0:
-        inter = rates.achievable_intermodal_sum(p)
     report = {
         "delta_a": delta_a,
         "delta_b": delta_b,
@@ -81,38 +85,37 @@ def _region_report(delta_a: float, delta_b: float, eta: float) -> dict:
         "c3_sum": sums["c3"],
         "binding_region": min(sums, key=lambda k: sums[k]),
         "outer_bound_achievable": rates.outer_bound_achievable(p),
-        "inter_modal_sum": inter,
+        "inter_modal_sum": _inter_sum(p),
         "intra_modal_sum": rates.achievable_intramodal_sum(p),
         "no_feedback_sum": rates.achievable_nofeedback_sum(p),
     }
     return report
 
 
-def _print_region_text(report: dict, out) -> None:
-    print(
+def _region_text(report: dict) -> str:
+    lines = [
         f"delta_a={_fmt(report['delta_a'])} delta_b={_fmt(report['delta_b'])} "
         f"eta={_fmt(report['eta'])} avg_erasure={_fmt(report['avg_erasure'])} "
-        f"kappa={_fmt(report['kappa'])}",
-        file=out,
-    )
+        f"kappa={_fmt(report['kappa'])}"
+    ]
     for name in ("c1", "c2", "c3"):
         parts = [
             f"{_fmt(c1)}*R1 + {_fmt(c2)}*R2 <= {_fmt(b)}"
             for c1, c2, b in report[f"{name}_halfspaces"]
         ]
-        print(f"{name}: " + " ; ".join(parts) + f"  (max sum {_fmt(report[f'{name}_sum'])})", file=out)
+        lines.append(f"{name}: " + " ; ".join(parts) + f"  (max sum {_fmt(report[f'{name}_sum'])})")
     verts = " ".join(f"({_fmt(r1)}, {_fmt(r2)})" for r1, r2 in report["vertices"])
-    print(f"vertices: {verts}", file=out)
-    print(f"max_sum_rate={_fmt(report['max_sum_rate'])}", file=out)
-    print(f"binding_region={report['binding_region']}", file=out)
-    print(f"outer_bound_achievable={str(report['outer_bound_achievable']).lower()}", file=out)
+    lines.append(f"vertices: {verts}")
+    lines.append(f"max_sum_rate={_fmt(report['max_sum_rate'])}")
+    lines.append(f"binding_region={report['binding_region']}")
+    lines.append(f"outer_bound_achievable={str(report['outer_bound_achievable']).lower()}")
     inter = report["inter_modal_sum"]
-    print(
+    lines.append(
         f"inter_modal_sum={_fmt(inter) if inter is not None else 'n/a'} "
         f"intra_modal_sum={_fmt(report['intra_modal_sum'])} "
-        f"no_feedback_sum={_fmt(report['no_feedback_sum'])}",
-        file=out,
+        f"no_feedback_sum={_fmt(report['no_feedback_sum'])}"
     )
+    return "\n".join(lines) + "\n"
 
 
 def sweep_rows(delta_a: float, delta_b: float, grid: list[float]) -> list[str]:
@@ -124,15 +127,12 @@ def sweep_rows(delta_a: float, delta_b: float, grid: list[float]) -> list[str]:
         c1 = rates.max_sum_rate(rates.region_c1(p))
         c2 = rates.max_sum_rate(rates.region_c2(p))
         c3 = rates.max_sum_rate(rates.region_c3(p))
-        if delta_a >= delta_b and delta_b < 1.0:
-            inter = _fmt(rates.achievable_intermodal_sum(p))
-        else:
-            inter = ""
+        inter = _inter_sum(p)
         intra = rates.achievable_intramodal_sum(p)
         nofb = rates.achievable_nofeedback_sum(p)
         lines.append(
             f"{_fmt(eta)},{_fmt(outer)},{_fmt(c1)},{_fmt(c2)},{_fmt(c3)},"
-            f"{inter},{_fmt(intra)},{_fmt(nofb)}"
+            f"{_fmt(inter) if inter is not None else ''},{_fmt(intra)},{_fmt(nofb)}"
         )
     return lines
 
@@ -150,11 +150,7 @@ def _cmd_region(args) -> int:
     if args.format == "json":
         _write_text(args.out, json.dumps(report, indent=2) + "\n")
     else:
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _print_region_text(report, fh)
-        else:
-            _print_region_text(report, sys.stdout)
+        _write_text(args.out, _region_text(report))
     return 0
 
 
@@ -170,7 +166,7 @@ def _cmd_simulate(args) -> int:
     n_t = args.n_t
     if n_t is None:
         n_t = montecarlo.default_transient_length(args.n, args.eta)
-    scheme = _SCHEMES[args.scheme]
+    scheme = Scheme(args.scheme)
     agg = montecarlo.simulate(
         p, args.n, n_t, args.delta_t, scheme, args.guard_coeff, args.trials, args.seed
     )
@@ -207,23 +203,20 @@ def _cmd_figure(args) -> int:
         # include the exact threshold point where inner meets outer
         grid = sorted(set(_eta_grid("0:1:0.01")) | {32.0 / 35.0})
         lines = sweep_rows(0.75, 0.0, grid)
-        _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
-    if args.name == "fig4":
+    elif args.name == "fig4":
         lines = sweep_rows(0.75, 0.125, _eta_grid("0:1:0.01"))
-        _write_text(args.out, "\n".join(lines) + "\n")
-        return 0
-    # fig5: region comparison in the regime where inner and outer bounds split
-    p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
-    lines = ["label,r1,r2,value"]
-    for v in rates.vertices(rates.outer_region(p)):
-        lines.append(f"vertex,{_fmt(v.r1)},{_fmt(v.r2)},")
-    lines.append(f"outer_max_sum,,,{_fmt(rates.max_sum_rate(rates.outer_region(p)))}")
-    lines.append(f"inter_modal_sum,,,{_fmt(rates.achievable_intermodal_sum(p))}")
-    lines.append(f"intra_modal_sum,,,{_fmt(rates.achievable_intramodal_sum(p))}")
-    # alternative weighted-average figure for this setup, kept for comparison
-    lines.append("intra_modal_reported,,,0.875")
-    lines.append(f"no_feedback_sum,,,{_fmt(rates.achievable_nofeedback_sum(p))}")
+    else:
+        # fig5: region comparison in the regime where inner and outer bounds split
+        p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
+        lines = ["label,r1,r2,value"]
+        for v in rates.vertices(rates.outer_region(p)):
+            lines.append(f"vertex,{_fmt(v.r1)},{_fmt(v.r2)},")
+        lines.append(f"outer_max_sum,,,{_fmt(rates.max_sum_rate(rates.outer_region(p)))}")
+        lines.append(f"inter_modal_sum,,,{_fmt(rates.achievable_intermodal_sum(p))}")
+        lines.append(f"intra_modal_sum,,,{_fmt(rates.achievable_intramodal_sum(p))}")
+        # alternative weighted-average figure for this setup, kept for comparison
+        lines.append("intra_modal_reported,,,0.875")
+        lines.append(f"no_feedback_sum,,,{_fmt(rates.achievable_nofeedback_sum(p))}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="transient length (default: ceil(n^(2/3)), clamped)",
     )
-    sp.add_argument("--scheme", choices=sorted(_SCHEMES), default="inter")
+    sp.add_argument("--scheme", choices=sorted(s.value for s in Scheme), default="inter")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=12345)
     sp.add_argument("--guard-coeff", dest="guard_coeff", type=float, default=3.0)
@@ -301,8 +294,8 @@ def _validate_simulate(args, parser) -> None:
         parser.error("n-t must be non-negative")
     if getattr(args, "trials", 1) < 1:
         parser.error("trials must be at least 1")
-    if getattr(args, "guard_coeff", 0.0) < 0.0:
-        parser.error("guard-coeff must be non-negative")
+    if not 0.0 <= getattr(args, "guard_coeff", 0.0) < math.inf:
+        parser.error("guard-coeff must be finite and non-negative")
 
 
 def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
@@ -371,8 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _validate_simulate(args, parser)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

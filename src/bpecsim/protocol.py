@@ -286,17 +286,17 @@ def _plan_intramodal(
     )
 
 
-def _even_count(start: int, stop: int) -> int:
-    """Even integers in [start, stop)."""
-    return (stop + 1) // 2 - (start + 1) // 2
+def _nofb_slots(user: int, start: int, stop: int) -> slice:
+    """A user's no-feedback slots in [start, stop): even for user 1, odd for user 2."""
+    return slice(start + (start + user - 1) % 2, stop, 2)
 
 
 def _plan_nofeedback(p: ModeParams, n: int, n_a: int, guard: int) -> SchemePlan:
     derate = max(0.0, 1.0 - guard / n)
 
     def stream_sizes(start: int, stop: int, delta: float) -> tuple[int, int]:
-        share1 = _even_count(start, stop)
-        share2 = (stop - start) - share1
+        share1 = len(range(stop)[_nofb_slots(1, start, stop)])
+        share2 = len(range(stop)[_nofb_slots(2, start, stop)])
         k1 = max(0, floor_index((1.0 - delta) * derate * share1))
         k2 = max(0, floor_index((1.0 - delta) * derate * share2))
         return k1, k2
@@ -324,8 +324,8 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
     """
     if n < 1:
         raise ValueError(f"blocklength must be at least 1, got {n}")
-    if guard_coeff < 0:
-        raise ValueError(f"guard coefficient must be non-negative, got {guard_coeff}")
+    if not 0 <= guard_coeff < _INF:
+        raise ValueError(f"guard coefficient must be finite and non-negative, got {guard_coeff}")
     n_a = floor_index(p.eta * n)
     guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
     if scheme is Scheme.INTER_MODAL:
@@ -533,21 +533,21 @@ class Transmitter:
                 return Phase.FRESH_TAIL if self._rounds[i].chained else engine.stage
         return Phase.DONE
 
-    @property
-    def v_1_given_2(self) -> list[PacketId]:
+    def _waiting(self, user: int) -> list[PacketId]:
+        """The user's overheard packets not yet resolved, round by round."""
         out = []
         for engine in self._engines:
             if engine is not None:
-                out.extend(engine.v1[engine.vpos1 :])
+                out.extend(engine.v1[engine.vpos1 :] if user == 1 else engine.v2[engine.vpos2 :])
         return out
 
     @property
+    def v_1_given_2(self) -> list[PacketId]:
+        return self._waiting(1)
+
+    @property
     def v_2_given_1(self) -> list[PacketId]:
-        out = []
-        for engine in self._engines:
-            if engine is not None:
-                out.extend(engine.v2[engine.vpos2 :])
-        return out
+        return self._waiting(2)
 
     def next_action(self, t: int) -> Optional[Action]:
         """Pick slot t's symbol from feedback through slot t-1; None when idle."""
@@ -650,40 +650,52 @@ def _empirical_erasure(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Reference driver
-# ---------------------------------------------------------------------------
+def _trial_stats(
+    plan: SchemePlan,
+    schedule: ModeSchedule,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    m: tuple[int, int],
+    ok: tuple[bool, bool],
+    boundaries: dict[str, Optional[int]],
+    raw_slots: Optional[int] = None,
+    backlog: tuple[int, int] = (0, 0),
+) -> TrialStats:
+    """A trial's outcome; a user's ``m[u]``-packet message counts whole or not
+    at all.  ``raw_slots`` and ``backlog`` are the first round's; the backlogs
+    count once its raw phases end."""
+    finished = raw_slots is not None
+    return TrialStats(
+        n=plan.n,
+        m1=m[0],
+        m2=m[1],
+        decode_ok_1=ok[0],
+        decode_ok_2=ok[1],
+        bits_delivered_1=m[0] if ok[0] else 0,
+        bits_delivered_2=m[1] if ok[1] else 0,
+        phase_boundaries=boundaries,
+        empirical_erasure=_empirical_erasure(schedule, s1, s2),
+        raw_slots=raw_slots,
+        backlog_1=backlog[0] if finished else None,
+        backlog_2=backlog[1] if finished else None,
+    )
 
 
 def _nofb_stats(
     plan: SchemePlan, schedule: ModeSchedule, s1: np.ndarray, s2: np.ndarray
 ) -> TrialStats:
-    n_a = plan.n_a
-    n = plan.n
+    """A user decodes once each of its per-mode streams got as many slots as packets."""
     ok = [True, True]
     for user, s in ((1, s1), (2, s2)):
-        for (start, stop), (k1, k2) in (((0, n_a), plan.fec_a), ((n_a, n), plan.fec_b)):
-            need = k1 if user == 1 else k2
-            if need == 0:
-                continue
-            parity = 0 if user == 1 else 1
-            seg = s[start:stop]
-            offset = (parity - start) % 2
-            got = int(seg[offset::2].sum())
-            if got < need:
+        for start, stop, need in ((0, plan.n_a, plan.fec_a), (plan.n_a, plan.n, plan.fec_b)):
+            if int(s[_nofb_slots(user, start, stop)].sum()) < need[user - 1]:
                 ok[user - 1] = False
-    m1, m2 = plan.m1, plan.m2
-    return TrialStats(
-        n=n,
-        m1=m1,
-        m2=m2,
-        decode_ok_1=ok[0],
-        decode_ok_2=ok[1],
-        bits_delivered_1=m1 if ok[0] else 0,
-        bits_delivered_2=m2 if ok[1] else 0,
-        phase_boundaries={},
-        empirical_erasure=_empirical_erasure(schedule, s1, s2),
-    )
+    return _trial_stats(plan, schedule, s1, s2, (plan.m1, plan.m2), tuple(ok), {})
+
+
+# ---------------------------------------------------------------------------
+# Reference driver
+# ---------------------------------------------------------------------------
 
 
 def _run_reference(
@@ -697,10 +709,6 @@ def _run_reference(
     run_to_completion: bool,
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
-    if plan.scheme is Scheme.NO_FEEDBACK:
-        if run_to_completion:
-            raise ProtocolError("the no-feedback baseline has no queues to drain")
-        return _nofb_stats(plan, schedule, s1, s2)
     tx = Transmitter(plan, bits1, bits2, ignore_boundaries=run_to_completion)
     rx1 = Receiver(1)
     rx2 = Receiver(2)
@@ -732,31 +740,17 @@ def _run_reference(
             observer(t, action, tx)
         t += 1
 
-    m1 = plan.message_size(1)
-    m2 = plan.message_size(2)
+    m1, m2 = len(bits1), len(bits2)
     ok1, rec1 = rx1.decode(m1)
     ok2, rec2 = rx2.decode(m2)
-    for ok, rec, bits, m in ((ok1, rec1, bits1, m1), (ok2, rec2, bits2, m2)):
-        if ok and any(rec[i] != int(bits[i]) for i in range(m)):
+    for ok, rec, bits in ((ok1, rec1, bits1), (ok2, rec2, bits2)):
+        if ok and any(rec[i] != int(bits[i]) for i in range(len(bits))):
             raise ProtocolError("decoded bits differ from the message")
 
     first = tx._engines[0]
-    raw_slots = tx.boundaries[first.label + "raw2"]
-    backlog_1 = len(first.v1) if raw_slots is not None else None
-    backlog_2 = len(first.v2) if raw_slots is not None else None
-    return TrialStats(
-        n=plan.n,
-        m1=m1,
-        m2=m2,
-        decode_ok_1=ok1,
-        decode_ok_2=ok2,
-        bits_delivered_1=m1 if ok1 else 0,
-        bits_delivered_2=m2 if ok2 else 0,
-        phase_boundaries=dict(tx.boundaries),
-        empirical_erasure=_empirical_erasure(schedule, s1, s2),
-        raw_slots=raw_slots,
-        backlog_1=backlog_1,
-        backlog_2=backlog_2,
+    return _trial_stats(
+        plan, schedule, s1, s2, (m1, m2), (ok1, ok2), dict(tx.boundaries),
+        tx.boundaries[first.label + "raw2"], (len(first.v1), len(first.v2)),
     )
 
 
@@ -766,16 +760,13 @@ def _run_reference(
 
 
 class _RoundResult(NamedTuple):
-    resolved1: int
-    resolved2: int
-    raw1_end: Optional[int]  # phase boundaries; None when the phase did not finish
-    raw2_end: Optional[int]
+    resolved: tuple[int, int]
+    raw_end: tuple[Optional[int], Optional[int]]  # phase ends; None if unfinished
     mc_end: Optional[int]
-    backlog1: int
-    backlog2: int
+    backlog: tuple[int, int]
 
 
-_UNSTARTED = _RoundResult(0, 0, None, None, None, 0, 0)
+_UNSTARTED = _RoundResult((0, 0), (None, None), None, (0, 0))
 
 
 def _batched_round(
@@ -803,7 +794,7 @@ def _batched_round(
         delivered[u] = int(s[sel].sum())
         backlog[u] = len(sel) - delivered[u]
         if len(sel) < m:
-            return _RoundResult(*delivered, *raw_end, None, *backlog)
+            return _RoundResult(tuple(delivered), tuple(raw_end), None, tuple(backlog))
         t = raw_end[u] = int(sel[-1]) + 1 if m else t
 
     # multicast: heads re-pair each slot, so each queue drains on its own link
@@ -820,19 +811,16 @@ def _batched_round(
         elif count:
             mc_last = max(mc_last, int(slots[-1]) + 1)
     return _RoundResult(
-        delivered[0] + resolved[0],
-        delivered[1] + resolved[1],
-        *raw_end,
+        (delivered[0] + resolved[0], delivered[1] + resolved[1]),
+        tuple(raw_end),
         mc_last if complete else None,
-        *backlog,
+        tuple(backlog),
     )
 
 
 def _run_batched(
     plan: SchemePlan, schedule: ModeSchedule, s1: np.ndarray, s2: np.ndarray
 ) -> TrialStats:
-    if plan.scheme is Scheme.NO_FEEDBACK:
-        return _nofb_stats(plan, schedule, s1, s2)
     # flatnonzero is several times faster on bool than on uint8 arrays
     b1, b2 = s1.view(bool), s2.view(bool)
     useful_idx = np.flatnonzero(b1 | b2)
@@ -845,32 +833,18 @@ def _run_batched(
         rr = _UNSTARTED if start is None else _batched_round(
             s1, s2, useful_idx, s1_idx, s2_idx, start, spec.limit, spec.m1, spec.m2
         )
-        boundaries[spec.label + "raw1"] = rr.raw1_end
-        boundaries[spec.label + "raw2"] = rr.raw2_end
+        boundaries[spec.label + "raw1"] = rr.raw_end[0]
+        boundaries[spec.label + "raw2"] = rr.raw_end[1]
         boundaries[spec.label + "multicast"] = rr.mc_end
         results.append(rr)
-    first = results[0]
-    raw_slots = first.raw2_end
-    backlog_1 = first.backlog1 if raw_slots is not None else None
-    backlog_2 = first.backlog2 if raw_slots is not None else None
 
     m1 = plan.message_size(1)
     m2 = plan.message_size(2)
-    ok1 = sum(rr.resolved1 for rr in results) == m1
-    ok2 = sum(rr.resolved2 for rr in results) == m2
-    return TrialStats(
-        n=plan.n,
-        m1=m1,
-        m2=m2,
-        decode_ok_1=ok1,
-        decode_ok_2=ok2,
-        bits_delivered_1=m1 if ok1 else 0,
-        bits_delivered_2=m2 if ok2 else 0,
-        phase_boundaries=boundaries,
-        empirical_erasure=_empirical_erasure(schedule, s1, s2),
-        raw_slots=raw_slots,
-        backlog_1=backlog_1,
-        backlog_2=backlog_2,
+    ok1 = sum(rr.resolved[0] for rr in results) == m1
+    ok2 = sum(rr.resolved[1] for rr in results) == m2
+    return _trial_stats(
+        plan, schedule, s1, s2, (m1, m2), (ok1, ok2), boundaries,
+        results[0].raw_end[1], results[0].backlog,
     )
 
 
@@ -924,6 +898,10 @@ def run_trial(
     if run_to_completion and channel is not None:
         raise ValueError("deadline-free runs cannot use an injected channel")
 
+    if plan.scheme is Scheme.NO_FEEDBACK:
+        if run_to_completion:
+            raise ProtocolError("the no-feedback baseline has no queues to drain")
+        return _nofb_stats(plan, schedule, s1, s2)
     if driver == "reference" or needs_reference:
         rng = default_rng(msg_ss)
         bits1 = rng.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)

@@ -41,6 +41,18 @@ def test_region_json_fields(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize(
+    "args", [["0.75", "0", str(32 / 35)], ["0.2", "0.5", "0.5"], ["0.5", "1", "0.5"]]
+)
+def test_region_text_file_matches_stdout(tmp_path, capsys, args):
+    code, out, _ = run_cli(capsys, "region", *args)
+    assert code == 0
+    path = tmp_path / "region.txt"
+    code, printed, _ = run_cli(capsys, "region", *args, "--format", "text", "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 def test_region_rejects_bad_probability(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["region", "1.5", "0", "0.5"])
@@ -186,6 +198,24 @@ def test_simulate_validates_config(capsys):
         main(["simulate", "--delta-a", "1.7"])
     with pytest.raises(SystemExit):
         main(["simulate", "--trials", "0"])
+    for value in ("inf", "-inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "100", "--trials", "1", f"--guard-coeff={value}"])
+        assert exc.value.code == 2
+        assert "guard-coeff must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_simulate_allocation_failure_is_one_error_line(capsys):
+    # 2e15 channel words take 14.2 PiB, more than a 64-bit address space can
+    # map, so the allocation fails at once without touching memory
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "1000000000000000", "--n-t", "0", "--trials", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

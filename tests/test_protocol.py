@@ -84,6 +84,10 @@ def test_plan_rejects_unsupported():
         plan_scheme(CAPACITY, 0, Scheme.INTER_MODAL, 0.0)
     with pytest.raises(ValueError):
         plan_scheme(CAPACITY, 1000, Scheme.INTER_MODAL, -1.0)
+    for scheme in Scheme:
+        for coeff in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="guard coefficient"):
+                plan_scheme(CAPACITY, 1000, scheme, coeff)
 
 
 def test_plan_intramodal_splits_runs():
