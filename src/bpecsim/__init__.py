@@ -6,7 +6,6 @@ from .channel import (
     Mode,
     ModeKind,
     ModeSchedule,
-    SlotState,
     build_schedule,
 )
 from .montecarlo import AggregateStats, convergence_sweep, simulate

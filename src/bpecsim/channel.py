@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
@@ -44,13 +44,6 @@ class Mode:
             raise ValueError(f"erasure_prob must lie in [0, 1], got {self.erasure_prob}")
         if self.length < 0:
             raise ValueError(f"mode length must be non-negative, got {self.length}")
-
-
-class SlotState(NamedTuple):
-    """Per-slot link states; s_i = 1 means receiver i gets the input symbol."""
-
-    s1: int
-    s2: int
 
 
 @dataclass(frozen=True)
@@ -105,14 +98,6 @@ class ModeSchedule:
                 yield t, t + mode.length, mode
             t += mode.length
 
-    def erasure_prob_at(self, t: int) -> float:
-        """Erasure probability of slot t, 1-based, 1 <= t <= n."""
-        if not 1 <= t <= self.n:
-            raise IndexError(f"slot index {t} outside 1..{self.n}")
-        return next(
-            mode.erasure_prob for start, stop, mode in self.segments() if start < t <= stop
-        )
-
 
 def build_schedule(
     n: int,
@@ -140,19 +125,83 @@ def build_schedule(
     return ModeSchedule(modes=modes, n=n)
 
 
-def received(words: np.ndarray, erasure_prob: float, out: np.ndarray) -> None:
-    """Write into bool ``out`` whether each 64-bit Philox word delivers its slot.
+def threshold(erasure_prob: float) -> int:
+    """The least 64-bit Philox word that delivers a slot of erasure probability p.
 
-    A word w delivers when its 53-bit uniform (w >> 11) * 2**-53 is at least the
-    erasure probability p.  Both sides of that test are exact, so it is the
-    integer test w >= ceil(p * 2**53) << 11; for p = 1 the threshold is 2**64
-    and no word delivers.
+    A word w delivers when its 53-bit uniform (w >> 11) * 2**-53 is at least p.
+    Both sides of that test are exact, so it is the integer test
+    w >= ceil(p * 2**53) << 11; for p = 1 the threshold is 2**64 and no word
+    delivers.
     """
-    threshold = math.ceil(erasure_prob * 2**53) << 11
+    return math.ceil(erasure_prob * 2**53) << 11
+
+
+def received(words: np.ndarray, threshold: int, out: np.ndarray) -> None:
+    """Write into bool ``out`` whether each word is at least ``threshold``."""
     if threshold >> 64:
         out[...] = False
     else:
         np.greater_equal(words, np.uint64(threshold), out=out)
+
+
+def channel_key(seed: int | SeedSequence) -> np.ndarray:
+    """The Philox key that ``Philox(seed=seed)`` derives, without building it."""
+    ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    return ss.generate_state(2, np.uint64)
+
+
+def _segments(schedule: ModeSchedule, t0: int, t1: int) -> Iterator[tuple[int, int, int]]:
+    """(lo, hi, threshold) covering 0-based slots [t0, t1), offsets relative to t0.
+
+    Slots past n take the mode-B probability (deadline-free runs read them).
+    """
+    for start, stop, mode in schedule.segments():
+        lo, hi = max(start, t0), min(stop, t1)
+        if lo < hi:
+            yield lo - t0, hi - t0, threshold(mode.erasure_prob)
+    if t1 > schedule.n:
+        yield max(schedule.n, t0) - t0, t1 - t0, threshold(schedule.delta_b)
+
+
+def _words(bg: Philox, key: np.ndarray, t0: int, count: int) -> np.ndarray:
+    """(2, count) Philox words of 1-based slots t0, t0 + 1, ... under ``key``,
+    one row per user, drawn by ``bg`` after rekeying it."""
+    # Philox yields 4 words per counter step; a fresh keyed Philox starts at 0
+    block, rem = divmod(2 * (t0 - 1), 4)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([block, 0, 0, 0], np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
+
+
+def sample_block(schedule: ModeSchedule, keys: list[np.ndarray]) -> np.ndarray:
+    """(2, T, n) bool link states of slots 1..n for T samplers, one key each.
+
+    Row r equals ``ChannelSampler(schedule, seed).slots(1, n + 1)`` for the
+    seed whose ``channel_key`` is ``keys[r]``.  Each row's words are compared
+    with one per-slot threshold row as soon as they are drawn, so one row's
+    words are alive at a time, and none once the block is returned.
+    """
+    n = schedule.n
+    thresholds = np.zeros(n, np.uint64)
+    erased = []  # p = 1: no word delivers, and its threshold 2**64 fits no uint64
+    for lo, hi, thr in _segments(schedule, 0, n):
+        if thr >> 64:
+            erased.append((lo, hi))
+        else:
+            thresholds[lo:hi] = thr
+    out = np.empty((2, len(keys), n), dtype=bool)
+    bg = Philox(key=keys[0])
+    for r, key in enumerate(keys):
+        np.greater_equal(_words(bg, key, 1, n), thresholds, out=out[:, r])
+    for lo, hi in erased:
+        out[:, :, lo:hi] = False
+    return out
 
 
 class ChannelSampler:
@@ -166,39 +215,15 @@ class ChannelSampler:
     def __init__(self, schedule: ModeSchedule, seed: int | SeedSequence):
         self.schedule = schedule
         # a seeded Philox starts at counter 0, so the key alone addresses every word
-        self._key = Philox(seed=seed).state["state"]["key"].copy()
-
-    def _segments(self, t0: int, t1: int) -> Iterator[tuple[int, int, float]]:
-        """(lo, hi, p) covering 0-based slots [t0, t1), offsets relative to t0.
-
-        Slots past n take the mode-B probability (deadline-free runs read them).
-        """
-        for start, stop, mode in self.schedule.segments():
-            lo, hi = max(start, t0), min(stop, t1)
-            if lo < hi:
-                yield lo - t0, hi - t0, mode.erasure_prob
-        if t1 > self.schedule.n:
-            yield max(self.schedule.n, t0) - t0, t1 - t0, self.schedule.delta_b
+        self._key = channel_key(seed)
 
     def slots(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """Link states for 1-based slots t0..t1-1 as uint8 arrays (s=1: received)."""
         if t0 < 1 or t1 < t0:
             raise IndexError(f"invalid slot range [{t0}, {t1})")
-        count = t1 - t0
-        # Philox yields 4 words per counter step
-        block, rem = divmod(2 * (t0 - 1), 4)
-        bg = Philox(key=self._key)
-        bg.advance(block)
-        words = bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
-        states = np.empty((2, count), dtype=bool)
-        for lo, hi, p in self._segments(t0 - 1, t1 - 1):
-            received(words[:, lo:hi], p, states[:, lo:hi])
+        words = _words(Philox(key=self._key), self._key, t0, t1 - t0)
+        states = np.empty((2, t1 - t0), dtype=bool)
+        for lo, hi, thr in _segments(self.schedule, t0 - 1, t1 - 1):
+            received(words[:, lo:hi], thr, states[:, lo:hi])
         s1, s2 = states.view(np.uint8)
         return s1, s2
-
-    def slot(self, t: int) -> SlotState:
-        """Sample a single 1-based slot; errors outside 1..n."""
-        if not 1 <= t <= self.schedule.n:
-            raise IndexError(f"slot index {t} outside 1..{self.schedule.n}")
-        s1, s2 = self.slots(t, t + 1)
-        return SlotState(int(s1[0]), int(s2[0]))

@@ -361,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "simulate" and args.delta_t is None:
         args.delta_t = args.delta_b
     if args.command in ("region", "sweep", "simulate"):
-        _validate_simulate(args, parser)
+        _validate_simulate(args, sub.choices[args.command])
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -5,6 +5,7 @@ reproducible and independent of any execution order; aggregation is a
 deterministic reduction over trial indices.  That lets ``simulate`` run
 contiguous chunks of trial indices in forked child processes, up to one per
 core the process may use, and still report the same bytes as a one-core run.
+Within a chunk, trials run in blocks through ``protocol.run_block``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from numpy.random import SeedSequence
 
 from .channel import floor_index
-from .protocol import Scheme, plan_scheme, run_trial
+from .protocol import Scheme, plan_scheme, run_block, run_trial
 from .rates import ModeParams
 
 _Z95 = 1.959963984540054
@@ -26,11 +27,14 @@ _Z95 = 1.959963984540054
 # inter-modal scheme (the slowest) at n = 1e2 ... 1e5: a trial takes about
 # _TRIAL_S + n * _SLOT_S, and each forked worker adds about _FORK_S of wall
 # time (the fork, its copy-on-write faults, reading its result, reaping it).
-# Measured, two workers beat one from 3-4 ms of work (32 trials at n = 1e3,
-# 4 at n = 1e5); the model puts that point at 2 * _FORK_S.
-_TRIAL_S = 70e-6
+# Measured, two workers beat one from about 3 ms of work (about 120 trials at
+# n = 1e3, 4 at n = 1e5); the model puts that point at 2 * _FORK_S.
+_TRIAL_S = 15e-6
 _SLOT_S = 9e-9
 _FORK_S = 2e-3
+# Each chunk runs its trials in blocks of at most this many slots, which share
+# their array work: 32 trials at n = 1e3, one trial for n > 2^14.
+_BLOCK_SLOTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ def trial_seed(master_seed: int, index: int) -> SeedSequence:
     return SeedSequence((master_seed, index))
 
 
-# what simulate's trials call, looked up at call time; see _watched
+# what simulate calls, looked up at call time; see _watched
 _TRIAL_HOOKS = (run_trial, trial_seed)
 
 
@@ -75,13 +79,20 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = plan_scheme(p, n, scheme, guard_coeff)
+    per_block = max(1, _BLOCK_SLOTS // n)
 
     def _trial_chunk(lo: int, hi: int) -> list[tuple[float, bool, bool]]:
         """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
         outcomes = []
-        for k in range(lo, hi):
-            stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
-            outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
+        for first in range(lo, hi, per_block):
+            seeds = [trial_seed(master_seed, k) for k in range(first, min(first + per_block, hi))]
+            # run_trial runs the block driver on one row, and a tracer that
+            # wraps it sees each long trial as its own call
+            if len(seeds) == 1:
+                stats = run_trial(p, n, n_t, delta_t, plan, seeds[0])
+                outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
+                continue
+            outcomes += run_block(p, n, n_t, delta_t, plan, seeds).rows()
         return outcomes
 
     k = min(trials, _worker_count(trials, n))

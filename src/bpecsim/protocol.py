@@ -13,8 +13,9 @@ rounds; it sends idealized erasure-coded streams.
 
 Two drivers iterate the same rounds and produce identical ``TrialStats``: a
 per-slot reference loop (supports action recording, per-slot observers and
-deadline-free runs) and a batched driver that jumps between resolution slots
-for large blocklengths.
+deadline-free runs) and a batched driver that jumps between resolution slots.
+The batched driver runs a block of trials that share one plan at once;
+``run_trial`` gives it a block of one.
 """
 from __future__ import annotations
 
@@ -31,7 +32,9 @@ from .channel import (
     ModeSchedule,
     build_schedule,
     ceil_index,
+    channel_key,
     floor_index,
+    sample_block,
 )
 from .rates import (
     ModeParams,
@@ -472,7 +475,6 @@ class Transmitter:
         self.plan = plan
         self.bits1 = bits1
         self.bits2 = bits2
-        self.ignore_boundaries = ignore_boundaries
         self.statuses: dict[PacketId, PacketStatus] = {}
         self.boundaries: dict[str, Optional[int]] = {}
         for user, total in ((1, plan.message_size(1)), (2, plan.message_size(2))):
@@ -641,8 +643,8 @@ def _empirical_erasure(
         key = mode.kind.value
         seg1 = s1[start:stop]
         seg2 = s2[start:stop]
-        sums[key][0] += int(seg1.size - seg1.sum())
-        sums[key][1] += int(seg2.size - seg2.sum())
+        sums[key][0] += seg1.size - int(np.count_nonzero(seg1))
+        sums[key][1] += seg2.size - int(np.count_nonzero(seg2))
         sums[key][2] += stop - start
     for key, (e1, e2, cnt) in sums.items():
         if cnt:
@@ -679,18 +681,6 @@ def _trial_stats(
         backlog_1=backlog[0] if finished else None,
         backlog_2=backlog[1] if finished else None,
     )
-
-
-def _nofb_stats(
-    plan: SchemePlan, schedule: ModeSchedule, s1: np.ndarray, s2: np.ndarray
-) -> TrialStats:
-    """A user decodes once each of its per-mode streams got as many slots as packets."""
-    ok = [True, True]
-    for user, s in ((1, s1), (2, s2)):
-        for start, stop, need in ((0, plan.n_a, plan.fec_a), (plan.n_a, plan.n, plan.fec_b)):
-            if int(s[_nofb_slots(user, start, stop)].sum()) < need[user - 1]:
-                ok[user - 1] = False
-    return _trial_stats(plan, schedule, s1, s2, (plan.m1, plan.m2), tuple(ok), {})
 
 
 # ---------------------------------------------------------------------------
@@ -759,93 +749,116 @@ def _run_reference(
 # ---------------------------------------------------------------------------
 
 
-class _RoundResult(NamedTuple):
-    resolved: tuple[int, int]
-    raw_end: tuple[Optional[int], Optional[int]]  # phase ends; None if unfinished
-    mc_end: Optional[int]
-    backlog: tuple[int, int]
+class BlockOutcome(NamedTuple):
+    """Per-row outcome of a block of trials that share one plan."""
+
+    n: int
+    m: tuple[int, int]  # message sizes
+    decode_ok: np.ndarray  # (2, T) bool: user u + 1 decoded in row r
+    boundaries: dict[str, np.ndarray]  # (T,) phase ends; -1 where a phase never ended
+    backlog: np.ndarray  # (2, T) first round's virtual queues; valid where its raw phases ended
+
+    def rows(self) -> list[tuple[float, bool, bool]]:
+        """(sum_rate, decode_ok_1, decode_ok_2) per row, as ``TrialStats`` counts them."""
+        (m1, m2), n = self.m, self.n
+        ok1, ok2 = self.decode_ok.tolist()
+        return [(((m1 if a else 0) + (m2 if b else 0)) / n, a, b) for a, b in zip(ok1, ok2)]
 
 
-_UNSTARTED = _RoundResult((0, 0), (None, None), None, (0, 0))
+def _at(idx: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """idx[pos] with positions clipped into range; callers mask the clipped rows."""
+    return idx.take(pos, mode="clip") if idx.size else pos
 
 
-def _batched_round(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    useful_idx: np.ndarray,
-    s1_idx: np.ndarray,
-    s2_idx: np.ndarray,
-    t0: int,
-    limit: int,
-    m1: int,
-    m2: int,
-) -> _RoundResult:
-    """Replay one three-phase round over slots [t0, limit) by jumping between
-    resolution slots; matches the per-slot reference exactly."""
-    # raw phases: user 1's packets, then user 2's, each until somebody hears it
-    delivered = [0, 0]
-    backlog = [0, 0]
-    raw_end: list[Optional[int]] = [None, None]
-    t = t0
-    for u, (s, m) in enumerate(((s1, m1), (s2, m2))):
-        i0 = int(np.searchsorted(useful_idx, t))
-        sel = useful_idx[i0 : i0 + m]
-        sel = sel[sel < limit]
-        delivered[u] = int(s[sel].sum())
-        backlog[u] = len(sel) - delivered[u]
-        if len(sel) < m:
-            return _RoundResult(tuple(delivered), tuple(raw_end), None, tuple(backlog))
-        t = raw_end[u] = int(sel[-1]) + 1 if m else t
+def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome:
+    """Replay the plan's rounds in every row of (T, n) bool link states by
+    jumping between resolution slots; each row matches the per-slot reference.
 
-    # multicast: heads re-pair each slot, so each queue drains on its own link
-    mc_last = t
-    resolved = []
-    complete = True
-    for idx, count in ((s1_idx, backlog[0]), (s2_idx, backlog[1])):
-        k = int(np.searchsorted(idx, t))
-        slots = idx[k : k + count]
-        slots = slots[slots < limit]
-        resolved.append(len(slots))
-        if len(slots) < count:
-            complete = False
-        elif count:
-            mc_last = max(mc_last, int(slots[-1]) + 1)
-    return _RoundResult(
-        (delivered[0] + resolved[0], delivered[1] + resolved[1]),
-        tuple(raw_end),
-        mc_last if complete else None,
-        tuple(backlog),
-    )
+    Row r's slot t is r * n + t of the flattened block, so one index of the
+    useful slots and one per link serve all rows, and each phase end, count
+    or backlog is one searchsorted over the rows.
+    """
+    rows, n = b1.shape
+    sizes = (plan.message_size(1), plan.message_size(2))
+    decode_ok = np.ones((2, rows), dtype=bool)
+    backlog = np.zeros((2, rows), dtype=np.intp)
+    if plan.scheme is Scheme.NO_FEEDBACK:
+        # a user decodes once each per-mode stream got as many slots as packets
+        for u, b in enumerate((b1, b2)):
+            for start, stop, fec in ((0, plan.n_a, plan.fec_a), (plan.n_a, n, plan.fec_b)):
+                # strided sums run faster on uint8 than on bool
+                got = b.view(np.uint8)[:, _nofb_slots(u + 1, start, stop)].sum(axis=1)
+                decode_ok[u] &= got >= fec[u]
+        return BlockOutcome(n, sizes, decode_ok, {}, backlog)
 
-
-def _run_batched(
-    plan: SchemePlan, schedule: ModeSchedule, s1: np.ndarray, s2: np.ndarray
-) -> TrialStats:
     # flatnonzero is several times faster on bool than on uint8 arrays
-    b1, b2 = s1.view(bool), s2.view(bool)
-    useful_idx = np.flatnonzero(b1 | b2)
-    s1_idx = np.flatnonzero(b1)
-    s2_idx = np.flatnonzero(b2)
-    boundaries: dict[str, Optional[int]] = {}
-    results = []
-    for spec in plan.rounds():
-        start = results[-1].mc_end if spec.chained else spec.start
-        rr = _UNSTARTED if start is None else _batched_round(
-            s1, s2, useful_idx, s1_idx, s2_idx, start, spec.limit, spec.m1, spec.m2
-        )
-        boundaries[spec.label + "raw1"] = rr.raw_end[0]
-        boundaries[spec.label + "raw2"] = rr.raw_end[1]
-        boundaries[spec.label + "multicast"] = rr.mc_end
-        results.append(rr)
+    flat1, flat2 = b1.reshape(-1), b2.reshape(-1)
+    useful = np.flatnonzero(flat1 | flat2)
+    links = (np.flatnonzero(flat1), np.flatnonzero(flat2))
+    base = np.arange(rows, dtype=np.intp) * n
+    boundaries: dict[str, np.ndarray] = {}
+    mc_end = done = None
+    for i, spec in enumerate(plan.rounds()):
+        if spec.chained:  # starts where the previous round finished, if it did
+            t, live = np.where(done, mc_end, base), done
+        else:
+            t, live = base + spec.start, np.ones(rows, dtype=bool)
+        limit = base + spec.limit
+        useful_end = np.searchsorted(useful, limit)
+        # raw phases: user 1's packets, then user 2's, each until somebody hears it
+        resolved = []
+        queues = []
+        for u, m in enumerate((spec.m1, spec.m2)):
+            i0 = np.searchsorted(useful, t)
+            sent = np.minimum(useful_end - i0, m)
+            end = np.where(sent > 0, _at(useful, i0 + sent - 1) + 1, t)
+            got = np.searchsorted(links[u], end) - np.searchsorted(links[u], t)
+            resolved.append(np.where(live, got, 0))
+            queues.append(sent - got)
+            live = live & (sent == m)
+            boundaries[spec.label + ("raw1", "raw2")[u]] = np.where(live, end - base, -1)
+            t = end
+        # multicast: heads re-pair each slot, so each queue drains on its own link
+        mc_end, done = t, live
+        for u, (m, q) in enumerate(zip((spec.m1, spec.m2), queues)):
+            j0 = np.searchsorted(links[u], t)
+            drained = np.minimum(np.searchsorted(links[u], limit) - j0, q)
+            emptied = drained == q
+            last = np.where((q > 0) & emptied, _at(links[u], j0 + q - 1) + 1, t)
+            mc_end = np.maximum(mc_end, last)
+            done = done & emptied
+            decode_ok[u] &= resolved[u] + np.where(live, drained, 0) == m
+        boundaries[spec.label + "multicast"] = np.where(done, mc_end - base, -1)
+        if i == 0:
+            backlog[:] = queues
+    return BlockOutcome(n, sizes, decode_ok, boundaries, backlog)
 
-    m1 = plan.message_size(1)
-    m2 = plan.message_size(2)
-    ok1 = sum(rr.resolved[0] for rr in results) == m1
-    ok2 = sum(rr.resolved[1] for rr in results) == m2
-    return _trial_stats(
-        plan, schedule, s1, s2, (m1, m2), (ok1, ok2), boundaries,
-        results[0].raw_end[1], results[0].backlog,
-    )
+
+def _schedule(
+    p: ModeParams, n: int, n_t: int, delta_t: float, plan: SchemePlan
+) -> ModeSchedule:
+    schedule = build_schedule(n, p.eta, n_t, p.delta_a, delta_t, p.delta_b)
+    if plan.n != n or plan.n_a != schedule.n_a:
+        raise ValueError("plan was built for a different blocklength or eta")
+    return schedule
+
+
+def run_block(
+    p: ModeParams,
+    n: int,
+    n_t: int,
+    delta_t: float,
+    plan: SchemePlan,
+    seeds: list[SeedSequence],
+) -> BlockOutcome:
+    """One trial per seed, in one block; row r is ``run_trial(..., seeds[r])``.
+
+    A trial's channel is seeded by the first child of its seed, the one
+    ``run_trial`` spawns for it.
+    """
+    schedule = _schedule(p, n, n_t, delta_t, plan)
+    block = sample_block(schedule, [channel_key(ss.spawn(1)[0]) for ss in seeds])
+    return _run_block(plan, block[0], block[1])
 
 
 # ---------------------------------------------------------------------------
@@ -873,9 +886,7 @@ def run_trial(
     ``observer(t, action, transmitter)`` is called once per slot after feedback
     and forces the per-slot reference driver, as does ``run_to_completion``.
     """
-    schedule = build_schedule(n, p.eta, n_t, p.delta_a, delta_t, p.delta_b)
-    if plan.n != n or plan.n_a != schedule.n_a:
-        raise ValueError("plan was built for a different blocklength or eta")
+    schedule = _schedule(p, n, n_t, delta_t, plan)
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     channel_ss, msg_ss = ss.spawn(2)
     sampler = None
@@ -901,12 +912,18 @@ def run_trial(
     if plan.scheme is Scheme.NO_FEEDBACK:
         if run_to_completion:
             raise ProtocolError("the no-feedback baseline has no queues to drain")
-        return _nofb_stats(plan, schedule, s1, s2)
-    if driver == "reference" or needs_reference:
+    elif driver == "reference" or needs_reference:
         rng = default_rng(msg_ss)
         bits1 = rng.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
         bits2 = rng.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)
         return _run_reference(
             plan, schedule, s1, s2, bits1, bits2, observer, run_to_completion, sampler
         )
-    return _run_batched(plan, schedule, s1, s2)
+    out = _run_block(plan, s1.view(bool)[None], s2.view(bool)[None])
+    boundaries = {k: int(v[0]) if v[0] >= 0 else None for k, v in out.boundaries.items()}
+    rounds = plan.rounds()
+    return _trial_stats(
+        plan, schedule, s1, s2, out.m, tuple(out.decode_ok[:, 0].tolist()), boundaries,
+        boundaries[rounds[0].label + "raw2"] if rounds else None,
+        tuple(out.backlog[:, 0].tolist()),
+    )

@@ -12,9 +12,9 @@ from bpecsim.channel import (
     Mode,
     ModeKind,
     ModeSchedule,
-    SlotState,
     build_schedule,
     received,
+    threshold,
 )
 
 
@@ -64,27 +64,26 @@ def test_mode_schedule_rejects_bad_order():
         )
 
 
-def test_erasure_prob_at_piecewise():
+def test_segments_piecewise():
+    # 0-based half-open ranges; 1-based slot t lies in the range with start < t <= stop
     sched = build_schedule(35, 32 / 35, 0, 0.75, 0.0, 0.0)
-    assert sched.erasure_prob_at(1) == 0.75
-    assert sched.erasure_prob_at(32) == 0.75
-    assert sched.erasure_prob_at(33) == 0.0
+    segments = [(a, b, m.erasure_prob) for a, b, m in sched.segments()]
+    assert segments == [(0, 32, 0.75), (32, 35, 0.0)]
     sched2 = build_schedule(100, 1 / 6, 4, 0.75, 0.3, 0.0)
-    assert sched2.erasure_prob_at(18) == 0.3
-    assert sched2.erasure_prob_at(16) == 0.75
-    assert sched2.erasure_prob_at(21) == 0.0
-    with pytest.raises(IndexError):
-        sched.erasure_prob_at(0)
-    with pytest.raises(IndexError):
-        sched.erasure_prob_at(36)
+    assert [(a, b, m.kind) for a, b, m in sched2.segments()] == [
+        (0, 16, ModeKind.NONTRANSIENT_A),
+        (16, 20, ModeKind.TRANSIENT),
+        (20, 100, ModeKind.NONTRANSIENT_B),
+    ]
+    assert [m.erasure_prob for _, _, m in sched2.segments()] == [0.75, 0.3, 0.0]
 
 
 def test_sample_slot_degenerate_probs():
     sure = ChannelSampler(build_schedule(50, 1.0, 0, 0.0, 0.0, 0.0), seed=3)
     gone = ChannelSampler(build_schedule(50, 1.0, 0, 1.0, 0.0, 0.0), seed=3)
     for t in range(1, 51):
-        assert sure.slot(t) == SlotState(1, 1)
-        assert gone.slot(t) == SlotState(0, 0)
+        assert [s.tolist() for s in sure.slots(t, t + 1)] == [[1], [1]]
+        assert [s.tolist() for s in gone.slots(t, t + 1)] == [[0], [0]]
 
 
 def test_sample_slot_binomial_concentration():
@@ -109,7 +108,8 @@ def test_sampler_determinism_and_addressability():
     s1m, s2m = a.slots(100, 301)
     assert np.array_equal(s1m, s1a[99:300]) and np.array_equal(s2m, s2a[99:300])
     for t in (1, 99, 250, 500):
-        assert a.slot(t) == SlotState(int(s1a[t - 1]), int(s2a[t - 1]))
+        s1, s2 = a.slots(t, t + 1)
+        assert (s1.tolist(), s2.tolist()) == ([s1a[t - 1]], [s2a[t - 1]])
     c = ChannelSampler(sched, seed=43)
     s1c, _ = c.slots(1, 501)
     assert not np.array_equal(s1a, s1c)
@@ -147,7 +147,9 @@ def test_sample_slot_function_validates_schedule():
     sched = build_schedule(10, 0.5, 0, 0.5, 0.0, 0.0)
     sampler = ChannelSampler(sched, seed=1)
     with pytest.raises(IndexError):
-        sampler.slot(11)
+        sampler.slots(0, 1)
+    with pytest.raises(IndexError):
+        sampler.slots(5, 4)
 
 
 # The sampler contract: sha256 of s1.tobytes() + s2.tobytes() for slots(t0, t1).
@@ -220,5 +222,5 @@ def test_integer_threshold_matches_53_bit_uniform(word, p):
     k = math.ceil(p * 2**53)
     words = [w for w in (word, (k << 11) - 1, k << 11) if 0 <= w < 2**64]
     out = np.empty(len(words), dtype=bool)
-    received(np.array(words, dtype=np.uint64), p, out)
+    received(np.array(words, dtype=np.uint64), threshold(p), out)
     assert out.tolist() == [(w >> 11) * 2.0**-53 >= p for w in words]

@@ -205,6 +205,22 @@ def test_simulate_validates_config(capsys):
         assert "guard-coeff must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "0"],
+        ["simulate", "--n", "100", "--trials", "1", "--guard-coeff=inf"],
+        ["region", "1.5", "0", "0.5"],
+        ["sweep", "--delta-a", "0.75", "--delta-b", "-0.1"],
+    ],
+)
+def test_validation_errors_print_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: bpecsim {argv[0]} ")
+
+
 def test_simulate_allocation_failure_is_one_error_line(capsys):
     # 2e15 channel words take 14.2 PiB, more than a 64-bit address space can
     # map, so the allocation fails at once without touching memory
