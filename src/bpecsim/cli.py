@@ -22,7 +22,17 @@ from . import montecarlo, rates
 from .protocol import Scheme
 from .rates import ModeParams, UnsupportedParametersError
 
-CSV_HEADER = "eta,outer_sum,c1_sum,c2_sum,c3_sum,inter_modal_sum,intra_modal_sum,no_feedback_sum"
+# the sum rates of every report, keyed and ordered as the sweep/figure CSV columns
+_SUM_COLUMNS = ("outer_sum", "c1_sum", "c2_sum", "c3_sum",
+                "inter_modal_sum", "intra_modal_sum", "no_feedback_sum")
+CSV_HEADER = ",".join(("eta",) + _SUM_COLUMNS)
+
+# the column that holds each scheme's analytic sum rate
+_SCHEME_SUM = {
+    Scheme.INTER_MODAL: "inter_modal_sum",
+    Scheme.INTRA_MODAL: "intra_modal_sum",
+    Scheme.NO_FEEDBACK: "no_feedback_sum",
+}
 
 # a step of 1e-6 over [0, 1]; a finer grid would only exhaust memory
 _MAX_GRID_POINTS = 1_000_001
@@ -51,45 +61,48 @@ def _eta_grid(grid: str) -> list[float]:
     return grid
 
 
-def _inter_sum(p: ModeParams) -> Optional[float]:
-    """The inter-modal sum rate, or None where ``rates`` rules the analysis out."""
+def _sums(p: ModeParams) -> dict[str, Optional[float]]:
+    """Every report's sum rates at ``p``, keyed by ``_SUM_COLUMNS``; the
+    inter-modal sum is None where ``rates`` rules its analysis out."""
     try:
-        return rates.achievable_intermodal_sum(p)
+        inter = rates.achievable_intermodal_sum(p)
     except UnsupportedParametersError:
-        return None
+        inter = None
+    return {
+        "outer_sum": rates.max_sum_rate(rates.outer_region(p)),
+        "c1_sum": rates.max_sum_rate(rates.region_c1(p)),
+        "c2_sum": rates.max_sum_rate(rates.region_c2(p)),
+        "c3_sum": rates.max_sum_rate(rates.region_c3(p)),
+        "inter_modal_sum": inter,
+        "intra_modal_sum": rates.achievable_intramodal_sum(p),
+        "no_feedback_sum": rates.achievable_nofeedback_sum(p),
+    }
 
 
 def _region_report(delta_a: float, delta_b: float, eta: float) -> dict:
     p = ModeParams(delta_a=delta_a, delta_b=delta_b, eta=eta)
-    regions = {
-        "c1": rates.region_c1(p),
-        "c2": rates.region_c2(p),
-        "c3": rates.region_c3(p),
-    }
-    sums = {name: rates.max_sum_rate(reg) for name, reg in regions.items()}
-    outer = rates.outer_region(p)
-    verts = rates.vertices(outer)
-    report = {
+    sums = _sums(p)
+    return {
         "delta_a": delta_a,
         "delta_b": delta_b,
         "eta": eta,
         "avg_erasure": rates.avg_erasure(p),
         "kappa": rates.kappa(p),
-        "c1_halfspaces": [[h.c1, h.c2, h.bound] for h in regions["c1"].halfspaces],
-        "c2_halfspaces": [[h.c1, h.c2, h.bound] for h in regions["c2"].halfspaces],
-        "c3_halfspaces": [[h.c1, h.c2, h.bound] for h in regions["c3"].halfspaces],
-        "vertices": [[v.r1, v.r2] for v in verts],
-        "max_sum_rate": rates.max_sum_rate(outer),
-        "c1_sum": sums["c1"],
-        "c2_sum": sums["c2"],
-        "c3_sum": sums["c3"],
-        "binding_region": min(sums, key=lambda k: sums[k]),
+        "c1_halfspaces": [[h.c1, h.c2, h.bound] for h in rates.region_c1(p).halfspaces],
+        "c2_halfspaces": [[h.c1, h.c2, h.bound] for h in rates.region_c2(p).halfspaces],
+        "c3_halfspaces": [[h.c1, h.c2, h.bound] for h in rates.region_c3(p).halfspaces],
+        "vertices": [[v.r1, v.r2] for v in rates.vertices(rates.outer_region(p))],
+        "max_sum_rate": sums["outer_sum"],
+        "c1_sum": sums["c1_sum"],
+        "c2_sum": sums["c2_sum"],
+        "c3_sum": sums["c3_sum"],
+        # the first of tied minima
+        "binding_region": min(("c1", "c2", "c3"), key=lambda name: sums[f"{name}_sum"]),
         "outer_bound_achievable": rates.outer_bound_achievable(p),
-        "inter_modal_sum": _inter_sum(p),
-        "intra_modal_sum": rates.achievable_intramodal_sum(p),
-        "no_feedback_sum": rates.achievable_nofeedback_sum(p),
+        "inter_modal_sum": sums["inter_modal_sum"],
+        "intra_modal_sum": sums["intra_modal_sum"],
+        "no_feedback_sum": sums["no_feedback_sum"],
     }
-    return report
 
 
 def _region_text(report: dict) -> str:
@@ -122,18 +135,9 @@ def sweep_rows(delta_a: float, delta_b: float, grid: list[float]) -> list[str]:
     """CSV lines (header included) for the sum-rate bounds over an eta grid."""
     lines = [CSV_HEADER]
     for eta in grid:
-        p = ModeParams(delta_a=delta_a, delta_b=delta_b, eta=eta)
-        outer = rates.max_sum_rate(rates.outer_region(p))
-        c1 = rates.max_sum_rate(rates.region_c1(p))
-        c2 = rates.max_sum_rate(rates.region_c2(p))
-        c3 = rates.max_sum_rate(rates.region_c3(p))
-        inter = _inter_sum(p)
-        intra = rates.achievable_intramodal_sum(p)
-        nofb = rates.achievable_nofeedback_sum(p)
-        lines.append(
-            f"{_fmt(eta)},{_fmt(outer)},{_fmt(c1)},{_fmt(c2)},{_fmt(c3)},"
-            f"{_fmt(inter) if inter is not None else ''},{_fmt(intra)},{_fmt(nofb)}"
-        )
+        sums = _sums(ModeParams(delta_a=delta_a, delta_b=delta_b, eta=eta))
+        cells = [_fmt(eta)] + ["" if sums[c] is None else _fmt(sums[c]) for c in _SUM_COLUMNS]
+        lines.append(",".join(cells))
     return lines
 
 
@@ -145,23 +149,19 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> str:
     report = _region_report(args.delta_a, args.delta_b, args.eta)
     if args.format == "json":
-        _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    else:
-        _write_text(args.out, _region_text(report))
-    return 0
+        return json.dumps(report, indent=2) + "\n"
+    return _region_text(report)
 
 
-def _cmd_sweep(args) -> int:
-    grid = _eta_grid(args.eta_grid)
-    lines = sweep_rows(args.delta_a, args.delta_b, grid)
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+def _cmd_sweep(args) -> str:
+    lines = sweep_rows(args.delta_a, args.delta_b, _eta_grid(args.eta_grid))
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     p = ModeParams(delta_a=args.delta_a, delta_b=args.delta_b, eta=args.eta)
     n_t = args.n_t
     if n_t is None:
@@ -170,12 +170,7 @@ def _cmd_simulate(args) -> int:
     agg = montecarlo.simulate(
         p, args.n, n_t, args.delta_t, scheme, args.guard_coeff, args.trials, args.seed
     )
-    if scheme is Scheme.INTER_MODAL:
-        analytic = rates.achievable_intermodal_sum(p)
-    elif scheme is Scheme.INTRA_MODAL:
-        analytic = rates.achievable_intramodal_sum(p)
-    else:
-        analytic = rates.achievable_nofeedback_sum(p)
+    sums = _sums(p)
     report = {
         "delta_a": args.delta_a,
         "delta_b": args.delta_b,
@@ -191,34 +186,33 @@ def _cmd_simulate(args) -> int:
         "sum_rate_ci95": list(agg.sum_rate_ci95),
         "failure_rate_1": agg.failure_rate_1,
         "failure_rate_2": agg.failure_rate_2,
-        "analytic_sum_rate": analytic,
-        "outer_max_sum_rate": rates.max_sum_rate(rates.outer_region(p)),
+        "analytic_sum_rate": sums[_SCHEME_SUM[scheme]],
+        "outer_max_sum_rate": sums["outer_sum"],
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    return 0
+    return json.dumps(report, indent=2) + "\n"
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> str:
     if args.name == "fig3":
         # include the exact threshold point where inner meets outer
-        grid = sorted(set(_eta_grid("0:1:0.01")) | {32.0 / 35.0})
+        grid = sorted(set(_eta_grid("0:1:0.01")) | {rates.achievability_threshold(0.75, 0.0)})
         lines = sweep_rows(0.75, 0.0, grid)
     elif args.name == "fig4":
         lines = sweep_rows(0.75, 0.125, _eta_grid("0:1:0.01"))
     else:
         # fig5: region comparison in the regime where inner and outer bounds split
         p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
+        sums = _sums(p)
         lines = ["label,r1,r2,value"]
         for v in rates.vertices(rates.outer_region(p)):
             lines.append(f"vertex,{_fmt(v.r1)},{_fmt(v.r2)},")
-        lines.append(f"outer_max_sum,,,{_fmt(rates.max_sum_rate(rates.outer_region(p)))}")
-        lines.append(f"inter_modal_sum,,,{_fmt(rates.achievable_intermodal_sum(p))}")
-        lines.append(f"intra_modal_sum,,,{_fmt(rates.achievable_intramodal_sum(p))}")
+        lines.append(f"outer_max_sum,,,{_fmt(sums['outer_sum'])}")
+        lines.append(f"inter_modal_sum,,,{_fmt(sums['inter_modal_sum'])}")
+        lines.append(f"intra_modal_sum,,,{_fmt(sums['intra_modal_sum'])}")
         # alternative weighted-average figure for this setup, kept for comparison
         lines.append("intra_modal_reported,,,0.875")
-        lines.append(f"no_feedback_sum,,,{_fmt(rates.achievable_nofeedback_sum(p))}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+        lines.append(f"no_feedback_sum,,,{_fmt(sums['no_feedback_sum'])}")
+    return "\n".join(lines) + "\n"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -363,10 +357,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command in ("region", "sweep", "simulate"):
         _validate_simulate(args, sub.choices[args.command])
     try:
-        return args.func(args)
+        _write_text(args.out, args.func(args))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":
