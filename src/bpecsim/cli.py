@@ -36,6 +36,8 @@ _SCHEME_SUM = {
 
 # a step of 1e-6 over [0, 1]; a finer grid would only exhaust memory
 _MAX_GRID_POINTS = 1_000_001
+# a regular grid point closer than this many steps to stop is stop itself
+_GRID_DUST = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -43,6 +45,7 @@ def _fmt(x: float) -> str:
 
 
 def _eta_grid(grid: str) -> list[float]:
+    """Every ``start + k * step`` below ``stop``, then ``stop`` itself."""
     try:
         start_s, stop_s, step_s = grid.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -50,15 +53,14 @@ def _eta_grid(grid: str) -> list[float]:
         raise ValueError(f"grid must be start:stop:step, got {grid!r}") from exc
     if not (0.0 <= start <= stop <= 1.0 and step > 0.0):
         raise ValueError(f"grid must satisfy 0 <= start <= stop <= 1 with step > 0, got {grid!r}")
+    span = (stop - start) / step
     # checked before rounding: the quotient may be too large for an int
-    if (stop - start) / step >= _MAX_GRID_POINTS - 0.5:
+    if span > _MAX_GRID_POINTS - 1 + _GRID_DUST:
         raise ValueError(
             f"grid {grid!r} has more than {_MAX_GRID_POINTS} points; use a coarser step"
         )
-    count = int(round((stop - start) / step)) + 1
-    grid = [min(start + k * step, stop) for k in range(count)]
-    grid[-1] = stop
-    return grid
+    count = math.ceil(span - _GRID_DUST)
+    return [start + k * step for k in range(count)] + [stop]
 
 
 def _sums(p: ModeParams) -> dict[str, Optional[float]]:

@@ -124,6 +124,44 @@ def test_eta_grid_accepts_a_million_steps():
     assert len(grid) == 1_000_001 and grid[0] == 0.0 and grid[-1] == 1.0
 
 
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]),
+        ("0:1:0.7", [0.0, 0.7, 1.0]),
+        ("0:1:5", [0.0, 1.0]),
+        ("0.25:0.75:0.125", [0.25, 0.375, 0.5, 0.625, 0.75]),
+        ("0.4:0.4:0.1", [0.4]),
+    ],
+)
+def test_eta_grid_keeps_every_regular_point_then_stop(grid, expected):
+    assert _eta_grid(grid) == expected
+
+
+def test_eta_grid_keeps_the_last_regular_point_of_an_offset_grid():
+    grid = _eta_grid("0.0007:1:0.001")
+    assert len(grid) == 1001
+    assert grid[0] == 0.0007 and grid[-1] == 1.0
+    assert f"{grid[-2]:.12g}" == "0.9997"
+    assert all(b - a > 0.0009 for a, b in zip(grid, grid[1:-1]))
+
+
+def test_eta_grid_limit_counts_the_appended_stop(capsys):
+    # 1,000,000 regular points below 1, and then 1 itself
+    code, out, err = run_cli(
+        capsys, "sweep", "--delta-a", "0.75", "--delta-b", "0", "--eta-grid", "0:1:9.9999996e-7"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid") and err.count("\n") == 1
+
+
+def test_output_path_that_cannot_be_opened_exits_1(capsys):
+    for argv in (["region", "0.5", "0", "0.5"], ["figure", "fig5"]):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_figure_fig3_contains_threshold_row(tmp_path, capsys):
     out_path = tmp_path / "fig3.csv"
     code, _, _ = run_cli(capsys, "figure", "fig3", "--out", str(out_path))
