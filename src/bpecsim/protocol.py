@@ -660,12 +660,13 @@ def _trial_stats(
     m: tuple[int, int],
     ok: tuple[bool, bool],
     boundaries: dict[str, Optional[int]],
-    raw_slots: Optional[int] = None,
-    backlog: tuple[int, int] = (0, 0),
+    backlog: tuple[int, int],
 ) -> TrialStats:
     """A trial's outcome; a user's ``m[u]``-packet message counts whole or not
-    at all.  ``raw_slots`` and ``backlog`` are the first round's; the backlogs
-    count once its raw phases end."""
+    at all.  ``raw_slots`` is where the first round's raw phases end, and
+    ``backlog`` holds that round's virtual queues, which count once they end."""
+    rounds = plan.rounds()
+    raw_slots = boundaries[rounds[0].label + "raw2"] if rounds else None
     finished = raw_slots is not None
     return TrialStats(
         n=plan.n,
@@ -740,7 +741,7 @@ def _run_reference(
     first = tx._engines[0]
     return _trial_stats(
         plan, schedule, s1, s2, (m1, m2), (ok1, ok2), dict(tx.boundaries),
-        tx.boundaries[first.label + "raw2"], (len(first.v1), len(first.v2)),
+        (len(first.v1), len(first.v2)),
     )
 
 
@@ -921,9 +922,7 @@ def run_trial(
         )
     out = _run_block(plan, s1.view(bool)[None], s2.view(bool)[None])
     boundaries = {k: int(v[0]) if v[0] >= 0 else None for k, v in out.boundaries.items()}
-    rounds = plan.rounds()
     return _trial_stats(
         plan, schedule, s1, s2, out.m, tuple(out.decode_ok[:, 0].tolist()), boundaries,
-        boundaries[rounds[0].label + "raw2"] if rounds else None,
         tuple(out.backlog[:, 0].tolist()),
     )

@@ -66,10 +66,11 @@ class RateRegion:
 
     halfspaces: tuple[HalfSpace, ...]
 
-    def contains(self, r1: float, r2: float, tol: float = CONTAIN_TOL) -> bool:
-        if r1 < -tol or r2 < -tol:
+    def contains(self, r1: float, r2: float) -> bool:
+        """Membership up to ``CONTAIN_TOL``."""
+        if r1 < -CONTAIN_TOL or r2 < -CONTAIN_TOL:
             return False
-        return all(h.c1 * r1 + h.c2 * r2 <= h.bound + tol for h in self.halfspaces)
+        return all(h.c1 * r1 + h.c2 * r2 <= h.bound + CONTAIN_TOL for h in self.halfspaces)
 
 
 def avg_erasure(p: ModeParams) -> float:
@@ -151,11 +152,11 @@ def outer_region(p: ModeParams) -> RateRegion:
     )
 
 
-def vertices(region: RateRegion, tol: float = CONTAIN_TOL) -> list[RatePair]:
+def vertices(region: RateRegion) -> list[RatePair]:
     """All extreme points of a bounded region, sorted by r1 then r2.
 
     Enumerates pairwise intersections of the constraint boundaries (including
-    the axes), keeps the feasible ones and merges duplicates within `tol`.
+    the axes), keeps the feasible ones and merges duplicates within ``CONTAIN_TOL``.
     """
     if not any(h.c1 > 0 for h in region.halfspaces) or not any(
         h.c2 > 0 for h in region.halfspaces
@@ -171,11 +172,13 @@ def vertices(region: RateRegion, tol: float = CONTAIN_TOL) -> list[RatePair]:
             continue
         r1 = (b_a * c2 - a2 * b_c) / det
         r2 = (a1 * b_c - b_a * c1) / det
-        if region.contains(r1, r2, tol):
+        if region.contains(r1, r2):
             points.append((r1 if r1 > 0.0 else 0.0, r2 if r2 > 0.0 else 0.0))
     unique: list[tuple[float, float]] = []
     for pt in sorted(points):
-        if not any(abs(pt[0] - q[0]) <= tol and abs(pt[1] - q[1]) <= tol for q in unique):
+        if not any(
+            abs(pt[0] - q[0]) <= CONTAIN_TOL and abs(pt[1] - q[1]) <= CONTAIN_TOL for q in unique
+        ):
             unique.append(pt)
     return [RatePair(r1, r2) for r1, r2 in unique]
 
