@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpecsim.channel import floor_index
+from bpecsim.montecarlo import default_transient_length
 from bpecsim.protocol import Scheme, plan_scheme, run_trial
 from bpecsim.rates import ModeParams, UnsupportedParametersError
 
@@ -95,3 +96,36 @@ def test_drivers_agree_on_adversarial_channels(pattern, params, k, width):
     channel = _channel(pattern, n, n_a, k, max(1, int(width * n)))
     for plan in plans(p, n, guard_coeff):
         assert_drivers_agree(p, n, n_t, delta_t, plan, 0, channel=channel)
+
+
+# name -> (delta_a, delta_b, eta, n, transient, delta_t, scheme, guard_coeff, seed,
+#          (decode_ok_1, decode_ok_2)); a transient of None takes the CLI default
+REALISTIC_DRAWS = {
+    "inter-capacity": (0.75, 0.0, 32 / 35, 10_000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 12345,
+                       (True, True)),
+    # user 1 misses the deadline in the fresh-tail round
+    "inter-transient-tail-fails": (0.75, 0.125, 0.5, 20_000, None, 0.125, Scheme.INTER_MODAL,
+                                   3.0, 17, (False, True)),
+    "inter-no-guard-fails": (0.75, 0.0, 32 / 35, 10_000, 0, 0.0, Scheme.INTER_MODAL, 0.0, 0,
+                             (False, False)),
+    "intra-transient": (0.6, 0.2, 0.5, 50_000, None, 0.2, Scheme.INTRA_MODAL, 3.0, 3,
+                        (True, True)),
+    # round A is cut off at the mode boundary; only user 2 decodes
+    "intra-cutoff-fails": (0.5, 0.3, 0.6, 30_000, None, 0.3, Scheme.INTRA_MODAL, 0.0, 6,
+                           (False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALISTIC_DRAWS))
+def test_drivers_agree_at_realistic_blocklengths(name):
+    delta_a, delta_b, eta, n, n_t, delta_t, scheme, guard_coeff, seed, decoded = (
+        REALISTIC_DRAWS[name]
+    )
+    p = ModeParams(delta_a, delta_b, eta)
+    if n_t is None:
+        n_t = default_transient_length(n, eta)
+    plan = plan_scheme(p, n, scheme, guard_coeff)
+    ref = run_trial(p, n, n_t, delta_t, plan, seed, driver="reference")
+    bat = run_trial(p, n, n_t, delta_t, plan, seed, driver="batched")
+    assert repr(ref) == repr(bat)
+    assert (ref.decode_ok_1, ref.decode_ok_2) == decoded
