@@ -51,15 +51,16 @@ def _eta_grid(grid: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise ValueError(f"grid must be start:stop:step, got {grid!r}") from exc
-    if not (0.0 <= start <= stop <= 1.0 and step > 0.0):
-        raise ValueError(f"grid must satisfy 0 <= start <= stop <= 1 with step > 0, got {grid!r}")
+    if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):
+        raise ValueError(f"grid needs 0 <= start <= stop <= 1 and 0 < step < inf, got {grid!r}")
     span = (stop - start) / step
     # checked before rounding: the quotient may be too large for an int
     if span > _MAX_GRID_POINTS - 1 + _GRID_DUST:
         raise ValueError(
             f"grid {grid!r} has more than {_MAX_GRID_POINTS} points; use a coarser step"
         )
-    count = math.ceil(span - _GRID_DUST)
+    # start itself is a regular point below stop whenever it differs from stop
+    count = max(math.ceil(span - _GRID_DUST), int(start < stop))
     return [start + k * step for k in range(count)] + [stop]
 
 

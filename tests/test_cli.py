@@ -130,12 +130,19 @@ def test_eta_grid_accepts_a_million_steps():
         ("0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]),
         ("0:1:0.7", [0.0, 0.7, 1.0]),
         ("0:1:5", [0.0, 1.0]),
+        ("0:1:1e9", [0.0, 1.0]),
         ("0.25:0.75:0.125", [0.25, 0.375, 0.5, 0.625, 0.75]),
         ("0.4:0.4:0.1", [0.4]),
     ],
 )
 def test_eta_grid_keeps_every_regular_point_then_stop(grid, expected):
     assert _eta_grid(grid) == expected
+
+
+@pytest.mark.parametrize("grid", ["0:1:inf", "0:1:nan", "0:nan:0.1"])
+def test_eta_grid_rejects_non_finite_values(grid):
+    with pytest.raises(ValueError, match="grid needs"):
+        _eta_grid(grid)
 
 
 def test_eta_grid_keeps_the_last_regular_point_of_an_offset_grid():
