@@ -2,7 +2,7 @@
 
 Each case runs ``bpecsim <argv>`` in process and pins the sha256 of what it
 writes to stdout: the three figure datasets, the region report as text and as
-JSON at five parameter points, two sweeps and one simulate report per scheme.
+JSON at five parameter points, six sweeps and one simulate report per scheme.
 A change to any printed number, key order, label or line ending changes them.
 An intended output change re-records the pins and lists them in CHANGES.md.
 """
@@ -27,6 +27,15 @@ CASES = {
     # both grids span an exact multiple of their step
     "sweep-fig4-params": ["sweep", "--delta-a", "0.75", "--delta-b", "0.125",
                           "--eta-grid", "0:1:0.05"],
+    # the seed-1 grid of the sweep benchmark: its span is no multiple of its step
+    **{f"sweep-offset-{k}": ["sweep", "--delta-a", "0.75", "--delta-b", b,
+                             "--eta-grid", "0.00013436424411240124:1:0.001"]
+       for k, b in (("capacity-params", "0"), ("fig4-params", "0.125"))},
+    # one regular point: stop alone, and start then stop
+    "sweep-stop-only": ["sweep", "--delta-a", "0.75", "--delta-b", "0.125",
+                        "--eta-grid", "1:1:0.1"],
+    "sweep-step-past-stop": ["sweep", "--delta-a", "0.75", "--delta-b", "0.125",
+                             "--eta-grid", "0.3:0.3001:0.5"],
     # delta_a < delta_b leaves inter_modal_sum blank
     "sweep-reversed": ["sweep", "--delta-a", "0.2", "--delta-b", "0.6",
                        "--eta-grid", "0.25:0.75:0.125"],
@@ -57,7 +66,11 @@ SHA256 = {
     "simulate-intra-reversed": "121116375573844b6eb24113adee50ef798489df31056df8ce209b43ddf1b744",
     "simulate-nofb": "d5fb7eaa15b4e0bd367b47a2cf7918ced85a965ec256b36b414f8bfdfdcb3ec6",
     "sweep-fig4-params": "f7fc1151f80d261ac71cb2e30cd7d814e1d707a3ec0f50e7fb833f8e4ea16de1",
+    "sweep-offset-capacity-params": "2fc51f402958c97444c0e0ddff77d66a11820ac2c19c0c97b736c8b91678547b",
+    "sweep-offset-fig4-params": "4cc253f933911f4b08c71aff6c7dedd5eeac15fb01b73c36ead403a3437c6839",
     "sweep-reversed": "0ccbf38475c833ea8cc5254b46a4408b41d52c1f4ff9cd5e266f35d68d7036e7",
+    "sweep-step-past-stop": "2849542be8f828355a732427985739cff4f29b67fb31ca947c66d09e4e459fce",
+    "sweep-stop-only": "a21950d51490df55a61f0b043dbb2fc5b0aca706b6a2a15af033823dec6ba473",
 }
 
 
