@@ -3,11 +3,19 @@
 Outer-bound regions (c1, c2, c3 in the CSV/JSON schema), their intersection
 as a 2-D polytope, and the analytic sum rates of the inter-modal, intra-modal
 and no-feedback strategies.  All functions are pure.
+
+eta may be a float or a 1-D float64 array, so that one call covers a block of
+an eta grid.  For fixed (delta_a, delta_b) every halfspace slope is a float
+and only the bounds move with eta; a region built from an array eta has array
+bounds, and its sum rates come back as arrays, element for element equal to
+the float results.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 CONTAIN_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -21,19 +29,27 @@ class UnsupportedParametersError(ValueError):
     """Raised for parameter ranges the achievability analysis does not cover."""
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def _check_prob(name: str, value) -> None:
+    """Raise for the first element of a float or array outside [0, 1] or NaN."""
+    outside = np.logical_not((0.0 <= value) & (value <= 1.0))
+    if outside.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {np.ravel(value)[outside.argmax()]}")
+
+
+def _unwrap(x: np.ndarray):
+    """A 0-d result as a float, so that float input gives float output."""
+    return x if x.ndim else float(x)
 
 
 @dataclass(frozen=True)
 class ModeParams:
     """Asymptotic channel description: per-mode erasure probabilities and the
-    fraction eta of the block occupied by the first non-transient mode."""
+    fraction eta of the block occupied by the first non-transient mode (a
+    float, or a 1-D array of them)."""
 
     delta_a: float
     delta_b: float
-    eta: float
+    eta: float | np.ndarray
 
     def __post_init__(self) -> None:
         _check_prob("delta_a", self.delta_a)
@@ -66,11 +82,12 @@ class RateRegion:
 
     halfspaces: tuple[HalfSpace, ...]
 
-    def contains(self, r1: float, r2: float) -> bool:
-        """Membership up to ``CONTAIN_TOL``."""
-        if r1 < -CONTAIN_TOL or r2 < -CONTAIN_TOL:
-            return False
-        return all(h.c1 * r1 + h.c2 * r2 <= h.bound + CONTAIN_TOL for h in self.halfspaces)
+    def contains(self, r1, r2):
+        """Membership up to ``CONTAIN_TOL``: a bool, or elementwise for arrays."""
+        inside = (r1 >= -CONTAIN_TOL) & (r2 >= -CONTAIN_TOL)
+        for h in self.halfspaces:
+            inside &= h.c1 * r1 + h.c2 * r2 <= h.bound + CONTAIN_TOL
+        return inside
 
 
 def avg_erasure(p: ModeParams) -> float:
@@ -152,40 +169,78 @@ def outer_region(p: ModeParams) -> RateRegion:
     )
 
 
-def vertices(region: RateRegion) -> list[RatePair]:
-    """All extreme points of a bounded region, sorted by r1 then r2.
+def _vertex_table(region: RateRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate vertices of a region whose bounds are floats or 1-D arrays.
 
-    Enumerates pairwise intersections of the constraint boundaries (including
-    the axes), keeps the feasible ones and merges duplicates within ``CONTAIN_TOL``.
+    Intersects every pair of constraint boundaries (including the axes) and
+    drops the pairs that are infeasible in every column.  Returns (r1, r2,
+    kept): r1 and r2 clamped to the quadrant and each column sorted by r1 then
+    r2; kept marks the feasible points not within ``CONTAIN_TOL`` of an earlier
+    kept one.  Each has one row per pair and the shape of the bounds after
+    it: float bounds give 1-D arrays.
     """
     if not any(h.c1 > 0 for h in region.halfspaces) or not any(
         h.c2 > 0 for h in region.halfspaces
     ):
         raise UnboundedRegionError("region admits a recession direction")
-    lines = [(h.c1, h.c2, h.bound) for h in region.halfspaces]
-    lines.append((1.0, 0.0, 0.0))  # R1 = 0
-    lines.append((0.0, 1.0, 0.0))  # R2 = 0
-    points: list[tuple[float, float]] = []
-    for (a1, a2, b_a), (c1, c2, b_c) in itertools.combinations(lines, 2):
-        det = a1 * c2 - a2 * c1
-        if abs(det) < 1e-14:
-            continue
-        r1 = (b_a * c2 - a2 * b_c) / det
-        r2 = (a1 * b_c - b_a * c1) / det
-        if region.contains(r1, r2):
-            points.append((r1 if r1 > 0.0 else 0.0, r2 if r2 > 0.0 else 0.0))
-    unique: list[tuple[float, float]] = []
-    for pt in sorted(points):
+    # a repeated halfspace (c2 and c3 share two) only repeats points and tests
+    halfspaces: list[HalfSpace] = []
+    for h in region.halfspaces:
         if not any(
-            abs(pt[0] - q[0]) <= CONTAIN_TOL and abs(pt[1] - q[1]) <= CONTAIN_TOL for q in unique
+            (h.c1, h.c2) == (g.c1, g.c2) and np.array_equal(h.bound, g.bound) for g in halfspaces
         ):
-            unique.append(pt)
-    return [RatePair(r1, r2) for r1, r2 in unique]
+            halfspaces.append(h)
+    # the slopes are floats; the bounds may be arrays of one length
+    c1 = np.array([h.c1 for h in halfspaces] + [1.0, 0.0])  # R1 = 0, R2 = 0
+    c2 = np.array([h.c2 for h in halfspaces] + [0.0, 1.0])
+    bounds = np.array(np.broadcast_arrays(*(h.bound for h in halfspaces), 0.0, 0.0), dtype=float)
+    shape = bounds.shape[1:]
+    bounds = bounds.reshape(len(c1), -1)
+    a, c = np.array(list(itertools.combinations(range(len(c1)), 2))).T
+    det = c1[a] * c2[c] - c2[a] * c1[c]
+    regular = np.abs(det) >= 1e-14
+    a, c, det = a[regular], c[regular], det[regular, None]
+    # (P, R) arrays, worked in place to bound a block's memory
+    r1 = bounds[a] * c2[c, None]
+    r1 -= c2[a, None] * bounds[c]
+    r1 /= det
+    r2 = c1[a, None] * bounds[c]
+    r2 -= bounds[a] * c1[c, None]
+    r2 /= det
+    inside = RateRegion(tuple(halfspaces)).contains(r1, r2)
+    somewhere = inside.any(axis=1)
+    r1, r2, inside = r1[somewhere], r2[somewhere], inside[somewhere]
+    r1 = np.where(r1 > 0.0, r1, 0.0)
+    r2 = np.where(r2 > 0.0, r2, 0.0)
+    order = np.lexsort((r2, r1), axis=0)
+    r1, r2, inside = (np.take_along_axis(x, order, axis=0) for x in (r1, r2, inside))
+    kept = np.zeros_like(inside)
+    for k in range(len(kept)):
+        near = (
+            kept[:k]
+            & (np.abs(r1[:k] - r1[k]) <= CONTAIN_TOL)
+            & (np.abs(r2[:k] - r2[k]) <= CONTAIN_TOL)
+        )
+        kept[k] = inside[k] & ~near.any(axis=0)
+    return tuple(x.reshape(x.shape[:1] + shape) for x in (r1, r2, kept))
 
 
-def max_sum_rate(region: RateRegion) -> float:
-    """Maximum of r1 + r2 over the region."""
-    return max(v.sum for v in vertices(region))
+def vertices(region: RateRegion) -> list[RatePair]:
+    """All extreme points of a bounded region with float bounds, sorted by r1
+    then r2; points within ``CONTAIN_TOL`` of an earlier one are merged."""
+    r1, r2, kept = _vertex_table(region)
+    if kept.ndim != 1:
+        raise ValueError("vertices needs a region with float bounds")
+    return [RatePair(x, y) for x, y in zip(r1[kept].tolist(), r2[kept].tolist())]
+
+
+def max_sum_rate(region: RateRegion):
+    """Maximum of r1 + r2 over the region: a float, or an array for array bounds."""
+    r1, r2, kept = _vertex_table(region)
+    best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0, initial=-np.inf)
+    if np.isneginf(best).any():
+        raise ValueError("region is empty")
+    return _unwrap(best)
 
 
 def achievability_threshold(delta_a: float, delta_b: float) -> float:
@@ -241,14 +296,15 @@ def achievable_intermodal_sum(p: ModeParams) -> float:
         )
     if p.delta_b >= 1.0:
         raise UnsupportedParametersError("inter-modal analysis requires delta_b < 1")
-    if outer_bound_achievable(p):
-        return 2.0 * (1.0 + p.delta_a) * (1.0 - avg_erasure(p)) / (2.0 + p.delta_a)
-    # Raw phases are clipped to mode A; the multicast backlog drains early in
-    # mode B and the remaining fraction runs the single-mode feedback scheme.
+    at_bound = 2.0 * (1.0 + p.delta_a) * (1.0 - avg_erasure(p)) / (2.0 + p.delta_a)
+    # Below the threshold raw phases are clipped to mode A; the multicast
+    # backlog drains early in mode B and the remaining fraction runs the
+    # single-mode feedback scheme.
     leftover = (1.0 - p.eta) - p.eta * p.delta_a * (1.0 - p.delta_a) / (
         2.0 * (1.0 - p.delta_b)
     )
-    return p.eta * (1.0 - p.delta_a**2) + leftover * unimodal_sum_capacity(p.delta_b)
+    clipped = p.eta * (1.0 - p.delta_a**2) + leftover * unimodal_sum_capacity(p.delta_b)
+    return _unwrap(np.where(outer_bound_achievable(p), at_bound, clipped))
 
 
 def achievable_intramodal_sum(p: ModeParams) -> float:

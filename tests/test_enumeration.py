@@ -5,10 +5,12 @@ before it ran on numpy arrays: intersect every pair of constraint lines,
 keep the points inside the region, clamp them to the quadrant, sort them and
 merge those within ``CONTAIN_TOL`` of an earlier kept point.  The reports
 print sums at ``.12g``, where a last-bit difference can show, so every
-comparison here is exact.
+comparison here is exact.  A block of eta values must give, element for
+element, what each value gives alone.
 """
 import itertools
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,11 @@ from bpecsim.rates import (
     ModeParams,
     RatePair,
     achievability_threshold,
+    achievable_intermodal_sum,
+    achievable_intramodal_sum,
+    achievable_nofeedback_sum,
+    avg_erasure,
+    kappa,
     max_sum_rate,
     outer_region,
     region_c1,
@@ -89,3 +96,21 @@ def test_enumeration_matches_the_scalar_oracle_exactly(p):
         best = max_sum_rate(region)
         assert type(best) is float
         assert best == oracle_max_sum_rate(region)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p=mode_params(), extra=st.lists(probs, min_size=0, max_size=6))
+def test_a_block_of_eta_equals_its_rows(p, extra):
+    etas = [p.eta, *extra]
+    block = ModeParams(p.delta_a, p.delta_b, np.array(etas))
+    rows = [ModeParams(p.delta_a, p.delta_b, eta) for eta in etas]
+    for builder in BUILDERS:
+        assert max_sum_rate(builder(block)).tolist() == [
+            oracle_max_sum_rate(builder(row)) for row in rows
+        ]
+    for formula in (avg_erasure, kappa, achievable_intramodal_sum, achievable_nofeedback_sum):
+        assert formula(block).tolist() == [formula(row) for row in rows]
+    if p.delta_a >= p.delta_b and p.delta_b < 1.0:
+        assert achievable_intermodal_sum(block).tolist() == [
+            achievable_intermodal_sum(row) for row in rows
+        ]

@@ -183,6 +183,33 @@ def test_vertices_unbounded_signals():
         vertices(RateRegion(halfspaces=(HalfSpace(1.0, 0.0, 1.0),)))
 
 
+def test_empty_region_is_named():
+    empty = RateRegion(halfspaces=(HalfSpace(1.0, 1.0, -1.0),))
+    assert vertices(empty) == []
+    with pytest.raises(ValueError, match="region is empty"):
+        max_sum_rate(empty)
+    # one empty row of a block is enough
+    block = RateRegion(halfspaces=(HalfSpace(1.0, 1.0, np.array([1.0, -1.0])),))
+    with pytest.raises(ValueError, match="region is empty"):
+        max_sum_rate(block)
+
+
+def test_vertices_needs_float_bounds():
+    block = outer_region(ModeParams(0.75, 0.0, np.array([0.25, 0.5])))
+    with pytest.raises(ValueError, match="float bounds"):
+        vertices(block)
+
+
+@pytest.mark.parametrize(
+    "eta, shown",
+    [(1.5, "1.5"), (math.nan, "nan"), (np.array([0.5, -0.25, 2.0]), "-0.25"),
+     (np.array([0.5, math.nan]), "nan")],
+)
+def test_mode_params_name_the_first_bad_eta(eta, shown):
+    with pytest.raises(ValueError, match=rf"^eta must lie in \[0, 1\], got {shown}$"):
+        ModeParams(0.5, 0.5, eta)
+
+
 def test_outer_region_examples():
     assert abs(max_sum_rate(outer_region(ModeParams(0.75, 0.0, 32 / 35))) - 0.4) < TOL
     assert abs(max_sum_rate(outer_region(ModeParams(0.75, 0.0, 1.0))) - 7 / 22) < TOL
