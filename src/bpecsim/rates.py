@@ -29,14 +29,14 @@ class UnsupportedParametersError(ValueError):
     """Raised for parameter ranges the achievability analysis does not cover."""
 
 
-def _check_prob(name: str, value) -> None:
+def _check_prob(name: str, value: float | np.ndarray) -> None:
     """Raise for the first element of a float or array outside [0, 1] or NaN."""
     outside = np.logical_not((0.0 <= value) & (value <= 1.0))
     if outside.any():
         raise ValueError(f"{name} must lie in [0, 1], got {np.ravel(value)[outside.argmax()]}")
 
 
-def _unwrap(x: np.ndarray):
+def _unwrap(x: np.ndarray) -> float | np.ndarray:
     """A 0-d result as a float, so that float input gives float output."""
     return x if x.ndim else float(x)
 
@@ -63,7 +63,7 @@ class HalfSpace:
 
     c1: float
     c2: float
-    bound: float
+    bound: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class RateRegion:
 
     halfspaces: tuple[HalfSpace, ...]
 
-    def contains(self, r1, r2):
+    def contains(self, r1: float | np.ndarray, r2: float | np.ndarray) -> bool | np.ndarray:
         """Membership up to ``CONTAIN_TOL``: a bool, or elementwise for arrays."""
         inside = (r1 >= -CONTAIN_TOL) & (r2 >= -CONTAIN_TOL)
         for h in self.halfspaces:
@@ -90,7 +90,7 @@ class RateRegion:
         return inside
 
 
-def avg_erasure(p: ModeParams) -> float:
+def avg_erasure(p: ModeParams) -> float | np.ndarray:
     """Block-average erasure probability; transient modes vanish in the limit."""
     return p.eta * p.delta_a + (1.0 - p.eta) * p.delta_b
 
@@ -107,7 +107,7 @@ def unimodal_sum_capacity(delta: float) -> float:
     return 2.0 * (1.0 + delta) * (1.0 - delta) / (2.0 + delta)
 
 
-def kappa(p: ModeParams) -> float:
+def kappa(p: ModeParams) -> float | np.ndarray:
     """Leakage correction of the c2 bound.
 
     Branches on which mode has the larger erasure probability; the tie
@@ -200,7 +200,8 @@ def _vertex_table(region: RateRegion) -> tuple[np.ndarray, np.ndarray, np.ndarra
     det = c1[a] * c2[c] - c2[a] * c1[c]
     regular = np.abs(det) >= 1e-14
     a, c, det = a[regular], c[regular], det[regular, None]
-    # (P, R) arrays, worked in place to bound a block's memory
+    # one row per pair and one column per bound element, worked in place to
+    # bound a block's memory
     r1 = bounds[a] * c2[c, None]
     r1 -= c2[a, None] * bounds[c]
     r1 /= det
@@ -234,7 +235,7 @@ def vertices(region: RateRegion) -> list[RatePair]:
     return [RatePair(x, y) for x, y in zip(r1[kept].tolist(), r2[kept].tolist())]
 
 
-def max_sum_rate(region: RateRegion):
+def max_sum_rate(region: RateRegion) -> float | np.ndarray:
     """Maximum of r1 + r2 over the region: a float, or an array for array bounds."""
     r1, r2, kept = _vertex_table(region)
     best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0, initial=-np.inf)
@@ -253,7 +254,7 @@ def achievability_threshold(delta_a: float, delta_b: float) -> float:
     return 1.0 / (1.0 + delta_a * (1.0 - delta_a) / (2.0 * (1.0 - delta_b)))
 
 
-def outer_bound_achievable(p: ModeParams) -> bool:
+def outer_bound_achievable(p: ModeParams) -> bool | np.ndarray:
     """True when the inter-modal scheme attains the outer bound: the stronger
     mode comes second and is long enough to absorb the multicast backlog."""
     if p.delta_a < p.delta_b or p.delta_b >= 1.0:
@@ -286,7 +287,7 @@ def optimal_raw_fraction(p: ModeParams) -> float:
     return alpha
 
 
-def achievable_intermodal_sum(p: ModeParams) -> float:
+def achievable_intermodal_sum(p: ModeParams) -> float | np.ndarray:
     """Analytic sum rate of coding across the modes: raw phases in mode A,
     multicast pushed to mode B, leftover mode-B time refilled with a fresh
     single-mode round."""
@@ -307,13 +308,13 @@ def achievable_intermodal_sum(p: ModeParams) -> float:
     return _unwrap(np.where(outer_bound_achievable(p), at_bound, clipped))
 
 
-def achievable_intramodal_sum(p: ModeParams) -> float:
+def achievable_intramodal_sum(p: ModeParams) -> float | np.ndarray:
     """Sum rate when each mode runs its own independent feedback scheme."""
     return p.eta * unimodal_sum_capacity(p.delta_a) + (1.0 - p.eta) * unimodal_sum_capacity(
         p.delta_b
     )
 
 
-def achievable_nofeedback_sum(p: ModeParams) -> float:
+def achievable_nofeedback_sum(p: ModeParams) -> float | np.ndarray:
     """Sum rate of feedback-free erasure coding, time-shared between users."""
     return 1.0 - avg_erasure(p)
