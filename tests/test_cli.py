@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -364,3 +365,62 @@ def test_required_flags_missing_from_command_line_and_config(tmp_path, capsys, c
         main(argv)
     assert exc.value.code == 2
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+# sha256 of `bpecsim <command> -h` at 80 columns
+HELP_SHA256 = {
+    "region": "4a4f91b0959568e5c580935374dc8d9c6f4ee8987c57d13f624748ff975259c1",
+    "sweep": "895d12e46df0b6587f96765b14bf228957e489005c13d290632e9df898d601f7",
+    "simulate": "a0c4432cecb9f6bf58bbf3ae940eee2e48edad444ac4875d0f1381564b7d8230",
+    "figure": "138fd4afd5f60fb7e9f269bac8925a84721df85f37d42bd47557477527a59d6c",
+}
+COMMAND_HELP = {
+    "region": "outer-bound regions and achievable sums",
+    "sweep": "sum-rate bounds over an eta grid (CSV)",
+    "simulate": "Monte Carlo run (JSON report)",
+    "figure": "canned figure datasets (CSV)",
+}
+TOP_USAGE = "usage: bpecsim [-h] [--config CONFIG] {region,sweep,simulate,figure} ..."
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_command_help_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_top_level_help_lists_every_command_with_its_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(TOP_USAGE + "\n")
+    lines = [line.split() for line in out.splitlines()]
+    for name, text in COMMAND_HELP.items():
+        assert [name, *text.split()] in lines
+
+
+def test_missing_and_unknown_command_errors(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        TOP_USAGE, "bpecsim: error: the following arguments are required: command"
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage == TOP_USAGE
+    # older argparse releases print the choices with repr, newer ones with str
+    choices = ", ".join(map(repr, COMMAND_HELP)), ", ".join(COMMAND_HELP)
+    assert error in {
+        f"bpecsim: error: argument command: invalid choice: 'bogus' (choose from {c})"
+        for c in choices
+    }
