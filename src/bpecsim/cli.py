@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -178,15 +178,17 @@ def _cmd_simulate(args) -> str:
     n_t = args.n_t
     if n_t is None:
         n_t = montecarlo.default_transient_length(args.n, args.eta)
+    # without its own erasure probability the transient takes mode B's
+    delta_t = args.delta_b if args.delta_t is None else args.delta_t
     scheme = Scheme(args.scheme)
     agg = montecarlo.simulate(
-        p, args.n, n_t, args.delta_t, scheme, args.guard_coeff, args.trials, args.seed
+        p, args.n, n_t, delta_t, scheme, args.guard_coeff, args.trials, args.seed
     )
     sums = _sums(p)
     report = {
         "delta_a": args.delta_a,
         "delta_b": args.delta_b,
-        "delta_t": args.delta_t,
+        "delta_t": delta_t,
         "eta": args.eta,
         "n": args.n,
         "n_t": n_t,
@@ -227,69 +229,74 @@ def _cmd_figure(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+class _Command:
+    """A subcommand: its line in ``bpecsim -h``, its parser, the function that
+    makes its report, and its options by dest, the keys a config file may set."""
+
+    def __init__(self, name: str, help: str, run: Callable[[argparse.Namespace], str], **kwargs):
+        self.help = help
+        self.parser = argparse.ArgumentParser(prog=f"bpecsim {name}", **kwargs)
+        self.run = run
+        self.flags: dict[str, argparse.Action] = {}
+
+    def option(self, *names: str, **kwargs) -> None:
+        action = self.parser.add_argument(*names, **kwargs)
+        self.flags[action.dest] = action
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bpecsim",
-        description="Rate bounds and feedback-coding simulation for two-user "
-        "broadcast erasure channels with scheduled statistics changes.",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file with default values for the subcommand flags",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _build_commands() -> dict[str, _Command]:
+    region = _Command("region", "outer-bound regions and achievable sums", _cmd_region)
+    region.parser.add_argument("delta_a", type=float)
+    region.parser.add_argument("delta_b", type=float)
+    region.parser.add_argument("eta", type=float)
+    region.option("--format", choices=("text", "json"), default="text")
 
-    sp = sub.add_parser("region", help="outer-bound regions and achievable sums")
-    sp.add_argument("delta_a", type=float)
-    sp.add_argument("delta_b", type=float)
-    sp.add_argument("eta", type=float)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_region)
+    # a config file may supply the required flags, so the usage brackets them
+    usage = """%(prog)s [-h] [--delta-a DELTA_A] [--delta-b DELTA_B]
+                     [--eta-grid ETA_GRID] [--out OUT]"""
+    sweep = _Command("sweep", "sum-rate bounds over an eta grid (CSV)", _cmd_sweep, usage=usage)
+    sweep.option("--delta-a", type=float, required=True)
+    sweep.option("--delta-b", type=float, required=True)
+    sweep.option("--eta-grid", default="0:1:0.01", help="grid as start:stop:step")
 
-    sp = sub.add_parser("sweep", help="sum-rate bounds over an eta grid (CSV)")
-    sp.add_argument("--delta-a", dest="delta_a", type=float, required=True)
-    sp.add_argument("--delta-b", dest="delta_b", type=float, required=True)
-    sp.add_argument(
-        "--eta-grid", dest="eta_grid", default="0:1:0.01", help="grid as start:stop:step"
-    )
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sweep)
+    simulate = _Command("simulate", "Monte Carlo run (JSON report)", _cmd_simulate)
+    simulate.option("--delta-a", type=float, default=0.75)
+    simulate.option("--delta-b", type=float, default=0.0)
+    simulate.option("--delta-t", type=float)
+    simulate.option("--eta", type=float, default=32.0 / 35.0)
+    simulate.option("--n", type=int, default=100_000)
+    simulate.option("--n-t", type=int, help="transient length (default: ceil(n^(2/3)), clamped)")
+    simulate.option("--scheme", choices=sorted(s.value for s in Scheme), default="inter")
+    simulate.option("--trials", type=int, default=200)
+    simulate.option("--seed", type=int, default=12345)
+    simulate.option("--guard-coeff", type=float, default=3.0)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo run (JSON report)")
-    sp.add_argument("--delta-a", dest="delta_a", type=float, default=0.75)
-    sp.add_argument("--delta-b", dest="delta_b", type=float, default=0.0)
-    sp.add_argument("--delta-t", dest="delta_t", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=32.0 / 35.0)
-    sp.add_argument("--n", type=int, default=100_000)
-    sp.add_argument(
-        "--n-t",
-        dest="n_t",
-        type=int,
-        default=None,
-        help="transient length (default: ceil(n^(2/3)), clamped)",
-    )
-    sp.add_argument("--scheme", choices=sorted(s.value for s in Scheme), default="inter")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=12345)
-    sp.add_argument("--guard-coeff", dest="guard_coeff", type=float, default=3.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_simulate)
+    figure = _Command("figure", "canned figure datasets (CSV)", _cmd_figure)
+    figure.parser.add_argument("name", choices=("fig3", "fig4", "fig5"))
 
-    sp = sub.add_parser("figure", help="canned figure datasets (CSV)")
-    sp.add_argument("name", choices=("fig3", "fig4", "fig5"))
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_figure)
-
-    return parser
+    commands = {"region": region, "sweep": sweep, "simulate": simulate, "figure": figure}
+    for command in commands.values():
+        command.option("--out", help="output path (default: stdout)")
+    return commands
 
 
-def _validate_simulate(args, parser) -> None:
+_COMMANDS = _build_commands()
+
+_PARSER = argparse.ArgumentParser(
+    prog="bpecsim",
+    description="Rate bounds and feedback-coding simulation for two-user broadcast erasure\n"
+    "channels with scheduled statistics changes.",
+    epilog="commands:\n" + "".join(f"  {name:<22}{c.help}\n" for name, c in _COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+_PARSER.add_argument("--config", help="JSON file with default values for the subcommand flags")
+# the command's name and every argument after it, for the command's own parser
+_PARSER.add_argument(
+    "command", nargs=argparse.PARSER, choices=_COMMANDS, help="the command, then its arguments"
+)
+
+
+def _validate(args, parser) -> None:
     for name in ("delta_a", "delta_b", "delta_t", "eta"):
         value = getattr(args, name, None)
         if value is not None and not 0.0 <= value <= 1.0:
@@ -300,12 +307,14 @@ def _validate_simulate(args, parser) -> None:
         parser.error("n-t must be non-negative")
     if getattr(args, "trials", 1) < 1:
         parser.error("trials must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("seed must be non-negative")
     if not 0.0 <= getattr(args, "guard_coeff", 0.0) < math.inf:
         parser.error("guard-coeff must be finite and non-negative")
 
 
-def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
-    """Flag defaults for one subcommand from a JSON config mapping.
+def _config_args(command: _Command, config) -> list[str]:
+    """``--flag=value`` arguments for one subcommand from a JSON config mapping.
 
     Each value is coerced by its flag's argparse ``type`` and checked against
     its ``choices``.  A key that is not a flag of ``command``, or a value that
@@ -313,12 +322,11 @@ def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
     """
     if not isinstance(config, dict):
         raise ValueError("config must hold a JSON object")
-    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
-    defaults = {}
+    args = []
     for key, value in config.items():
-        action = flags.get(key.replace("-", "_"))
+        action = command.flags.get(key.replace("-", "_"))
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of {command.prog}")
+            raise ValueError(f"config key {key!r} is not a flag of {command.parser.prog}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"config key {key!r} must be a string or a number, got {value!r}")
         convert = action.type or str
@@ -330,46 +338,31 @@ def _config_defaults(command: argparse.ArgumentParser, config) -> dict:
             ) from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
-        defaults[action.dest] = value
-    return defaults
+        args.append(f"{action.option_strings[0]}={value}")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # The first parse only finds the command and the config file, so it does
-    # not yet demand the required flags a config file may supply.
-    required = [
-        a for c in sub.choices.values() for a in c._actions if a.required and a.option_strings
-    ]
-    for action in required:
-        action.required = False
-    args = parser.parse_args(tokens)
-    supplied: dict = {}
-    if args.config:
+    top = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
+    name, *rest = top.command
+    command = _COMMANDS[name]
+    config_args = []
+    if top.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(top.config, encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config {args.config}: {exc}")
-        command = sub.choices[args.command]
+            _PARSER.error(f"cannot read config {top.config}: {exc}")
         try:
-            supplied = _config_defaults(command, config)
+            config_args = _config_args(command, config)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        command.set_defaults(**supplied)
-    for action in required:
-        action.required = action.dest not in supplied
-    # flags given on the command line override the config defaults
-    args = parser.parse_args(tokens)
-    if args.command == "simulate" and args.delta_t is None:
-        args.delta_t = args.delta_b
-    if args.command in ("region", "sweep", "simulate"):
-        _validate_simulate(args, sub.choices[args.command])
+    # the command line comes after the config, so its flags override the config's
+    args = command.parser.parse_args(config_args + rest)
+    _validate(args, command.parser)
     try:
-        _write_text(args.out, args.func(args))
+        _write_text(args.out, command.run(args))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -258,6 +259,7 @@ def test_simulate_validates_config(capsys):
         ["simulate", "--n", "100", "--trials", "1", "--guard-coeff=inf"],
         ["region", "1.5", "0", "0.5"],
         ["sweep", "--delta-a", "0.75", "--delta-b", "-0.1"],
+        ["simulate", "--seed", "-1"],
     ],
 )
 def test_validation_errors_print_the_subcommand_usage(capsys, argv):
@@ -344,6 +346,28 @@ def test_config_supplies_required_flags(tmp_path, capsys):
     out = str(tmp_path / "mixed.csv")
     assert main(["--config", str(cfg), *flags, out, "--delta-b", "0"]) == 0
     assert (tmp_path / "mixed.csv").read_bytes() == expected
+    capsys.readouterr()
+
+
+def test_calls_do_not_affect_each_other(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"delta_a": 0.75, "delta_b": 0}))
+    assert main(["--config", str(cfg), "sweep", "--eta-grid", "0:1:0.5"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"])
+    assert exc.value.code == 2
+    assert "required: --delta-a, --delta-b" in capsys.readouterr().err
+    # the parsers are built once, at import, not on each call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["sweep", "--delta-a", "0.75", "--delta-b", "0", "--eta-grid", "0:1:0.5"]) == 0
+    assert built == []
     capsys.readouterr()
 
 
