@@ -196,6 +196,8 @@ def sample_block(schedule: ModeSchedule, keys: list[np.ndarray]) -> np.ndarray:
         else:
             thresholds[lo:hi] = thr
     out = np.empty((2, len(keys), n), dtype=bool)
+    if not keys:
+        return out
     bg = Philox(key=keys[0])
     for r, key in enumerate(keys):
         np.greater_equal(_words(bg, key, 1, n), thresholds, out=out[:, r])

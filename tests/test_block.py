@@ -87,6 +87,16 @@ def test_block_rows_cover_failing_trials():
     assert_rows_match_run_trial(p, 500, 46, 1.0, plan, 11, 0, 32)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_block_of_no_seeds_has_no_rows(scheme):
+    p = ModeParams(0.75, 0.125, 0.5)
+    plan = plan_scheme(p, 1000, scheme, 3.0)
+    block = run_block(p, 1000, 100, 0.5, plan, [])
+    assert block.rows() == []
+    assert block.decode_ok.shape == block.backlog.shape == (2, 0)
+    assert all(ends.shape == (0,) for ends in block.boundaries.values())
+
+
 @pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
 @pytest.mark.parametrize("hears", [1, 2])
 def test_one_user_hearing_every_slot_matches_the_reference(scheme, hears):
