@@ -103,6 +103,9 @@ def test_drivers_agree_on_adversarial_channels(pattern, params, k, width):
 REALISTIC_DRAWS = {
     "inter-capacity": (0.75, 0.0, 32 / 35, 10_000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 12345,
                        (True, True)),
+    # the README simulate point
+    "inter-readme": (0.75, 0.0, 32 / 35, 100_000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 12345,
+                     (True, True)),
     # user 1 misses the deadline in the fresh-tail round
     "inter-transient-tail-fails": (0.75, 0.125, 0.5, 20_000, None, 0.125, Scheme.INTER_MODAL,
                                    3.0, 17, (False, True)),

@@ -218,6 +218,69 @@ def test_transmitter_raises_when_done():
         tx.next_action(2)
 
 
+def test_done_at_sees_the_feedback_of_its_own_slot():
+    # asking again after a slot's last feedback must see the round end
+    tx = Transmitter(micro_plan(2), np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+    for t in range(2):
+        assert not tx.done_at(t)
+        tx.apply_feedback(t, tx.next_action(t), 1, 1)
+    assert tx.done_at(1)
+    assert tx.done_at(2)
+
+
+def test_next_action_twice_in_a_slot_changes_nothing():
+    p = ModeParams(0.6, 0.2, 0.5)
+    n = 120
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+    rng = np.random.default_rng(2)
+    s1, s2 = (rng.random((2, n)) > 0.6).astype(np.uint8)
+    bits1, bits2 = rng.integers(0, 2, size=(2, plan.m1), dtype=np.uint8)
+    tx = Transmitter(plan, bits1, bits2)
+    kinds = set()
+    for t in range(n):
+        if tx.done_at(t):
+            break
+        first = tx.next_action(t)
+        statuses = dict(tx.statuses)
+        second = tx.next_action(t)
+        assert second == first
+        assert tx.statuses == statuses
+        kinds.add(first and first.kind)  # None while idle before round B
+        tx.apply_feedback(t, second, int(s1[t]), int(s2[t]))
+    assert {"raw", "xor"} <= kinds
+
+
+def test_transmitter_driven_by_hand_matches_the_reference_log():
+    # mode A erases heavily, so round A is cut off at its limit n_a = 20
+    p = ModeParams(0.75, 0.0, 0.5)
+    n = 40
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+    rng = np.random.default_rng(11)
+    s1, s2 = (rng.random((2, n)) > 0.75).astype(np.uint8)
+    s1[20:] = s2[20:] = 1
+    logged = []
+    stats = run_trial(
+        p, n, 0, 0.0, plan, seed=7, channel=(s1, s2),
+        observer=lambda t, a, tx: logged.append((t, a, tx.phase)),
+    )
+    assert stats.phase_boundaries["a_multicast"] is None
+    assert stats.phase_boundaries["b_multicast"] is not None
+    # run_trial draws the message from the second child of its seed
+    msg = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[1])
+    bits1 = msg.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
+    bits2 = msg.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)
+    tx = Transmitter(plan, bits1, bits2)
+    by_hand = []
+    for t in range(n):
+        if tx.done_at(t):
+            break
+        action = tx.next_action(t)
+        tx.apply_feedback(t, action, int(s1[t]), int(s2[t]))
+        by_hand.append((t, action, tx.phase))
+    assert by_hand == logged
+    assert tx.boundaries == stats.phase_boundaries
+
+
 def test_receiver_observe_and_decode():
     rx = Receiver(1)
     b2 = PacketId(2, 1)
