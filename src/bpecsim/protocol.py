@@ -887,6 +887,16 @@ def run_trial(
     ``observer(t, action, transmitter)`` is called once per slot after feedback
     and forces the per-slot reference driver, as does ``run_to_completion``.
     """
+    if driver not in ("auto", "reference", "batched"):
+        raise ValueError(f"unknown driver {driver!r}")
+    needs_reference = observer is not None or run_to_completion
+    if driver == "batched" and needs_reference:
+        raise ValueError("observers and deadline-free runs need the reference driver")
+    if run_to_completion and channel is not None:
+        raise ValueError("deadline-free runs cannot use an injected channel")
+    if run_to_completion and plan.scheme is Scheme.NO_FEEDBACK:
+        raise ProtocolError("the no-feedback baseline has no queues to drain")
+
     schedule = _schedule(p, n, n_t, delta_t, plan)
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     channel_ss, msg_ss = ss.spawn(2)
@@ -902,18 +912,7 @@ def run_trial(
         sampler = ChannelSampler(schedule, channel_ss)
         s1, s2 = sampler.slots(1, n + 1)
 
-    if driver not in ("auto", "reference", "batched"):
-        raise ValueError(f"unknown driver {driver!r}")
-    needs_reference = observer is not None or run_to_completion
-    if driver == "batched" and needs_reference:
-        raise ValueError("observers and deadline-free runs need the reference driver")
-    if run_to_completion and channel is not None:
-        raise ValueError("deadline-free runs cannot use an injected channel")
-
-    if plan.scheme is Scheme.NO_FEEDBACK:
-        if run_to_completion:
-            raise ProtocolError("the no-feedback baseline has no queues to drain")
-    elif driver == "reference" or needs_reference:
+    if plan.scheme is not Scheme.NO_FEEDBACK and (driver == "reference" or needs_reference):
         rng = default_rng(msg_ss)
         bits1 = rng.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
         bits2 = rng.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from bpecsim import protocol
 from bpecsim.channel import ChannelSampler, build_schedule
 from bpecsim.protocol import (
     Phase,
@@ -83,6 +84,28 @@ def test_run_trial_validates_inputs():
     with pytest.raises(ProtocolError):
         nofb = plan_scheme(p, 1000, Scheme.NO_FEEDBACK, 1.0)
         run_trial(p, 1000, 0, 0.0, nofb, seed=1, run_to_completion=True)
+
+
+@pytest.mark.parametrize(
+    "scheme, options, error, message",
+    [
+        (Scheme.INTER_MODAL, {"driver": "turbo"}, ValueError, "unknown driver"),
+        (Scheme.INTER_MODAL, {"driver": "batched", "observer": lambda *a: None}, ValueError,
+         "need the reference driver"),
+        (Scheme.INTER_MODAL, {"driver": "batched", "run_to_completion": True}, ValueError,
+         "need the reference driver"),
+        (Scheme.NO_FEEDBACK, {"run_to_completion": True}, ProtocolError, "no queues to drain"),
+    ],
+)
+def test_run_trial_checks_options_before_sampling(monkeypatch, scheme, options, error, message):
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("the channel was sampled before the options were checked")
+
+    monkeypatch.setattr(protocol, "ChannelSampler", no_sampler)
+    p = ModeParams(0.75, 0.0, 32 / 35)
+    plan = plan_scheme(p, 100_000, scheme, 3.0)
+    with pytest.raises(error, match=message):
+        run_trial(p, 100_000, 0, 0.0, plan, seed=1, **options)
 
 
 @pytest.mark.parametrize("bad", [2, 0.5, -1])
