@@ -374,6 +374,7 @@ class _Engine:
         self.label = label
         self.boundaries = boundaries
         self.stage = Phase.RAW1
+        self._action: Optional[Action] = None  # built for the current positions
         self._advance(start_t)
 
     @property
@@ -412,9 +413,17 @@ class _Engine:
             side2 = self.v2[-1] if self.v2 else None
         return side1, side2
 
-    def next_action(self, bits1: np.ndarray, bits2: np.ndarray) -> Action:
+    def next_action(self, bits1: list[int], bits2: list[int]) -> Action:
+        """The symbol for the current positions; a slot whose feedback moved
+        none of them sends the same ``Action`` again."""
+        action = self._action
+        if action is None:
+            action = self._action = self._build(bits1, bits2)
+        return action
+
+    def _build(self, bits1: list[int], bits2: list[int]) -> Action:
         def bit_of(pid: PacketId) -> int:
-            return int((bits1 if pid.user == 1 else bits2)[pid.index])
+            return (bits1 if pid.user == 1 else bits2)[pid.index]
 
         if self.stage is Phase.DONE:
             raise ProtocolError("no action in a finished round")
@@ -430,26 +439,31 @@ class _Engine:
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
         if self.stage is Phase.RAW1 or self.stage is Phase.RAW2:
-            own, other = (s1, s2) if self.stage is Phase.RAW1 else (s2, s1)
+            if not (s1 or s2):
+                return  # retransmit: packet stays at the head
             pid = self._raw_head()
-            if own:
+            if s1 if self.stage is Phase.RAW1 else s2:
                 self.statuses[pid] = PacketStatus.DELIVERED
-            elif other:
+            else:
                 self.statuses[pid] = PacketStatus.OVERHEARD_ONLY
                 (self.v1 if pid.user == 1 else self.v2).append(pid)
-            else:
-                return  # retransmit: packet stays at the head
             if self.stage is Phase.RAW1:
                 self.pos1 += 1
             else:
                 self.pos2 += 1
         elif self.stage is Phase.MULTICAST:
+            moved = False
             if s1 and self.vpos1 < len(self.v1):
                 self.statuses[self.v1[self.vpos1]] = PacketStatus.DELIVERED
                 self.vpos1 += 1
+                moved = True
             if s2 and self.vpos2 < len(self.v2):
                 self.statuses[self.v2[self.vpos2]] = PacketStatus.DELIVERED
                 self.vpos2 += 1
+                moved = True
+            if not moved:
+                return  # both heads stay; so do the stage and the action
+        self._action = None
         self._advance(t + 1)
 
 
@@ -475,6 +489,7 @@ class Transmitter:
         self.plan = plan
         self.bits1 = bits1
         self.bits2 = bits2
+        self._bits = (bits1.tolist(), bits2.tolist())
         self.statuses: dict[PacketId, PacketStatus] = {}
         self.boundaries: dict[str, Optional[int]] = {}
         for user, total in ((1, plan.message_size(1)), (2, plan.message_size(2))):
@@ -492,6 +507,8 @@ class Transmitter:
             if not spec.chained:  # a chained round opens when it is reached
                 self._open(i, spec.start)
         self._cursor = 0
+        self._slot_t = -1  # the slot whose owner _slot_owner holds; -1 when unknown
+        self._slot_owner: Optional[_Engine] = None
 
     def _open(self, i: int, t: int) -> _Engine:
         spec = self._rounds[i]
@@ -522,8 +539,16 @@ class Transmitter:
             self._cursor += 1
         return None
 
+    def _owner(self, t: int) -> Optional[_Engine]:
+        """``_pending(t)``, found once per slot: feedback is the only thing
+        that moves a round along, and ``apply_feedback`` forgets the result."""
+        if t != self._slot_t:
+            self._slot_owner = self._pending(t)
+            self._slot_t = t
+        return self._slot_owner
+
     def done_at(self, t: int) -> bool:
-        return self._pending(t) is None
+        return self._owner(t) is None
 
     @property
     def phase(self) -> Phase:
@@ -553,17 +578,19 @@ class Transmitter:
 
     def next_action(self, t: int) -> Optional[Action]:
         """Pick slot t's symbol from feedback through slot t-1; None when idle."""
-        engine = self._pending(t)
+        engine = self._owner(t)
         if engine is None:
             raise ProtocolError("transmitter is done; no further actions")
         if t < self._windows[self._cursor][0]:
             return None  # idle until the round's start slot
-        return engine.next_action(self.bits1, self.bits2)
+        return engine.next_action(*self._bits)
 
     def apply_feedback(self, t: int, action: Optional[Action], s1: int, s2: int) -> None:
         if action is None:
             return
-        self._pending(t).apply_feedback(t, s1, s2)
+        engine = self._owner(t)
+        self._slot_t = -1
+        engine.apply_feedback(t, s1, s2)
 
 
 class Receiver:
@@ -735,7 +762,7 @@ def _run_reference(
     ok1, rec1 = rx1.decode(m1)
     ok2, rec2 = rx2.decode(m2)
     for ok, rec, bits in ((ok1, rec1, bits1), (ok2, rec2, bits2)):
-        if ok and any(rec[i] != int(bits[i]) for i in range(len(bits))):
+        if ok and any(rec[i] != b for i, b in enumerate(bits.tolist())):
             raise ProtocolError("decoded bits differ from the message")
 
     first = tx._engines[0]
