@@ -179,8 +179,8 @@ def _words(bg: Philox, key: np.ndarray, t0: int, count: int) -> np.ndarray:
     return bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
 
 
-def sample_block(schedule: ModeSchedule, keys: list[np.ndarray]) -> np.ndarray:
-    """(2, T, n) bool link states of slots 1..n for T samplers, one key each.
+def sample_block(schedule: ModeSchedule, keys: np.ndarray) -> np.ndarray:
+    """(2, T, n) bool link states of slots 1..n for the (T, 2) uint64 Philox keys.
 
     Row r equals ``ChannelSampler(schedule, seed).slots(1, n + 1)`` for the
     seed whose ``channel_key`` is ``keys[r]``.  Each row's words are compared
@@ -196,7 +196,7 @@ def sample_block(schedule: ModeSchedule, keys: list[np.ndarray]) -> np.ndarray:
         else:
             thresholds[lo:hi] = thr
     out = np.empty((2, len(keys), n), dtype=bool)
-    if not keys:
+    if not len(keys):
         return out
     bg = Philox(key=keys[0])
     for r, key in enumerate(keys):

@@ -6,9 +6,16 @@ deterministic reduction over trial indices.  That lets ``simulate`` run
 contiguous chunks of trial indices in forked child processes, up to one per
 core the process may use, and still report the same bytes as a one-core run.
 Within a chunk, trials run in blocks through ``protocol.run_block``.
+
+Trial k's channel is keyed by ``channel_key(trial_seed(master_seed,
+k).spawn(1)[0])``: the Philox key of the first child of
+``SeedSequence((master_seed, k))``.  ``_block_keys`` computes those keys for
+a whole block at once, with numpy's SeedSequence mixing written as uint32
+array operations over the block's trials.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -16,6 +23,7 @@ import sys
 import threading
 from dataclasses import dataclass
 
+import numpy as np
 from numpy.random import SeedSequence
 
 from .channel import floor_index
@@ -27,9 +35,10 @@ _Z95 = 1.959963984540054
 # inter-modal scheme (the slowest) at n = 1e2 ... 1e5: a trial takes about
 # _TRIAL_S + n * _SLOT_S, and each forked worker adds about _FORK_S of wall
 # time (the fork, its copy-on-write faults, reading its result, reaping it).
-# Measured, two workers beat one from about 3 ms of work (about 120 trials at
-# n = 1e3, 4 at n = 1e5); the model puts that point at 2 * _FORK_S.
-_TRIAL_S = 15e-6
+# Measured, two workers beat one from about 3 ms of work (4 trials at
+# n = 1e5); the model puts that point at 2 * _FORK_S.  On one core, the fixed
+# cost of a trial in a block is about 500 slots' worth (n = 1e2 ... 16384).
+_TRIAL_S = 5e-6
 _SLOT_S = 9e-9
 _FORK_S = 2e-3
 # Each chunk runs its trials in blocks of at most this many slots, which share
@@ -57,8 +66,108 @@ def trial_seed(master_seed: int, index: int) -> SeedSequence:
     return SeedSequence((master_seed, index))
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), whose output numpy
+# documents as stable: it hashes its entropy words into a pool of four uint32
+# words, mixes every pool word into every other, mixes in the entropy words
+# past the fourth, then hashes the pool words into the output words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants of the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash constants of the output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(x: int) -> list[int]:
+    """The 32-bit words of int x >= 0, least significant first, as SeedSequence
+    splits an entropy int (0 is one word)."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, mult) column vectors of the given hash calls: call j xors its
+    word with init * mult**j and multiplies it by init * mult**(j + 1)."""
+    xor = [init * pow(mult, j, 2**32) & _MASK32 for j in calls]
+    times = [c * mult & _MASK32 for c in xor]
+    return np.array(xor, np.uint32)[:, None], np.array(times, np.uint32)[:, None]
+
+
+def _hash(words: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    xor, mult = consts
+    out = words ^ xor
+    out *= mult
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+# the pool's first 4 hash calls fill it; then source word s is hashed into
+# destination d != s by call 4 + 3s + (d if d < s else d - 1), and row s of
+# each step is a placeholder, since a word is never mixed into itself
+_FILL = _hash_consts(_INIT_A, _MULT_A, range(4))
+_CROSS = [
+    _hash_consts(_INIT_A, _MULT_A, [4 + 3 * s + d - (d > s) for d in range(4)])
+    for s in range(4)
+]
+_OUTPUT = _hash_consts(_INIT_B, _MULT_B, range(4))
+
+
+def _block_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 2) uint64 channel keys of trials lo, ..., hi - 1.
+
+    Row r equals ``trial_seed(master_seed, lo + r).spawn(1)[0]
+    .generate_state(2, np.uint64)``.  Only the low 32-bit word of the trial
+    index changes inside a range that no multiple of 2**32 splits, so each
+    such piece runs the same array operations, one row per trial.
+    """
+    if master_seed < 0:
+        raise ValueError(f"the master seed must be non-negative, got {master_seed}")
+    keys = np.empty((hi - lo, 2), np.uint64)
+    k = lo
+    while k < hi:
+        high, low = divmod(k, 2**32)
+        stop = min(hi, (high + 1) << 32)
+        low_words = np.arange(low, low + stop - k, dtype=np.uint32)
+        keys[k - lo : stop - lo] = _pool_keys(master_seed, high, low_words)
+        k = stop
+    return keys
+
+
+def _pool_keys(master_seed: int, high: int, low: np.ndarray) -> np.ndarray:
+    """Channel keys of trials high * 2**32 + low, one row per word of ``low``."""
+    entropy = [*_words32(master_seed), low, *(_words32(high) if high else ())]
+    entropy += [0] * (4 - len(entropy))  # a spawned sequence pads its entropy to the pool
+    entropy.append(0)  # the spawn key (0,) of the first child
+    pool = np.empty((4, len(low)), np.uint32)
+    for i in range(4):
+        pool[i] = entropy[i]
+    pool = _hash(pool, _FILL)
+    for s, consts in enumerate(_CROSS):
+        mixed = _mix(pool, _hash(pool[s], consts))
+        mixed[s] = pool[s]
+        pool = mixed
+    for i, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hash(word, _tail_consts(i)))
+    state = _hash(pool, _OUTPUT)
+    # as SeedSequence.generate_state: little-endian word pairs are the uint64s
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_consts(i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash constants of entropy word 4 + i, which is hashed into every pool word."""
+    return _hash_consts(_INIT_A, _MULT_A, range(16 + 4 * i, 20 + 4 * i))
+
+
 # what simulate calls, looked up at call time; see _watched
-_TRIAL_HOOKS = (run_trial, trial_seed)
+_TRIAL_HOOKS = (run_trial, trial_seed, _block_keys)
 
 
 def simulate(
@@ -85,14 +194,14 @@ def simulate(
         """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
         outcomes = []
         for first in range(lo, hi, per_block):
-            seeds = [trial_seed(master_seed, k) for k in range(first, min(first + per_block, hi))]
             # run_trial runs the block driver on one row, and a tracer that
             # wraps it sees each long trial as its own call
-            if len(seeds) == 1:
-                stats = run_trial(p, n, n_t, delta_t, plan, seeds[0])
+            if per_block == 1:
+                stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, first))
                 outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
                 continue
-            outcomes += run_block(p, n, n_t, delta_t, plan, seeds).rows()
+            keys = _block_keys(master_seed, first, min(first + per_block, hi))
+            outcomes += run_block(p, n, n_t, delta_t, plan, keys).rows()
         return outcomes
 
     k = min(trials, _worker_count(trials, n))
@@ -141,9 +250,9 @@ def _worker_count(trials: int, n: int) -> int:
 
 
 def _watched() -> bool:
-    """A trace or profile function is set, or ``run_trial`` or ``trial_seed``
-    was replaced here (a tracer's wrapper, a test double)."""
-    replaced = (run_trial, trial_seed) != _TRIAL_HOOKS
+    """A trace or profile function is set, or ``run_trial``, ``trial_seed`` or
+    ``_block_keys`` was replaced here (a tracer's wrapper, a test double)."""
+    replaced = (run_trial, trial_seed, _block_keys) != _TRIAL_HOOKS
     return replaced or sys.gettrace() is not None or sys.getprofile() is not None
 
 

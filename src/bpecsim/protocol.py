@@ -32,7 +32,6 @@ from .channel import (
     ModeSchedule,
     build_schedule,
     ceil_index,
-    channel_key,
     floor_index,
     sample_block,
 )
@@ -487,8 +486,6 @@ class Transmitter:
         if plan.scheme is Scheme.NO_FEEDBACK:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self.plan = plan
-        self.bits1 = bits1
-        self.bits2 = bits2
         self._bits = (bits1.tolist(), bits2.tolist())
         self.statuses: dict[PacketId, PacketStatus] = {}
         self.boundaries: dict[str, Optional[int]] = {}
@@ -877,15 +874,15 @@ def run_block(
     n_t: int,
     delta_t: float,
     plan: SchemePlan,
-    seeds: list[SeedSequence],
+    keys: np.ndarray,
 ) -> BlockOutcome:
-    """One trial per seed, in one block; row r is ``run_trial(..., seeds[r])``.
+    """One trial per row of the (T, 2) uint64 Philox ``keys``, in one block.
 
-    A trial's channel is seeded by the first child of its seed, the one
-    ``run_trial`` spawns for it.
+    Row r is ``run_trial(..., seed)`` for the seed whose first child has the
+    ``channel_key`` ``keys[r]``: ``run_trial`` seeds the channel with that child.
     """
     schedule = _schedule(p, n, n_t, delta_t, plan)
-    block = sample_block(schedule, [channel_key(ss.spawn(1)[0]) for ss in seeds])
+    block = sample_block(schedule, keys)
     return _run_block(plan, block[0], block[1])
 
 
@@ -913,6 +910,8 @@ def run_trial(
     otherwise slots come from a counter-addressable sampler seeded by ``seed``.
     ``observer(t, action, transmitter)`` is called once per slot after feedback
     and forces the per-slot reference driver, as does ``run_to_completion``.
+    The no-feedback baseline has no per-slot driver, so with it an observer,
+    ``run_to_completion`` or ``driver="reference"`` raises.
     """
     if driver not in ("auto", "reference", "batched"):
         raise ValueError(f"unknown driver {driver!r}")
@@ -923,6 +922,8 @@ def run_trial(
         raise ValueError("deadline-free runs cannot use an injected channel")
     if run_to_completion and plan.scheme is Scheme.NO_FEEDBACK:
         raise ProtocolError("the no-feedback baseline has no queues to drain")
+    if plan.scheme is Scheme.NO_FEEDBACK and (driver == "reference" or observer is not None):
+        raise ValueError("the no-feedback baseline has no per-slot driver to run or observe")
 
     schedule = _schedule(p, n, n_t, delta_t, plan)
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
@@ -939,7 +940,7 @@ def run_trial(
         sampler = ChannelSampler(schedule, channel_ss)
         s1, s2 = sampler.slots(1, n + 1)
 
-    if plan.scheme is not Scheme.NO_FEEDBACK and (driver == "reference" or needs_reference):
+    if driver == "reference" or needs_reference:
         rng = default_rng(msg_ss)
         bits1 = rng.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
         bits2 = rng.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)

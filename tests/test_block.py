@@ -35,9 +35,14 @@ def block_params(draw):
     return p, n, n_t, draw(PROB), guard
 
 
+def numpy_keys(master, lo, hi):
+    """(hi - lo, 2) channel keys of trials lo..hi-1 from numpy's own SeedSequence."""
+    keys = [channel_key(trial_seed(master, k).spawn(1)[0]) for k in range(lo, hi)]
+    return np.array(keys, np.uint64).reshape(-1, 2)
+
+
 def assert_rows_match_run_trial(p, n, n_t, delta_t, plan, master, first, size):
-    seeds = [trial_seed(master, k) for k in range(first, first + size)]
-    block = run_block(p, n, n_t, delta_t, plan, seeds)
+    block = run_block(p, n, n_t, delta_t, plan, numpy_keys(master, first, first + size))
     rows = block.rows()
     assert len(rows) == size
     for r in range(size):
@@ -77,8 +82,7 @@ def test_block_rows_cover_failing_trials():
     # chained tail round stays unstarted while other rows of the block run it
     p = ModeParams(0.5, 0.5, 0.7)
     plan = plan_scheme(p, 500, Scheme.INTER_MODAL, 0.0)
-    seeds = [trial_seed(11, k) for k in range(32)]
-    block = run_block(p, 500, 46, 1.0, plan, seeds)
+    block = run_block(p, 500, 46, 1.0, plan, numpy_keys(11, 0, 32))
     unstarted = block.boundaries["multicast"] == -1
     assert 0 < unstarted.sum() < 32
     assert (block.boundaries["tail_raw1"][unstarted] == -1).all()
@@ -91,7 +95,7 @@ def test_block_rows_cover_failing_trials():
 def test_block_of_no_seeds_has_no_rows(scheme):
     p = ModeParams(0.75, 0.125, 0.5)
     plan = plan_scheme(p, 1000, scheme, 3.0)
-    block = run_block(p, 1000, 100, 0.5, plan, [])
+    block = run_block(p, 1000, 100, 0.5, plan, numpy_keys(1, 0, 0))
     assert block.rows() == []
     assert block.decode_ok.shape == block.backlog.shape == (2, 0)
     assert all(ends.shape == (0,) for ends in block.boundaries.values())
@@ -144,12 +148,57 @@ def test_sample_block_rows_equal_sampler_slots(params, master, size):
     p, n, n_t, delta_t, _ = params
     schedule = build_schedule(n, p.eta, n_t, p.delta_a, delta_t, p.delta_b)
     children = [trial_seed(master, k).spawn(2)[0] for k in range(size)]
-    block = sample_block(schedule, [channel_key(c) for c in children])
+    block = sample_block(schedule, np.array([channel_key(c) for c in children]))
     assert block.shape == (2, size, n) and block.dtype == bool
     for r, child in enumerate(children):
         s1, s2 = ChannelSampler(schedule, child).slots(1, n + 1)
         assert np.array_equal(block[0, r], s1.view(bool))
         assert np.array_equal(block[1, r], s2.view(bool))
+
+
+# the trial indices where the 32-bit word count of a trial index changes
+K_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    master=st.integers(0, 2**128),
+    edge=st.one_of(st.sampled_from(K_EDGES), st.integers(0, 2**70)),
+    before=st.integers(0, 3),
+    size=st.integers(0, 8),
+)
+@example(master=0, edge=0, before=0, size=8)
+@example(master=2**32 - 1, edge=2**32, before=3, size=8)
+@example(master=2**64 + 5, edge=2**64 - 1, before=3, size=8)
+@example(master=3**100, edge=2**32, before=2, size=5)  # a master of five 32-bit words
+def test_block_keys_equal_numpy_seed_sequence(master, edge, before, size):
+    lo = max(0, edge - before)
+    keys = montecarlo._block_keys(master, lo, lo + size)
+    assert keys.dtype == np.uint64 and keys.shape == (size, 2)
+    for r in range(size):
+        child = SeedSequence((master, lo + r)).spawn(1)[0]
+        assert keys[r].tolist() == child.generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("master", [0, 5, 2**64 + 5])
+def test_block_keys_block_equals_its_rows(master):
+    lo, hi = 2**32 - 20, 2**32 + 20
+    keys = montecarlo._block_keys(master, lo, hi)
+    rows = [montecarlo._block_keys(master, k, k + 1)[0] for k in range(lo, hi)]
+    assert np.array_equal(keys, rows)
+    assert np.array_equal(keys[7:30], montecarlo._block_keys(master, lo + 7, lo + 30))
+
+
+def test_block_keys_of_an_empty_block():
+    for lo in (0, 17, 2**32):
+        keys = montecarlo._block_keys(3, lo, lo)
+        assert keys.shape == (0, 2) and keys.dtype == np.uint64
+
+
+def test_simulate_rejects_a_negative_master_seed():
+    p = ModeParams(0.75, 0.125, 0.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate(p, 1000, 100, 0.5, Scheme.INTER_MODAL, 3.0, 4, -1)
 
 
 def _per_trial_reduction(p, n, n_t, delta_t, scheme, guard, trials, master):

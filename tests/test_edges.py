@@ -95,6 +95,8 @@ def test_run_trial_validates_inputs():
         (Scheme.INTER_MODAL, {"driver": "batched", "run_to_completion": True}, ValueError,
          "need the reference driver"),
         (Scheme.NO_FEEDBACK, {"run_to_completion": True}, ProtocolError, "no queues to drain"),
+        (Scheme.NO_FEEDBACK, {"observer": lambda *a: None}, ValueError, "no per-slot driver"),
+        (Scheme.NO_FEEDBACK, {"driver": "reference"}, ValueError, "no per-slot driver"),
     ],
 )
 def test_run_trial_checks_options_before_sampling(monkeypatch, scheme, options, error, message):

@@ -152,15 +152,15 @@ def test_worker_count_leaves_stats_and_report_bytes_unchanged(
         assert failed[0] < 2 and failed[-1] >= 4
 
 
-def _failing_trial_seed(monkeypatch, index, fail):
-    real = montecarlo.trial_seed
+def _failing_block_keys(monkeypatch, index, fail):
+    real = montecarlo._block_keys
 
-    def trial_seed(master_seed, k):  # simulate calls it once per trial
-        if k == index:
+    def block_keys(master_seed, lo, hi):  # simulate calls it once per block
+        if lo <= index < hi:
             fail()
-        return real(master_seed, k)
+        return real(master_seed, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "trial_seed", trial_seed)
+    monkeypatch.setattr(montecarlo, "_block_keys", block_keys)
 
 
 @pytest.mark.parametrize("index", [1, 6])  # in the parent's chunk, in a child's
@@ -169,7 +169,7 @@ def test_trial_error_reaches_caller_and_children_are_reaped(monkeypatch, index):
         raise ProtocolError(f"trial {index} failed")
 
     _force_workers(monkeypatch, 2)
-    _failing_trial_seed(monkeypatch, index, fail)
+    _failing_block_keys(monkeypatch, index, fail)
     with pytest.raises(ProtocolError, match=f"trial {index} failed") as excinfo:
         simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
     _assert_no_child_left()
@@ -203,7 +203,7 @@ def _raise_two_arg():
 )
 def test_child_error_that_cannot_cross_the_pipe_keeps_its_traceback(monkeypatch, fail, text):
     _force_workers(monkeypatch, 2)
-    _failing_trial_seed(monkeypatch, 6, fail)
+    _failing_block_keys(monkeypatch, 6, fail)
     with pytest.raises(RuntimeError, match="trial worker failed") as excinfo:
         simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
     assert text in str(excinfo.value) and f"in {fail.__name__}" in str(excinfo.value)
@@ -212,7 +212,7 @@ def test_child_error_that_cannot_cross_the_pipe_keeps_its_traceback(monkeypatch,
 
 def test_child_that_dies_without_result_raises_runtime_error(monkeypatch):
     _force_workers(monkeypatch, 2)
-    _failing_trial_seed(monkeypatch, 6, lambda: os._exit(3))
+    _failing_block_keys(monkeypatch, 6, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exit code 3"):
         simulate(CAPACITY, 1000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 8, 5)
     _assert_no_child_left()
@@ -318,18 +318,21 @@ def test_watched_trials_stay_in_process(monkeypatch):
     assert montecarlo._worker_count(trials, n) == 2
 
     seen = []
-    real = montecarlo.trial_seed
+    real = montecarlo._block_keys
 
-    def counting_trial_seed(*args, **kwargs):  # as a tracer's wrapper does
-        seen.append(1)
-        return real(*args, **kwargs)
+    def counting_block_keys(master_seed, lo, hi):  # as a tracer's wrapper does
+        seen.append(hi - lo)
+        return real(master_seed, lo, hi)
 
-    monkeypatch.setattr(montecarlo, "trial_seed", counting_trial_seed)
+    monkeypatch.setattr(montecarlo, "_block_keys", counting_block_keys)
     simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
-    assert len(seen) == trials
-    monkeypatch.setattr(montecarlo, "trial_seed", real)
-    monkeypatch.setattr(montecarlo, "run_trial", lambda *args, **kwargs: None)
-    assert montecarlo._worker_count(trials, n) == 1  # a replaced run_trial counts too
+    assert sum(seen) == trials
+    monkeypatch.setattr(montecarlo, "_block_keys", real)
+    for hook in ("run_trial", "trial_seed"):  # a replaced run_trial or trial_seed counts too
+        original = getattr(montecarlo, hook)
+        monkeypatch.setattr(montecarlo, hook, lambda *args, **kwargs: None)
+        assert montecarlo._worker_count(trials, n) == 1
+        monkeypatch.setattr(montecarlo, hook, original)
     monkeypatch.undo()
 
     old = sys.getprofile()

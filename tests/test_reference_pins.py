@@ -83,7 +83,8 @@ def test_driver_reprs_match_on_edges():
             for n in (1, 2, 3, 7, 64):
                 room = n - floor_index(eta * n)
                 for n_t, d_t in ((0, 0.0), (min(3, room), 0.9)):
-                    for scheme in Scheme:
+                    # the no-feedback baseline has no per-slot reference driver
+                    for scheme in (Scheme.INTER_MODAL, Scheme.INTRA_MODAL):
                         for coeff in (0.0, 0.5):
                             try:
                                 plan = plan_scheme(p, n, scheme, coeff)
@@ -94,4 +95,4 @@ def test_driver_reprs_match_on_edges():
                                 bat = run_trial(p, n, n_t, d_t, plan, seed, driver="batched")
                                 assert repr(ref) == repr(bat), (da, db, eta, n, n_t, scheme, coeff, seed)
                                 checked += 1
-    assert checked == 1560
+    assert checked == 960
