@@ -2,7 +2,8 @@
 
 Each case runs ``bpecsim <argv>`` in process and pins the sha256 of what it
 writes to stdout: the three figure datasets, the region report as text and as
-JSON at five parameter points, six sweeps and one simulate report per scheme.
+JSON at five parameter points, six sweeps and simulate reports per scheme at
+n = 1000 and at n = 20000.
 A change to any printed number, key order, label or line ending changes them.
 An intended output change re-records the pins and lists them in CHANGES.md.
 """
@@ -45,6 +46,11 @@ CASES = {
     "simulate-intra-reversed": ["simulate", "--delta-a", "0.2", "--delta-b", "0.6",
                                 "--eta", "0.3", "--n", "1000", "--trials", "50",
                                 "--scheme", "intra"],
+    # past the block limit each trial samples through ChannelSampler.slots; with
+    # no guard some trials fail, so the report depends on every realization
+    **{f"simulate-{scheme}-n20000": ["simulate", "--n", "20000", "--trials", "8",
+                                     "--guard-coeff", "0", "--scheme", scheme]
+       for scheme in ("inter", "intra", "nofb")},
 }
 
 SHA256 = {
@@ -62,9 +68,12 @@ SHA256 = {
     "region-reversed-json": "046f9bdcffb3635c40a495e1ca278a27124c4b844d9bc4acb7926de6baa9b57e",
     "region-reversed-text": "48a3e4813e76fa53f7ddc38a2b15a4098be3a956ad1f072234a46d58eacdb6ad",
     "simulate-inter": "ff91a490678e187a7197e027f76e9369eff994dee44998cb1a2fd73f3b54d074",
+    "simulate-inter-n20000": "14cf95cda0b2f0453113fb6671827c4925dc5d8f69b939e0628c0f5236061c42",
     "simulate-intra": "deab5533d4fbe1075add6f0d845096b21cd833ea3ad31ef1ebe3466a672c24f1",
+    "simulate-intra-n20000": "bf8c3edaed39b9c1c71d1c51e10380a585098c61bb6116ab0fff6cb01b5416a4",
     "simulate-intra-reversed": "121116375573844b6eb24113adee50ef798489df31056df8ce209b43ddf1b744",
     "simulate-nofb": "d5fb7eaa15b4e0bd367b47a2cf7918ced85a965ec256b36b414f8bfdfdcb3ec6",
+    "simulate-nofb-n20000": "529766dcd06f39cbd6ce1c1796976efaf6b65407e8566d54c57c3f71d63ebdfa",
     "sweep-fig4-params": "f7fc1151f80d261ac71cb2e30cd7d814e1d707a3ec0f50e7fb833f8e4ea16de1",
     "sweep-offset-capacity-params": "2fc51f402958c97444c0e0ddff77d66a11820ac2c19c0c97b736c8b91678547b",
     "sweep-offset-fig4-params": "4cc253f933911f4b08c71aff6c7dedd5eeac15fb01b73c36ead403a3437c6839",
