@@ -136,31 +136,10 @@ def threshold(erasure_prob: float) -> int:
     return math.ceil(erasure_prob * 2**53) << 11
 
 
-def received(words: np.ndarray, threshold: int, out: np.ndarray) -> None:
-    """Write into bool ``out`` whether each word is at least ``threshold``."""
-    if threshold >> 64:
-        out[...] = False
-    else:
-        np.greater_equal(words, np.uint64(threshold), out=out)
-
-
 def channel_key(seed: int | SeedSequence) -> np.ndarray:
     """The Philox key that ``Philox(seed=seed)`` derives, without building it."""
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     return ss.generate_state(2, np.uint64)
-
-
-def _segments(schedule: ModeSchedule, t0: int, t1: int) -> Iterator[tuple[int, int, int]]:
-    """(lo, hi, threshold) covering 0-based slots [t0, t1), offsets relative to t0.
-
-    Slots past n take the mode-B probability (deadline-free runs read them).
-    """
-    for start, stop, mode in schedule.segments():
-        lo, hi = max(start, t0), min(stop, t1)
-        if lo < hi:
-            yield lo - t0, hi - t0, threshold(mode.erasure_prob)
-    if t1 > schedule.n:
-        yield max(schedule.n, t0) - t0, t1 - t0, threshold(schedule.delta_b)
 
 
 def _words(bg: Philox, key: np.ndarray, t0: int, count: int) -> np.ndarray:
@@ -179,28 +158,39 @@ def _words(bg: Philox, key: np.ndarray, t0: int, count: int) -> np.ndarray:
     return bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
 
 
-def sample_block(schedule: ModeSchedule, keys: np.ndarray) -> np.ndarray:
-    """(2, T, n) bool link states of slots 1..n for the (T, 2) uint64 Philox keys.
+def sample_block(
+    schedule: ModeSchedule, keys: np.ndarray, t0: int = 1, t1: int | None = None
+) -> np.ndarray:
+    """(2, T, t1 - t0) bool link states of 1-based slots t0..t1-1 (default 1..n)
+    for the (T, 2) uint64 Philox keys, one row per key.
 
-    Row r equals ``ChannelSampler(schedule, seed).slots(1, n + 1)`` for the
-    seed whose ``channel_key`` is ``keys[r]``.  Each row's words are compared
-    with one per-slot threshold row as soon as they are drawn, so one row's
-    words are alive at a time, and none once the block is returned.
+    Every slot's word is compared with one per-slot threshold row; slots past n
+    take the mode-B probability (deadline-free runs read them).  Each row's
+    words are compared as soon as they are drawn, so one row's words are alive
+    at a time, and none once the block is returned.
     """
     n = schedule.n
-    thresholds = np.zeros(n, np.uint64)
-    erased = []  # p = 1: no word delivers, and its threshold 2**64 fits no uint64
-    for lo, hi, thr in _segments(schedule, 0, n):
-        if thr >> 64:
-            erased.append((lo, hi))
-        else:
+    t1 = n + 1 if t1 is None else t1
+    first, count = t0 - 1, t1 - t0
+    # 0-based half-open pieces that tile [0, max(n, t1 - 1))
+    pieces = [(start, stop, mode.erasure_prob) for start, stop, mode in schedule.segments()]
+    pieces.append((n, max(n, t1 - 1), schedule.delta_b))
+    thresholds = np.empty(count, np.uint64)
+    erased = []
+    for start, stop, p in pieces:
+        lo, hi = max(start - first, 0), min(stop - first, count)
+        if lo < hi:
+            thr = threshold(p)
+            if thr >> 64:  # p = 1: 2**64 fits no uint64; cleared after the compare
+                erased.append((lo, hi))
+                thr = 0
             thresholds[lo:hi] = thr
-    out = np.empty((2, len(keys), n), dtype=bool)
+    out = np.empty((2, len(keys), count), dtype=bool)
     if not len(keys):
         return out
     bg = Philox(key=keys[0])
     for r, key in enumerate(keys):
-        np.greater_equal(_words(bg, key, 1, n), thresholds, out=out[:, r])
+        np.greater_equal(_words(bg, key, t0, count), thresholds, out=out[:, r])
     for lo, hi in erased:
         out[:, :, lo:hi] = False
     return out
@@ -220,12 +210,9 @@ class ChannelSampler:
         self._key = channel_key(seed)
 
     def slots(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Link states for 1-based slots t0..t1-1 as uint8 arrays (s=1: received)."""
+        """Link states for 1-based slots t0..t1-1 as uint8 arrays (s=1: received):
+        a one-row ``sample_block``."""
         if t0 < 1 or t1 < t0:
             raise IndexError(f"invalid slot range [{t0}, {t1})")
-        words = _words(Philox(key=self._key), self._key, t0, t1 - t0)
-        states = np.empty((2, t1 - t0), dtype=bool)
-        for lo, hi, thr in _segments(self.schedule, t0 - 1, t1 - 1):
-            received(words[:, lo:hi], thr, states[:, lo:hi])
-        s1, s2 = states.view(np.uint8)
+        s1, s2 = sample_block(self.schedule, self._key[None], t0, t1)[:, 0].view(np.uint8)
         return s1, s2

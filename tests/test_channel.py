@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.random import SeedSequence
+from numpy.random import Philox, SeedSequence
 
 from bpecsim.channel import (
     ChannelSampler,
@@ -13,7 +13,7 @@ from bpecsim.channel import (
     ModeKind,
     ModeSchedule,
     build_schedule,
-    received,
+    sample_block,
     threshold,
 )
 
@@ -220,7 +220,55 @@ def test_sampler_slots_are_pinned(name):
 def test_integer_threshold_matches_53_bit_uniform(word, p):
     # the word drawn, plus the two words on either side of the rule's boundary
     k = math.ceil(p * 2**53)
-    words = [w for w in (word, (k << 11) - 1, k << 11) if 0 <= w < 2**64]
-    out = np.empty(len(words), dtype=bool)
-    received(np.array(words, dtype=np.uint64), threshold(p), out)
-    assert out.tolist() == [(w >> 11) * 2.0**-53 >= p for w in words]
+    for w in (word, (k << 11) - 1, k << 11):
+        if 0 <= w < 2**64:
+            assert (w >= threshold(p)) == ((w >> 11) * 2.0**-53 >= p)
+
+
+PROBS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.5, 1 - 2**-53]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def block_ranges(draw):
+    """A small schedule, up to three keys and a slot range that may be empty
+    or run past n."""
+    n = draw(st.integers(1, 40))
+    eta = draw(st.floats(0.0, 1.0))
+    n_a = math.floor(eta * n + 1e-9)
+    n_t = draw(st.integers(0, n - n_a))
+    schedule = build_schedule(n, eta, n_t, draw(PROBS), draw(PROBS), draw(PROBS))
+    keys = draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                         max_size=3))
+    t0 = draw(st.integers(1, n + 10))
+    t1 = draw(st.integers(t0, t0 + 50))
+    return schedule, keys, t0, t1
+
+
+def _erasure_prob(schedule, t):
+    """Erasure probability of 1-based slot t; slots past n are in mode B."""
+    for start, stop, mode in schedule.segments():
+        if start < t <= stop:
+            return mode.erasure_prob
+    return schedule.delta_b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(block_ranges())
+def test_sample_block_matches_a_per_slot_oracle(case):
+    schedule, keys, t0, t1 = case
+    block = sample_block(schedule, np.array(keys, dtype=np.uint64).reshape(-1, 2), t0, t1)
+    assert block.shape == (2, len(keys), t1 - t0) and block.dtype == bool
+    for r, key in enumerate(keys):
+        words = Philox(key=np.array(key, dtype=np.uint64)).random_raw(2 * t1).tolist()
+        for t in range(t0, t1):
+            thr = threshold(_erasure_prob(schedule, t))
+            for u in range(2):
+                assert block[u, r, t - t0] == (words[2 * (t - 1) + u] >= thr)
+
+
+def test_empty_slot_range_is_two_empty_arrays():
+    sampler = ChannelSampler(build_schedule(10, 0.5, 0, 0.5, 0.0, 1.0), seed=1)
+    for t in (1, 4, 11, 20):
+        s1, s2 = sampler.slots(t, t)
+        for s in (s1, s2):
+            assert s.dtype == np.uint8 and s.shape == (0,)
