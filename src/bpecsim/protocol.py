@@ -931,8 +931,8 @@ def run_trial(
     sampler = None
     if channel is not None:
         s1, s2 = (np.asarray(s) for s in channel)
-        if len(s1) != n or len(s2) != n:
-            raise ValueError("injected channel arrays must have length n")
+        if s1.shape != (n,) or s2.shape != (n,):
+            raise ValueError("injected channel arrays must be 1-D of length n")
         if not (np.isin(s1, (0, 1)).all() and np.isin(s2, (0, 1)).all()):
             raise ValueError("injected channel arrays must hold only 0 and 1")
         s1, s2 = np.asarray(s1, dtype=np.uint8), np.asarray(s2, dtype=np.uint8)

@@ -121,6 +121,17 @@ def test_injected_channel_must_hold_only_0_and_1(bad, driver):
         run_trial(p, 35, 0, 0.0, plan, seed=1, channel=(s1, s2), driver=driver)
 
 
+@pytest.mark.parametrize("driver", ["batched", "reference"])
+@pytest.mark.parametrize("shape", [(35, 1), (1, 35), (35, 2)])
+def test_injected_channel_must_be_1d(driver, shape):
+    # an all-erased (n, 1) channel once decoded both users in the reference driver
+    p = ModeParams(0.75, 0.0, 32 / 35)
+    plan = plan_scheme(p, 35, Scheme.INTER_MODAL, 0.0)
+    erased = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="1-D of length n"):
+        run_trial(p, 35, 0, 0.0, plan, seed=1, channel=(erased, erased), driver=driver)
+
+
 def test_injected_channel_accepts_python_bools():
     p = ModeParams(0.75, 0.0, 32 / 35)
     plan = plan_scheme(p, 35, Scheme.INTER_MODAL, 0.0)
