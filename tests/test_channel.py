@@ -13,6 +13,7 @@ from bpecsim.channel import (
     ModeKind,
     ModeSchedule,
     build_schedule,
+    floor_index,
     sample_block,
     threshold,
 )
@@ -234,8 +235,7 @@ def block_ranges(draw):
     or run past n."""
     n = draw(st.integers(1, 40))
     eta = draw(st.floats(0.0, 1.0))
-    n_a = math.floor(eta * n + 1e-9)
-    n_t = draw(st.integers(0, n - n_a))
+    n_t = draw(st.integers(0, n - floor_index(eta * n)))
     schedule = build_schedule(n, eta, n_t, draw(PROBS), draw(PROBS), draw(PROBS))
     keys = draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
                          max_size=3))
