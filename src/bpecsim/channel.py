@@ -142,22 +142,6 @@ def channel_key(seed: int | SeedSequence) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
-def _words(bg: Philox, key: np.ndarray, t0: int, count: int) -> np.ndarray:
-    """(2, count) Philox words of 1-based slots t0, t0 + 1, ... under ``key``,
-    one row per user, drawn by ``bg`` after rekeying it."""
-    # Philox yields 4 words per counter step; a fresh keyed Philox starts at 0
-    block, rem = divmod(2 * (t0 - 1), 4)
-    bg.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([block, 0, 0, 0], np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
-
-
 def sample_block(
     schedule: ModeSchedule, keys: np.ndarray, t0: int = 1, t1: int | None = None
 ) -> np.ndarray:
@@ -188,9 +172,17 @@ def sample_block(
     out = np.empty((2, len(keys), count), dtype=bool)
     if not len(keys):
         return out
-    bg = Philox(key=keys[0])
-    for r, key in enumerate(keys):
-        np.greater_equal(_words(bg, key, t0, count), thresholds, out=out[:, r])
+    # Philox yields 4 words per counter step, and a fresh keyed Philox starts
+    # at 0; assigning the whole state per row also empties the word buffer
+    block, rem = divmod(2 * first, 4)
+    state = {"bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bg = Philox(key=0)
+    for r, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bg.state = state
+        words = bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
+        np.greater_equal(words, thresholds, out=out[:, r])
     for lo, hi in erased:
         out[:, :, lo:hi] = False
     return out

@@ -193,15 +193,16 @@ def simulate(
     def _trial_chunk(lo: int, hi: int) -> list[tuple[float, bool, bool]]:
         """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
         outcomes = []
-        for first in range(lo, hi, per_block):
+        if per_block == 1:
             # run_trial runs the block driver on one row, and a tracer that
             # wraps it sees each long trial as its own call
-            if per_block == 1:
-                stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, first))
+            for k in range(lo, hi):
+                stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
                 outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
-                continue
-            keys = _block_keys(master_seed, first, min(first + per_block, hi))
-            outcomes += run_block(p, n, n_t, delta_t, plan, keys).rows()
+            return outcomes
+        keys = _block_keys(master_seed, lo, hi)
+        for first in range(0, hi - lo, per_block):
+            outcomes += run_block(p, n, n_t, delta_t, plan, keys[first : first + per_block]).rows()
         return outcomes
 
     k = min(trials, _worker_count(trials, n))

@@ -254,6 +254,9 @@ def _erasure_prob(schedule, t):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(block_ranges())
+# three keys, each row starting two words into a counter step and leaving two
+# words of it undrawn
+@example(case=(build_schedule(10, 0.5, 0, 0.5, 0.5, 0.5), [(1, 2), (3, 4), (5, 6)], 2, 6))
 def test_sample_block_matches_a_per_slot_oracle(case):
     schedule, keys, t0, t1 = case
     block = sample_block(schedule, np.array(keys, dtype=np.uint64).reshape(-1, 2), t0, t1)
@@ -264,6 +267,18 @@ def test_sample_block_matches_a_per_slot_oracle(case):
             thr = threshold(_erasure_prob(schedule, t))
             for u in range(2):
                 assert block[u, r, t - t0] == (words[2 * (t - 1) + u] >= thr)
+
+
+@pytest.mark.parametrize("t0", [1, 2, 3])  # t0 = 2 starts two words into a counter step
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_sample_block_rows_do_not_leak_words_into_each_other(t0, count):
+    # a row's draw can stop inside a counter step; the next row's key must not
+    # see the words left in the generator's buffer
+    schedule = build_schedule(10, 0.5, 0, 0.5, 0.5, 0.5)
+    keys = np.array([(1, 2), (2**64 - 1, 7), (0, 2**63)], dtype=np.uint64)
+    block = sample_block(schedule, keys, t0, t0 + count)
+    for r in range(3):
+        assert (block[:, r] == sample_block(schedule, keys[r : r + 1], t0, t0 + count)[:, 0]).all()
 
 
 def test_empty_slot_range_is_two_empty_arrays():

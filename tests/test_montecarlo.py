@@ -155,12 +155,48 @@ def test_worker_count_leaves_stats_and_report_bytes_unchanged(
 def _failing_block_keys(monkeypatch, index, fail):
     real = montecarlo._block_keys
 
-    def block_keys(master_seed, lo, hi):  # simulate calls it once per block
+    def block_keys(master_seed, lo, hi):  # simulate calls it once per chunk
         if lo <= index < hi:
             fail()
         return real(master_seed, lo, hi)
 
     monkeypatch.setattr(montecarlo, "_block_keys", block_keys)
+
+
+# the simulate-n1e3 benchmark settings with a short guard, so some trials fail
+N1E3 = ModeParams(0.75, 0.125, 0.5)
+N1E3_ARGS = (N1E3, 1000, 100, 0.5, Scheme.INTER_MODAL, 0.75)
+
+
+def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
+    seen = []
+    real = montecarlo._block_keys
+
+    def counting_block_keys(master_seed, lo, hi):
+        seen.append((lo, hi))
+        return real(master_seed, lo, hi)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(montecarlo, "_block_keys", counting_block_keys)
+    agg = simulate(*N1E3_ARGS, 77, 9)
+    assert seen == [(0, 77)]  # three blocks, the last one partial
+    # each block's slice of the chunk's keys gives the trials that run_trial runs
+    plan = plan_scheme(N1E3, 1000, Scheme.INTER_MODAL, 0.75)
+    trials = [run_trial(N1E3, 1000, 100, 0.5, plan, trial_seed(9, k)) for k in range(77)]
+    assert agg.mean_sum_rate == sum(t.sum_rate for t in trials) / 77
+    assert agg.failure_rate_1 == sum(not t.decode_ok_1 for t in trials) / 77
+    assert agg.failure_rate_2 == sum(not t.decode_ok_2 for t in trials) / 77
+    assert 0 < agg.failure_rate_1 < 1 and 0 < agg.failure_rate_2 < 1
+
+
+def test_chunks_that_end_in_partial_blocks_leave_the_stats_unchanged(monkeypatch):
+    stats = []
+    for k in (1, 2):  # two workers run chunks of 38 and 39 trials: 32 + 6 and 32 + 7
+        _force_workers(monkeypatch, k)
+        stats.append(simulate(*N1E3_ARGS, 77, 9))
+        _assert_no_child_left()
+    assert stats[0] == stats[1]
+    assert 0 < stats[0].failure_rate_1 < 1 and 0 < stats[0].failure_rate_2 < 1
 
 
 @pytest.mark.parametrize("index", [1, 6])  # in the parent's chunk, in a child's
