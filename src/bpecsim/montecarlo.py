@@ -10,8 +10,8 @@ Within a chunk, trials run in blocks through ``protocol.run_block``.
 Trial k's channel is keyed by ``channel_key(trial_seed(master_seed,
 k).spawn(1)[0])``: the Philox key of the first child of
 ``SeedSequence((master_seed, k))``.  ``_block_keys`` computes those keys for
-a whole block at once, with numpy's SeedSequence mixing written as uint32
-array operations over the block's trials.
+a whole chunk at once, with numpy's SeedSequence mixing written as uint32
+array operations over the chunk's trials, and each block takes its slice.
 """
 from __future__ import annotations
 
