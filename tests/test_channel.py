@@ -17,6 +17,7 @@ from bpecsim.channel import (
     sample_block,
     threshold,
 )
+from bpecsim.montecarlo import _block_keys
 
 
 def test_build_schedule_floor_split():
@@ -210,6 +211,37 @@ def test_sampler_slots_are_pinned(name):
     assert hashlib.sha256(s1.tobytes() + s2.tobytes()).hexdigest() == digest
 
 
+# The block kernel's contract: sha256 of sample_block(...).tobytes(), the
+# (2, T, t1 - t0) bool link states of both users.
+# name -> (build_schedule args, _block_keys(12345, 0, T) rows, t0, t1, sha256)
+GOLDEN_BLOCKS = {
+    # a block of simulate at n = 1e3 with its default transient mode
+    "simulate-n1e3-block": (
+        (1000, 0.5, 100, 0.75, 0.5, 0.125), 32, 1, 1001,
+        "33df444d9d5d36c921ab0af23452540d336182af5adfe8e1cd67135aca6497fc",
+    ),
+    # the one row of a trial at the README point
+    "readme-n1e5-row": (
+        (100_000, 32 / 35, 0, 0.75, 0.0, 0.0), 1, 1, 100_001,
+        "e7da1564ae656bd6a56bf278ec8bf87d835d2a91cc708bb478e735f260bf01f3",
+    ),
+    # a p = 1 transient between p < 1 modes, two words into a counter step, past n
+    "p1-transient-past-n": (
+        (300, 0.4, 30, 0.5, 1.0, 0.25), 5, 2, 351,
+        "d4053a979acee8f6271d520936c9020589631673d862b4cf463eb5bae12aa8c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKS))
+def test_sample_block_is_pinned(name):
+    sched_args, rows, t0, t1, digest = GOLDEN_BLOCKS[name]
+    block = sample_block(build_schedule(*sched_args), _block_keys(12345, 0, rows), t0, t1)
+    assert block.shape == (2, rows, t1 - t0) and block.dtype == bool
+    assert block.flags.c_contiguous and block.view(np.uint8).max() <= 1
+    assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+
 @settings(derandomize=True, max_examples=500)
 @given(word=st.integers(0, 2**64 - 1), p=st.floats(0.0, 1.0))
 @example(word=0, p=0.0)
@@ -257,6 +289,9 @@ def _erasure_prob(schedule, t):
 # three keys, each row starting two words into a counter step and leaving two
 # words of it undrawn
 @example(case=(build_schedule(10, 0.5, 0, 0.5, 0.5, 0.5), [(1, 2), (3, 4), (5, 6)], 2, 6))
+# two keys, a p = 1 transient between p < 1 modes, t0 two words into a counter
+# step and t1 past n
+@example(case=(build_schedule(12, 0.25, 4, 0.5, 1.0, 0.25), [(1, 2), (2**64 - 1, 0)], 2, 20))
 def test_sample_block_matches_a_per_slot_oracle(case):
     schedule, keys, t0, t1 = case
     block = sample_block(schedule, np.array(keys, dtype=np.uint64).reshape(-1, 2), t0, t1)
