@@ -148,27 +148,16 @@ def sample_block(
     """(2, T, t1 - t0) bool link states of 1-based slots t0..t1-1 (default 1..n)
     for the (T, 2) uint64 Philox keys, one row per key.
 
-    Every slot's word is compared with one per-slot threshold row; slots past n
-    take the mode-B probability (deadline-free runs read them).  Each row's
-    words are compared as soon as they are drawn, so one row's words are alive
-    at a time, and none once the block is returned.
+    The rows' words stay in the order they are drawn (users 1 and 2 of each
+    slot side by side), and each mode piece is compared over all rows at once
+    against its scalar threshold; slots past n take the mode-B probability
+    (deadline-free runs read them).  So the whole block's words are alive at
+    once: at most 512 KiB in a block of ``simulate``, and a one-row call
+    compares its row where Philox wrote it.
     """
     n = schedule.n
     t1 = n + 1 if t1 is None else t1
     first, count = t0 - 1, t1 - t0
-    # 0-based half-open pieces that tile [0, max(n, t1 - 1))
-    pieces = [(start, stop, mode.erasure_prob) for start, stop, mode in schedule.segments()]
-    pieces.append((n, max(n, t1 - 1), schedule.delta_b))
-    thresholds = np.empty(count, np.uint64)
-    erased = []
-    for start, stop, p in pieces:
-        lo, hi = max(start - first, 0), min(stop - first, count)
-        if lo < hi:
-            thr = threshold(p)
-            if thr >> 64:  # p = 1: 2**64 fits no uint64; cleared after the compare
-                erased.append((lo, hi))
-                thr = 0
-            thresholds[lo:hi] = thr
     out = np.empty((2, len(keys), count), dtype=bool)
     if not len(keys):
         return out
@@ -178,13 +167,33 @@ def sample_block(
     state = {"bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bg = Philox(key=0)
+    words = np.empty((len(keys), 2 * count), np.uint64) if len(keys) > 1 else None
     for r, key in enumerate(keys.tolist()):
         state["state"]["key"] = key
         bg.state = state
-        words = bg.random_raw(rem + 2 * count)[rem:].reshape(count, 2).T
-        np.greater_equal(words, thresholds, out=out[:, r])
-    for lo, hi in erased:
-        out[:, :, lo:hi] = False
+        row = bg.random_raw(rem + 2 * count)[rem:]
+        if words is None:  # one row is compared where Philox wrote it
+            words = row[None]
+        else:
+            words[r] = row
+    # 0-based half-open slot pieces that tile [0, max(n, t1 - 1)); slot s of
+    # the range holds the words 2s (user 1) and 2s + 1 (user 2)
+    pieces = [(start, stop, mode.erasure_prob) for start, stop, mode in schedule.segments()]
+    pieces.append((n, max(n, t1 - 1), schedule.delta_b))
+    received = np.empty(words.shape, dtype=bool)
+    for start, stop, p in pieces:
+        lo, hi = 2 * max(start - first, 0), 2 * min(stop - first, count)
+        if lo < hi:
+            thr = threshold(p)
+            if thr >> 64:  # p = 1: no uint64 reaches 2**64
+                received[:, lo:hi] = False
+            else:
+                np.greater_equal(words[:, lo:hi], thr, out=received[:, lo:hi])
+    # each slot's two bools read as one little-endian uint16: user 1 is its
+    # low byte, user 2 its high byte
+    pairs = received.view("<u2")
+    np.copyto(out[0].view(np.uint8), pairs, casting="unsafe")
+    np.right_shift(pairs, 8, out=out[1].view(np.uint8), casting="unsafe")
     return out
 
 
