@@ -10,8 +10,10 @@ Within a chunk, trials run in blocks through ``protocol.run_block``.
 Trial k's channel is keyed by ``channel_key(trial_seed(master_seed,
 k).spawn(1)[0])``: the Philox key of the first child of
 ``SeedSequence((master_seed, k))``.  ``_block_keys`` computes those keys for
-a whole chunk at once, with numpy's SeedSequence mixing written as uint32
-array operations over the chunk's trials, and each block takes its slice.
+a slab of up to ``_BLOCK_SLOTS`` trials at once (a whole chunk unless it is
+longer), with numpy's SeedSequence mixing written as uint32 array operations
+over the slab's trials, and each block takes its slice.  So key memory stays
+under about 3 MB however many trials a chunk runs.
 """
 from __future__ import annotations
 
@@ -200,9 +202,14 @@ def simulate(
                 stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
                 outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
             return outcomes
-        keys = _block_keys(master_seed, lo, hi)
-        for first in range(0, hi - lo, per_block):
-            outcomes += run_block(p, n, n_t, delta_t, plan, keys[first : first + per_block]).rows()
+        # keys are derived a slab of whole blocks at a time, at most
+        # _BLOCK_SLOTS trials, so their memory does not grow with the chunk
+        slab = _BLOCK_SLOTS - _BLOCK_SLOTS % per_block
+        for start in range(lo, hi, slab):
+            keys = _block_keys(master_seed, start, min(start + slab, hi))
+            for first in range(0, len(keys), per_block):
+                block = keys[first : first + per_block]
+                outcomes += run_block(p, n, n_t, delta_t, plan, block).rows()
         return outcomes
 
     k = min(trials, _worker_count(trials, n))

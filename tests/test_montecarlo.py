@@ -155,7 +155,7 @@ def test_worker_count_leaves_stats_and_report_bytes_unchanged(
 def _failing_block_keys(monkeypatch, index, fail):
     real = montecarlo._block_keys
 
-    def block_keys(master_seed, lo, hi):  # simulate calls it once per chunk
+    def block_keys(master_seed, lo, hi):  # simulate calls it once per slab of a chunk
         if lo <= index < hi:
             fail()
         return real(master_seed, lo, hi)
@@ -168,7 +168,8 @@ N1E3 = ModeParams(0.75, 0.125, 0.5)
 N1E3_ARGS = (N1E3, 1000, 100, 0.5, Scheme.INTER_MODAL, 0.75)
 
 
-def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
+def _count_block_keys(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) of every later _block_keys call."""
     seen = []
     real = montecarlo._block_keys
 
@@ -176,8 +177,13 @@ def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
         seen.append((lo, hi))
         return real(master_seed, lo, hi)
 
-    _force_workers(monkeypatch, 1)
     monkeypatch.setattr(montecarlo, "_block_keys", counting_block_keys)
+    return seen
+
+
+def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
+    _force_workers(monkeypatch, 1)
+    seen = _count_block_keys(monkeypatch)
     agg = simulate(*N1E3_ARGS, 77, 9)
     assert seen == [(0, 77)]  # three blocks, the last one partial
     # each block's slice of the chunk's keys gives the trials that run_trial runs
@@ -187,6 +193,18 @@ def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
     assert agg.failure_rate_1 == sum(not t.decode_ok_1 for t in trials) / 77
     assert agg.failure_rate_2 == sum(not t.decode_ok_2 for t in trials) / 77
     assert 0 < agg.failure_rate_1 < 1 and 0 < agg.failure_rate_2 < 1
+
+
+def test_a_long_chunk_derives_its_keys_a_slab_at_a_time(monkeypatch):
+    args = (N1E3, 100, 10, 0.5, Scheme.INTER_MODAL, 0.0, 700, 9)
+    _force_workers(monkeypatch, 1)
+    whole = simulate(*args)
+    # blocks of 3 trials at n = 100, so a slab is 106 whole blocks, 318 trials
+    monkeypatch.setattr(montecarlo, "_BLOCK_SLOTS", 320)
+    seen = _count_block_keys(monkeypatch)
+    assert simulate(*args) == whole
+    assert seen == [(0, 318), (318, 636), (636, 700)]  # ceil(700 / 318) calls
+    assert 0 < whole.failure_rate_1 < 1 and 0 < whole.failure_rate_2 < 1
 
 
 def test_chunks_that_end_in_partial_blocks_leave_the_stats_unchanged(monkeypatch):
