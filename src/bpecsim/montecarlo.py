@@ -191,6 +191,9 @@ def simulate(
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = plan_scheme(p, n, scheme, guard_coeff)
     per_block = max(1, _BLOCK_SLOTS // n)
+    # a chunk derives its keys a slab of whole blocks at a time, so their
+    # memory does not grow with the chunk
+    slab = _BLOCK_SLOTS - _BLOCK_SLOTS % per_block
 
     def _trial_chunk(lo: int, hi: int) -> list[tuple[float, bool, bool]]:
         """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
@@ -202,9 +205,6 @@ def simulate(
                 stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
                 outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
             return outcomes
-        # keys are derived a slab of whole blocks at a time, at most
-        # _BLOCK_SLOTS trials, so their memory does not grow with the chunk
-        slab = _BLOCK_SLOTS - _BLOCK_SLOTS % per_block
         for start in range(lo, hi, slab):
             keys = _block_keys(master_seed, start, min(start + slab, hi))
             for first in range(0, len(keys), per_block):
