@@ -152,8 +152,9 @@ def sample_block(
     slot side by side), and each mode piece is compared over all rows at once
     against its scalar threshold; slots past n take the mode-B probability
     (deadline-free runs read them).  So the whole block's words are alive at
-    once: at most 512 KiB in a block of ``simulate``, and a one-row call
-    compares its row where Philox wrote it.
+    once: at most 512 KiB for the blocks of at most 2**15 slots that
+    ``simulate`` runs, and a one-row call compares its row where Philox
+    wrote it.
     """
     n = schedule.n
     t1 = n + 1 if t1 is None else t1
