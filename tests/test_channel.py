@@ -230,6 +230,26 @@ GOLDEN_BLOCKS = {
         (300, 0.4, 30, 0.5, 1.0, 0.25), 5, 2, 351,
         "d4053a979acee8f6271d520936c9020589631673d862b4cf463eb5bae12aa8c2",
     ),
+    # a block of the n = 1e3 schedule with a perfect mode B: a fixed trailing piece
+    "simulate-n1e3-p0-mode-b": (
+        (1000, 0.5, 100, 0.75, 0.5, 0.0), 32, 1, 1001,
+        "b1a1b7227e210163d908e1044baf5e6bd53fe6fb3ccfd03cf25b63878908421c",
+    ),
+    # t0 inside a p = 0 mode A: a fixed leading piece; the transient starts two
+    # words into a counter step, and t1 is past n
+    "p0-mode-a-t0-inside": (
+        (402, 0.5, 20, 0.0, 0.5, 0.25), 3, 37, 450,
+        "aa299002c5840ea4f35338881da7643df6c4b9c88dd693ad6dcb73b211f77ce9",
+    ),
+    # ranges wholly inside fixed pieces: a p = 0 and a p = 1 mode B, and past n
+    "p0-mode-b-past-n": (
+        (300, 0.5, 10, 0.5, 0.25, 0.0), 2, 200, 420,
+        "94cdaa9405b4b52e173b5a6f54c97763a92a91829c248acaf475e19bd48f7d48",
+    ),
+    "p1-mode-b-past-n": (
+        (300, 0.5, 10, 0.5, 0.25, 1.0), 2, 161, 400,
+        "00d838a26c2274c5ebe71887d0cac7bf47e85329d838d7f6668ac6ae1d195269",
+    ),
 }
 
 
@@ -292,6 +312,10 @@ def _erasure_prob(schedule, t):
 # two keys, a p = 1 transient between p < 1 modes, t0 two words into a counter
 # step and t1 past n
 @example(case=(build_schedule(12, 0.25, 4, 0.5, 1.0, 0.25), [(1, 2), (2**64 - 1, 0)], 2, 20))
+# a p = 0 first piece, t0 inside it and t1 inside a p = 1 mode B
+@example(case=(build_schedule(12, 0.5, 2, 0.0, 0.5, 1.0), [(1, 2), (3, 4)], 3, 10))
+# t0 and t1 inside fixed pieces with no random piece between them, past n
+@example(case=(build_schedule(10, 0.5, 0, 0.0, 0.5, 1.0), [(5, 6)], 2, 15))
 def test_sample_block_matches_a_per_slot_oracle(case):
     schedule, keys, t0, t1 = case
     block = sample_block(schedule, np.array(keys, dtype=np.uint64).reshape(-1, 2), t0, t1)
