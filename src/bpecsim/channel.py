@@ -148,48 +148,61 @@ def sample_block(
     """(2, T, t1 - t0) bool link states of 1-based slots t0..t1-1 (default 1..n)
     for the (T, 2) uint64 Philox keys, one row per key.
 
-    The rows' words stay in the order they are drawn (users 1 and 2 of each
-    slot side by side), and each mode piece is compared over all rows at once
-    against its scalar threshold; slots past n take the mode-B probability
-    (deadline-free runs read them).  So the whole block's words are alive at
-    once: at most 512 KiB for the blocks of at most 2**15 slots that
-    ``simulate`` runs, and a one-row call compares its row where Philox
-    wrote it.
+    Slot t keeps the Philox words 2(t-1) (user 1) and 2(t-1)+1 (user 2) of its
+    row.  A slot of erasure probability 0 or 1 has a fixed state, so a row
+    draws words only from the first to the last mode piece of the range whose
+    probability lies strictly between 0 and 1, and a range with no such piece
+    draws none.  The word buffer holds just those words, in the order they are
+    drawn; each random piece is compared over all rows at once against its
+    scalar threshold, and a fixed piece is written without a compare.  Slots
+    past n take the mode-B probability (deadline-free runs read them).  The
+    whole block's words are alive at once: at most 512 KiB for the blocks of
+    at most 2**15 slots that ``simulate`` runs, and a one-row call compares
+    its row where Philox wrote it.  Raises IndexError unless 1 <= t0 <= t1.
     """
     n = schedule.n
     t1 = n + 1 if t1 is None else t1
+    if t0 < 1 or t1 < t0:
+        raise IndexError(f"invalid slot range [{t0}, {t1})")
     first, count = t0 - 1, t1 - t0
     out = np.empty((2, len(keys), count), dtype=bool)
     if not len(keys):
         return out
-    # Philox yields 4 words per counter step, and a fresh keyed Philox starts
-    # at 0; assigning the whole state per row also empties the word buffer
-    block, rem = divmod(2 * first, 4)
-    state = {"bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": None},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bg = Philox(key=0)
-    words = np.empty((len(keys), 2 * count), np.uint64) if len(keys) > 1 else None
-    for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        bg.state = state
-        row = bg.random_raw(rem + 2 * count)[rem:]
-        if words is None:  # one row is compared where Philox wrote it
-            words = row[None]
-        else:
-            words[r] = row
-    # 0-based half-open slot pieces that tile [0, max(n, t1 - 1)); slot s of
-    # the range holds the words 2s (user 1) and 2s + 1 (user 2)
-    pieces = [(start, stop, mode.erasure_prob) for start, stop, mode in schedule.segments()]
-    pieces.append((n, max(n, t1 - 1), schedule.delta_b))
-    received = np.empty(words.shape, dtype=bool)
-    for start, stop, p in pieces:
+    # 0-based half-open slot pieces that tile [0, max(n, t1 - 1)), cut to the
+    # range as (lo, hi) word ranges: slot s of the range holds the words 2s
+    # (user 1) and 2s + 1 (user 2)
+    slot_pieces = [(start, stop, mode.erasure_prob) for start, stop, mode in schedule.segments()]
+    slot_pieces.append((n, max(n, t1 - 1), schedule.delta_b))
+    pieces = []
+    for start, stop, p in slot_pieces:
         lo, hi = 2 * max(start - first, 0), 2 * min(stop - first, count)
         if lo < hi:
-            thr = threshold(p)
-            if thr >> 64:  # p = 1: no uint64 reaches 2**64
-                received[:, lo:hi] = False
+            pieces.append((lo, hi, threshold(p)))
+    drawn = [(lo, hi) for lo, hi, thr in pieces if 0 < thr < 2**64]
+    if drawn:
+        # range word w is the row's Philox word 2 * first + w; Philox yields 4
+        # words per counter step, and a fresh keyed Philox starts at 0;
+        # assigning the whole state per row also empties the word buffer
+        w0, w1 = drawn[0][0], drawn[-1][1]
+        block, rem = divmod(2 * first + w0, 4)
+        state = {"bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": None},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bg = Philox(key=0)
+        words = np.empty((len(keys), w1 - w0), np.uint64) if len(keys) > 1 else None
+        for r, key in enumerate(keys.tolist()):
+            state["state"]["key"] = key
+            bg.state = state
+            row = bg.random_raw(rem + w1 - w0)[rem:]
+            if words is None:  # one row is compared where Philox wrote it
+                words = row[None]
             else:
-                np.greater_equal(words[:, lo:hi], thr, out=received[:, lo:hi])
+                words[r] = row
+    received = np.empty((len(keys), 2 * count), dtype=bool)
+    for lo, hi, thr in pieces:
+        if 0 < thr < 2**64:
+            np.greater_equal(words[:, lo - w0 : hi - w0], thr, out=received[:, lo:hi])
+        else:  # p = 0 delivers every word, p = 1 (threshold 2**64) none
+            received[:, lo:hi] = thr == 0
     # each slot's two bools read as one little-endian uint16: user 1 is its
     # low byte, user 2 its high byte
     pairs = received.view("<u2")
@@ -214,7 +227,5 @@ class ChannelSampler:
     def slots(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """Link states for 1-based slots t0..t1-1 as uint8 arrays (s=1: received):
         a one-row ``sample_block``."""
-        if t0 < 1 or t1 < t0:
-            raise IndexError(f"invalid slot range [{t0}, {t1})")
         s1, s2 = sample_block(self.schedule, self._key[None], t0, t1)[:, 0].view(np.uint8)
         return s1, s2

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox, SeedSequence
 
+from bpecsim import channel
 from bpecsim.channel import (
     ChannelSampler,
     Mode,
@@ -338,6 +339,40 @@ def test_sample_block_rows_do_not_leak_words_into_each_other(t0, count):
     block = sample_block(schedule, keys, t0, t0 + count)
     for r in range(3):
         assert (block[:, r] == sample_block(schedule, keys[r : r + 1], t0, t0 + count)[:, 0]).all()
+
+
+def test_sample_block_rejects_a_bad_slot_range():
+    # the slots of [1, 11) are fixed, so a range there draws no words
+    schedule = build_schedule(10, 0.5, 0, 0.0, 0.5, 1.0)
+    for keys in (np.array([(1, 2)], dtype=np.uint64), np.empty((0, 2), np.uint64)):
+        for t0, t1 in [(0, 1), (0, 0), (-3, 2), (5, 4), (12, 11)]:
+            with pytest.raises(IndexError):
+                sample_block(schedule, keys, t0, t1)
+
+
+def test_fixed_slots_draw_no_words(monkeypatch):
+    sizes = []
+
+    class Philox(np.random.Philox):  # the state setter checks the class name
+        def random_raw(self, size=None, output=True):
+            sizes.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(channel, "Philox", Philox)
+    # the README point: mode B's slots are never erased, so a row draws the
+    # 2 n_a words of mode A
+    readme = build_schedule(100_000, 32 / 35, 0, 0.75, 0.0, 0.0)
+    sample_block(readme, _block_keys(12345, 0, 1))
+    assert sizes == [2 * readme.n_a] == [182_856]
+    sizes.clear()
+    # no random piece: no draw
+    fixed = build_schedule(50, 0.5, 10, 0.0, 1.0, 0.0)
+    block = sample_block(fixed, _block_keys(12345, 0, 3), 1, 80)
+    assert sizes == []
+    assert block[:, :, :25].all() and not block[:, :, 25:35].any() and block[:, :, 35:].all()
+    # no fixed piece: 2 n words per row, as before
+    sample_block(build_schedule(1000, 0.5, 100, 0.75, 0.5, 0.125), _block_keys(12345, 0, 32))
+    assert sizes == [2000] * 32
 
 
 def test_empty_slot_range_is_two_empty_arrays():
