@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence
 
-from .channel import floor_index
+from .channel import build_schedule, floor_index
 from .protocol import Scheme, plan_scheme, run_block, run_trial
 from .rates import ModeParams
 
@@ -190,6 +190,8 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = plan_scheme(p, n, scheme, guard_coeff)
+    # every trial builds this schedule; a bad one raises here, before any fork
+    build_schedule(n, p.eta, n_t, p.delta_a, delta_t, p.delta_b)
     per_block = max(1, _BLOCK_SLOTS // n)
     # a chunk derives its keys a slab of whole blocks at a time, so their
     # memory does not grow with the chunk

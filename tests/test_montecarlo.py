@@ -330,6 +330,16 @@ def test_fork_only_when_it_pays_and_no_other_thread_runs(monkeypatch):
         simulate(CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 3.0, trials, 5)
 
 
+def test_a_bad_schedule_is_rejected_before_any_fork(monkeypatch):
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValueError, match=r"n_A \+ n_T = 191427 exceeds blocklength 100000"):
+        simulate(CAPACITY, 100_000, 99_999, 0.0, Scheme.INTER_MODAL, 3.0, 50, 1)
+    # with a schedule that fits, the same call forks a worker
+    with pytest.raises(_Forked):
+        simulate(CAPACITY, 100_000, 0, 0.0, Scheme.INTER_MODAL, 3.0, 50, 1)
+
+
 def test_worker_count_follows_work_not_core_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     for n in (1000, 100_000):
