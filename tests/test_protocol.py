@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bpecsim.channel import build_schedule, floor_index
+from bpecsim.channel import ChannelSampler, build_schedule, floor_index
 from bpecsim.montecarlo import trial_seed
 from bpecsim.protocol import (
     Action,
@@ -250,6 +250,44 @@ def test_next_action_twice_in_a_slot_changes_nothing():
     assert {"raw", "xor"} <= kinds
 
 
+def message(plan, seed):
+    """The message bits ``run_trial`` draws from the second child of its seed."""
+    msg = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    bits1 = msg.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
+    bits2 = msg.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)
+    return bits1, bits2
+
+
+def drive_by_hand(tx, s1, s2, on_erased=None):
+    """Run ``tx`` over the slot states in the reference driver's order and
+    return its ``(t, action, phase)`` log; ``on_erased(tx, t, action)`` runs
+    after the feedback of each slot erased on both links."""
+    log = []
+    for t in range(len(s1)):
+        if tx.done_at(t):
+            break
+        action = tx.next_action(t)
+        sa, sb = int(s1[t]), int(s2[t])
+        if on_erased is None or sa or sb:
+            tx.apply_feedback(t, action, sa, sb)
+        else:
+            before = (dict(tx.statuses), tx.phase, tx.v_1_given_2, tx.v_2_given_1)
+            tx.apply_feedback(t, action, sa, sb)
+            assert (dict(tx.statuses), tx.phase, tx.v_1_given_2, tx.v_2_given_1) == before
+            on_erased(tx, t, action)
+        log.append((t, action, tx.phase))
+    return log
+
+
+def reference_log(p, plan, seed, **kwargs):
+    logged = []
+    stats = run_trial(
+        p, plan.n, 0, 0.0, plan, seed=seed,
+        observer=lambda t, a, tx: logged.append((t, a, tx.phase)), **kwargs,
+    )
+    return logged, stats
+
+
 def test_transmitter_driven_by_hand_matches_the_reference_log():
     # mode A erases heavily, so round A is cut off at its limit n_a = 20
     p = ModeParams(0.75, 0.0, 0.5)
@@ -258,27 +296,135 @@ def test_transmitter_driven_by_hand_matches_the_reference_log():
     rng = np.random.default_rng(11)
     s1, s2 = (rng.random((2, n)) > 0.75).astype(np.uint8)
     s1[20:] = s2[20:] = 1
-    logged = []
-    stats = run_trial(
-        p, n, 0, 0.0, plan, seed=7, channel=(s1, s2),
-        observer=lambda t, a, tx: logged.append((t, a, tx.phase)),
-    )
+    logged, stats = reference_log(p, plan, 7, channel=(s1, s2))
     assert stats.phase_boundaries["a_multicast"] is None
     assert stats.phase_boundaries["b_multicast"] is not None
-    # run_trial draws the message from the second child of its seed
-    msg = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[1])
-    bits1 = msg.integers(0, 2, size=plan.message_size(1), dtype=np.uint8)
-    bits2 = msg.integers(0, 2, size=plan.message_size(2), dtype=np.uint8)
-    tx = Transmitter(plan, bits1, bits2)
-    by_hand = []
-    for t in range(n):
-        if tx.done_at(t):
-            break
-        action = tx.next_action(t)
-        tx.apply_feedback(t, action, int(s1[t]), int(s2[t]))
-        by_hand.append((t, action, tx.phase))
-    assert by_hand == logged
+    tx = Transmitter(plan, *message(plan, 7))
+    assert drive_by_hand(tx, s1, s2) == logged
     assert tx.boundaries == stats.phase_boundaries
+
+
+# intra-modal, two packets per user and round; round A ends at slot 8 and
+# round B waits for its start slot n_a = 10.  Slots erased on both links fall
+# in every phase of both rounds and while round B waits.
+WAIT_FOR_B = [
+    (0, 0), (0, 1), (1, 0),  # round A raw1: a0 overheard by user 2, a1 delivered
+    (0, 0), (1, 0), (0, 1),  # raw2: b0 overheard by user 1, b1 delivered
+    (0, 0), (1, 1),  # multicast a0 ^ b0 resolves both
+    (0, 0), (1, 1),  # idle until round B's start
+    (0, 0), (1, 0), (0, 0), (1, 1),  # round B raw1
+    (0, 1), (1, 0),  # raw2: b3 overheard by user 1
+    (0, 0), (1, 1),  # bare b3 resolves it
+    (1, 1), (1, 1),
+]
+
+
+def test_slot_erased_on_both_links_changes_nothing():
+    p = ModeParams(0.5, 0.0, 0.5)
+    plan = SchemePlan(
+        scheme=Scheme.INTRA_MODAL, n=20, n_a=10, m1=4, m2=4, alpha=0.0, guard=0,
+        run_a=2, run_b=2,
+    )
+    s1, s2 = inject(WAIT_FOR_B)
+    seen = []
+
+    def unchanged(tx, t, action):
+        # the same round owns the next slot and sends the same symbol again
+        assert not tx.done_at(t + 1)
+        assert tx.next_action(t + 1) == action
+        seen.append((t, tx.phase if action is not None else None))
+
+    tx = Transmitter(plan, *message(plan, 3))
+    log = drive_by_hand(tx, s1, s2, on_erased=unchanged)
+    assert seen == [
+        (0, Phase.RAW1), (3, Phase.RAW2), (6, Phase.MULTICAST), (8, None),
+        (10, Phase.RAW1), (12, Phase.RAW1), (16, Phase.MULTICAST),
+    ]
+    assert tx.boundaries["a_multicast"] == 8 and tx.boundaries["b_multicast"] == 18
+    logged, stats = reference_log(p, plan, 3, channel=(s1, s2))
+    assert log == logged
+    assert tx.boundaries == stats.phase_boundaries
+
+
+def test_slot_erased_on_both_links_changes_nothing_at_capacity():
+    # the paper's capacity point: most mode-A slots are erased on both links
+    n = 700
+    plan = plan_scheme(CAPACITY, n, Scheme.INTER_MODAL, 0.0)
+    rng = np.random.default_rng(5)
+    s1, s2 = (rng.random((2, n)) >= np.where(np.arange(n) < plan.n_a, 0.75, 0.0)).astype(np.uint8)
+    phases = set()
+
+    def unchanged(tx, t, action):
+        if t + 1 < n:
+            assert not tx.done_at(t + 1)
+            assert tx.next_action(t + 1) == action
+        phases.add(tx.phase)
+
+    tx = Transmitter(plan, *message(plan, 9))
+    log = drive_by_hand(tx, s1, s2, on_erased=unchanged)
+    assert {Phase.RAW1, Phase.RAW2, Phase.MULTICAST} <= phases
+    assert log == reference_log(CAPACITY, plan, 9, channel=(s1, s2))[0]
+
+
+def test_hand_driven_log_matches_the_reference_when_round_a_is_cut_off():
+    # round A fills both virtual queues, resolves one packet and then hears
+    # nothing until its limit n_a = 20; round B runs in a clean mode B
+    p = ModeParams(0.75, 0.0, 0.5)
+    n = 40
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+    assert (plan.run_a, plan.run_b) == (3, 10)
+    head = [(0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (0, 1), (1, 0)]
+    s1, s2 = inject(head + [(0, 0)] * (20 - len(head)) + [(1, 1)] * 20)
+    tx = Transmitter(plan, *message(plan, 4))
+    log = drive_by_hand(tx, s1, s2)
+    logged, stats = reference_log(p, plan, 4, channel=(s1, s2))
+    assert log == logged
+    assert stats.phase_boundaries["a_multicast"] is None
+    assert stats.phase_boundaries["b_raw1"] == 30
+    assert (stats.backlog_1, stats.backlog_2) == (2, 2)
+    # round A's leftover queues outlive its cut-off
+    assert tx.v_1_given_2 == [PacketId(1, 1)]
+    assert tx.v_2_given_1 == [PacketId(2, 0), PacketId(2, 1)]
+    assert log[20][1].pids == (PacketId(1, 3),)
+
+
+def test_hand_driven_log_matches_the_reference_when_the_tail_opens():
+    # the core's multicast ends with slot 2's feedback; the chained tail
+    # sends its first packet in slot 3
+    p = ModeParams(0.5, 0.0, 1.0)
+    plan = micro_plan(8, tail=1)
+    s1, s2 = inject([(0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (1, 1), (0, 0), (0, 0)])
+    tx = Transmitter(plan, *message(plan, 2))
+    log = drive_by_hand(tx, s1, s2)
+    logged, stats = reference_log(p, plan, 2, channel=(s1, s2))
+    assert log == logged
+    assert stats.phase_boundaries["multicast"] == 3
+    assert stats.phase_boundaries["tail_multicast"] == 6
+    assert [(t, a.pids, phase) for t, a, phase in log[2:5]] == [
+        (2, (PacketId(1, 0), PacketId(2, 0)), Phase.FRESH_TAIL),
+        (3, (PacketId(1, 1),), Phase.FRESH_TAIL),
+        (4, (PacketId(1, 1),), Phase.FRESH_TAIL),
+    ]
+
+
+def test_hand_driven_log_matches_the_reference_without_deadlines():
+    # windows (0, inf): round A runs past n_a = 30, round B opens in the slot
+    # after it ends, and the run goes on past n = 60
+    p = ModeParams(0.6, 0.2, 0.5)
+    n = 60
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+    logged, stats = reference_log(p, plan, 1, run_to_completion=True)
+    end_a = stats.phase_boundaries["a_multicast"]
+    assert plan.n_a < end_a and len(logged) > n
+    schedule = build_schedule(n, p.eta, 0, p.delta_a, 0.0, p.delta_b)
+    sampler = ChannelSampler(schedule, np.random.SeedSequence(1).spawn(2)[0])
+    s1, s2 = sampler.slots(1, len(logged) + 1)
+    tx = Transmitter(plan, *message(plan, 1), ignore_boundaries=True)
+    log = drive_by_hand(tx, s1, s2)
+    assert log == logged
+    assert tx.done_at(len(log))
+    assert tx.boundaries == stats.phase_boundaries
+    assert log[end_a][1].pids == (PacketId(1, plan.run_a),)
 
 
 def test_receiver_observe_and_decode():
