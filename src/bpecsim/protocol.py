@@ -373,7 +373,8 @@ class _Engine:
         self.label = label
         self.boundaries = boundaries
         self.stage = Phase.RAW1
-        self._action: Optional[Action] = None  # built for the current positions
+        # built for the current positions; sent again until feedback moves one
+        self._action: Optional[Action] = None
         self._advance(start_t)
 
     @property
@@ -412,14 +413,6 @@ class _Engine:
             side2 = self.v2[-1] if self.v2 else None
         return side1, side2
 
-    def next_action(self, bits1: list[int], bits2: list[int]) -> Action:
-        """The symbol for the current positions; a slot whose feedback moved
-        none of them sends the same ``Action`` again."""
-        action = self._action
-        if action is None:
-            action = self._action = self._build(bits1, bits2)
-        return action
-
     def _build(self, bits1: list[int], bits2: list[int]) -> Action:
         def bit_of(pid: PacketId) -> int:
             return (bits1 if pid.user == 1 else bits2)[pid.index]
@@ -437,9 +430,8 @@ class _Engine:
         return Action("raw", (pid,), bit_of(pid))
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
+        """Feedback heard on at least one link; ``Transmitter`` drops the rest."""
         if self.stage is Phase.RAW1 or self.stage is Phase.RAW2:
-            if not (s1 or s2):
-                return  # retransmit: packet stays at the head
             pid = self._raw_head()
             if s1 if self.stage is Phase.RAW1 else s2:
                 self.statuses[pid] = PacketStatus.DELIVERED
@@ -487,11 +479,9 @@ class Transmitter:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self.plan = plan
         self._bits = (bits1.tolist(), bits2.tolist())
-        self.statuses: dict[PacketId, PacketStatus] = {}
+        self._pids = [[PacketId(u, i) for i in range(plan.message_size(u))] for u in (1, 2)]
+        self.statuses = dict.fromkeys(self._pids[0] + self._pids[1], PacketStatus.FRESH)
         self.boundaries: dict[str, Optional[int]] = {}
-        for user, total in ((1, plan.message_size(1)), (2, plan.message_size(2))):
-            for i in range(total):
-                self.statuses[PacketId(user, i)] = PacketStatus.FRESH
         self._rounds = plan.rounds()
         self._windows = [
             (0, _INF) if ignore_boundaries else (spec.start, spec.limit)
@@ -504,16 +494,17 @@ class Transmitter:
             if not spec.chained:  # a chained round opens when it is reached
                 self._open(i, spec.start)
         self._cursor = 0
-        self._slot_t = -1  # the slot whose owner _slot_owner holds; -1 when unknown
-        self._slot_owner: Optional[_Engine] = None
+        self._owner: Optional[_Engine] = None  # the round that owns slots before _recheck
+        self._idle = False  # the owner waits for its start slot
+        self._recheck = -_INF  # the slot from which the owner must be found again
 
     def _open(self, i: int, t: int) -> _Engine:
         spec = self._rounds[i]
         first1 = sum(r.m1 for r in self._rounds[:i])  # packet indices run on
         first2 = sum(r.m2 for r in self._rounds[:i])
         engine = self._engines[i] = _Engine(
-            [PacketId(1, k) for k in range(first1, first1 + spec.m1)],
-            [PacketId(2, k) for k in range(first2, first2 + spec.m2)],
+            self._pids[0][first1 : first1 + spec.m1],
+            self._pids[1][first2 : first2 + spec.m2],
             self.statuses,
             t,
             spec.label,
@@ -536,16 +527,23 @@ class Transmitter:
             self._cursor += 1
         return None
 
-    def _owner(self, t: int) -> Optional[_Engine]:
-        """``_pending(t)``, found once per slot: feedback is the only thing
-        that moves a round along, and ``apply_feedback`` forgets the result."""
-        if t != self._slot_t:
-            self._slot_owner = self._pending(t)
-            self._slot_t = t
-        return self._slot_owner
+    def _find_owner(self, t: int) -> Optional[_Engine]:
+        """``_pending(t)``, kept until the answer can change: at the owner's
+        next window edge, or when feedback finishes it (``apply_feedback``
+        then resets ``_recheck``)."""
+        owner = self._owner = self._pending(t)
+        if owner is None:
+            self._recheck = _INF
+        else:
+            start, limit = self._windows[self._cursor]
+            self._idle = t < start
+            self._recheck = start if self._idle else limit
+        return owner
 
     def done_at(self, t: int) -> bool:
-        return self._owner(t) is None
+        if t >= self._recheck:
+            return self._find_owner(t) is None
+        return self._owner is None
 
     @property
     def phase(self) -> Phase:
@@ -575,19 +573,23 @@ class Transmitter:
 
     def next_action(self, t: int) -> Optional[Action]:
         """Pick slot t's symbol from feedback through slot t-1; None when idle."""
-        engine = self._owner(t)
+        engine = self._find_owner(t) if t >= self._recheck else self._owner
         if engine is None:
             raise ProtocolError("transmitter is done; no further actions")
-        if t < self._windows[self._cursor][0]:
+        if self._idle:
             return None  # idle until the round's start slot
-        return engine.next_action(*self._bits)
+        action = engine._action
+        if action is None:
+            action = engine._action = engine._build(*self._bits)
+        return action
 
     def apply_feedback(self, t: int, action: Optional[Action], s1: int, s2: int) -> None:
-        if action is None:
-            return
-        engine = self._owner(t)
-        self._slot_t = -1
+        if action is None or not (s1 or s2):
+            return  # erased on both links: no queue, stage or action moves
+        engine = self._find_owner(t) if t >= self._recheck else self._owner
         engine.apply_feedback(t, s1, s2)
+        if engine.done:
+            self._recheck = -_INF
 
 
 class Receiver:
