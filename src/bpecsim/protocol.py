@@ -328,8 +328,12 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
         raise ValueError(f"blocklength must be at least 1, got {n}")
     if not 0 <= guard_coeff < _INF:
         raise ValueError(f"guard coefficient must be finite and non-negative, got {guard_coeff}")
+    # a mode is at most n slots long, so this also bounds the intra-modal guards
+    guard_slots = guard_coeff * n ** (2.0 / 3.0)
+    if not math.isfinite(guard_slots):
+        raise ValueError(f"guard coefficient {guard_coeff} times n^(2/3) is not finite")
     n_a = floor_index(p.eta * n)
-    guard = max(0, ceil_index(guard_coeff * n ** (2.0 / 3.0)))
+    guard = max(0, ceil_index(guard_slots))
     if scheme is Scheme.INTER_MODAL:
         return _plan_intermodal(p, n, n_a, guard)
     if scheme is Scheme.INTRA_MODAL:
@@ -741,6 +745,10 @@ def _run_reference(
                 break
             if sampler is None:
                 raise ProtocolError("deadline-free runs need a channel sampler")
+            if schedule.delta_b >= 1.0:
+                raise ProtocolError(
+                    "a deadline-free run cannot finish: every slot past n is erased"
+                )
             ext1, ext2 = sampler.slots(horizon + 1, horizon + 4097)
             s1_list.extend(ext1.tolist())
             s2_list.extend(ext2.tolist())

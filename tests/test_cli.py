@@ -252,6 +252,16 @@ def test_simulate_validates_config(capsys):
         assert "guard-coeff must be finite and non-negative" in capsys.readouterr().err
 
 
+def test_simulate_guard_that_overflows_is_one_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "100", "--trials", "2", "--guard-coeff", "1e308"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: guard coefficient") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

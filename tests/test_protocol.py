@@ -90,6 +90,14 @@ def test_plan_rejects_unsupported():
                 plan_scheme(CAPACITY, 1000, scheme, coeff)
 
 
+def test_plan_rejects_a_guard_that_overflows():
+    # a finite coefficient whose guard, coeff * n^(2/3) slots, is not finite
+    for scheme in Scheme:
+        with pytest.raises(ValueError, match="guard coefficient"):
+            plan_scheme(CAPACITY, 100, scheme, 1e308)
+    assert plan_scheme(CAPACITY, 100, Scheme.INTRA_MODAL, 1e300).run_a == 0
+
+
 def test_plan_intramodal_splits_runs():
     p = ModeParams(0.0, 0.0, 0.5)
     plan = plan_scheme(p, 100, Scheme.INTRA_MODAL, 0.0)
@@ -550,6 +558,27 @@ def test_completion_correctness_with_deadline_removed():
             assert stats.decode_ok_1 and stats.decode_ok_2
             assert stats.bits_delivered_1 == stats.m1
             assert stats.bits_delivered_2 == stats.m2
+
+
+def test_deadline_free_run_raises_when_no_slot_past_n_is_heard():
+    # delta_b = 1: round A still holds a queue at n, and every later slot is
+    # erased on both links, so the run could never finish
+    p = ModeParams(0.5, 1.0, 0.5)
+    n = 100
+    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
+
+    def bounded(t, action, tx):
+        if t >= 10 * n:
+            raise RuntimeError("the deadline-free run went on past 10 n slots")
+
+    with pytest.raises(ProtocolError, match="cannot finish"):
+        run_trial(p, n, 0, 0.0, plan, 2, observer=bounded, run_to_completion=True)
+    # a run that finishes by n needs no slot past it
+    clean_a = ModeParams(0.0, 1.0, 0.5)
+    plan = plan_scheme(clean_a, n, Scheme.INTRA_MODAL, 0.0)
+    stats = run_trial(clean_a, n, 0, 0.0, plan, 0, observer=bounded, run_to_completion=True)
+    assert stats.decode_ok_1 and stats.decode_ok_2
+    assert stats.phase_boundaries["a_multicast"] == n // 2
 
 
 def test_driver_equivalence_on_grid():
