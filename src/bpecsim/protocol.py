@@ -484,7 +484,9 @@ class Transmitter:
         self.plan = plan
         self._bits = (bits1.tolist(), bits2.tolist())
         self._pids = [[PacketId(u, i) for i in range(plan.message_size(u))] for u in (1, 2)]
-        self.statuses = dict.fromkeys(self._pids[0] + self._pids[1], PacketStatus.FRESH)
+        self.statuses: dict[PacketId, PacketStatus] = dict.fromkeys(
+            self._pids[0] + self._pids[1], PacketStatus.FRESH
+        )
         self.boundaries: dict[str, Optional[int]] = {}
         self._rounds = plan.rounds()
         self._windows = [
