@@ -547,9 +547,8 @@ class Transmitter:
         return owner
 
     def done_at(self, t: int) -> bool:
-        if t >= self._recheck:
-            return self._find_owner(t) is None
-        return self._owner is None
+        owner = self._find_owner(t) if t >= self._recheck else self._owner
+        return owner is None
 
     @property
     def phase(self) -> Phase:
