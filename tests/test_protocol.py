@@ -15,6 +15,7 @@ from bpecsim.protocol import (
     Scheme,
     SchemePlan,
     Transmitter,
+    _Engine,
     plan_scheme,
     run_trial,
 )
@@ -143,6 +144,32 @@ def test_micro_trace_four_slots():
     assert stats.decode_ok_1 and stats.decode_ok_2
     assert stats.bits_delivered_1 == stats.bits_delivered_2 == 1
     assert stats.phase_boundaries == {"raw1": 1, "raw2": 2, "multicast": 4}
+
+
+def test_reference_raises_when_a_decoded_bit_differs(monkeypatch):
+    # the micro trace with slot 2's XOR sent with its bit flipped: user 1
+    # hears it and decodes a1 wrong, which the reference's own check catches
+    next_action = Transmitter.next_action
+
+    def flip_slot_2(tx, t):
+        action = next_action(tx, t)
+        if t != 2:
+            return action
+        assert action.kind == "xor"
+        return action._replace(bit=action.bit ^ 1)
+
+    monkeypatch.setattr(Transmitter, "next_action", flip_slot_2)
+    with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
+        run_trial(
+            ModeParams(0.5, 0.0, 1.0),
+            4,
+            0,
+            0.0,
+            micro_plan(4),
+            seed=1,
+            channel=inject([(0, 1), (1, 0), (1, 0), (0, 1)]),
+            driver="reference",
+        )
 
 
 def test_raw_retransmits_on_double_erasure():
@@ -433,6 +460,100 @@ def test_hand_driven_log_matches_the_reference_without_deadlines():
     assert tx.done_at(len(log))
     assert tx.boundaries == stats.phase_boundaries
     assert log[end_a][1].pids == (PacketId(1, plan.run_a),)
+
+
+# ---------------------------------------------------------------------------
+# one round's engine on packet lists no plan produces today
+# ---------------------------------------------------------------------------
+
+F, W, O, D = (
+    PacketStatus.FRESH,
+    PacketStatus.AWAITING,
+    PacketStatus.OVERHEARD_ONLY,
+    PacketStatus.DELIVERED,
+)
+
+
+def new_engine(pkts1, pkts2, start_t, label):
+    statuses = dict.fromkeys(pkts1 + pkts2, F)
+    boundaries = {label + phase: None for phase in ("raw1", "raw2", "multicast")}
+    return _Engine(pkts1, pkts2, statuses, start_t, label, boundaries)
+
+
+def drive_engine(engine, bits, slots, start_t):
+    """Send ``engine``'s action in each slot from ``start_t`` and apply the
+    feedback ``Transmitter`` would pass on; return per slot the action, then
+    the stage, statuses, waiting virtual queues and boundaries after it."""
+    log = []
+    for t, (s1, s2) in enumerate(slots, start_t):
+        action = engine._build(*bits)
+        if s1 or s2:  # Transmitter drops feedback erased on both links
+            engine.apply_feedback(t, s1, s2)
+        log.append((
+            (action.kind, action.pids, action.bit),
+            engine.stage,
+            list(engine.statuses.values()),
+            engine.v1[engine.vpos1 :],
+            engine.v2[engine.vpos2 :],
+            list(engine.boundaries.values()),
+        ))
+    return log
+
+
+def test_engine_with_unequal_packet_lists():
+    # three packets for user 1 and one for user 2, from slot 5; the bits of
+    # the two users differ at the indices sent, so a swapped list shows
+    a1, a2, a3, b2 = PacketId(1, 1), PacketId(1, 2), PacketId(1, 3), PacketId(2, 2)
+    engine = new_engine([a1, a2, a3], [b2], 5, "x_")
+    assert engine.stage is Phase.RAW1
+    assert engine.boundaries == {"x_raw1": None, "x_raw2": None, "x_multicast": None}
+    bits = ([0, 1, 0, 1], [1, 1, 1, 0])
+    slots = [(0, 0), (0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (0, 1), (1, 0)]
+    R1, R2, MC, DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
+    none3 = [None, None, None]
+    assert drive_engine(engine, bits, slots, 5) == [
+        (("raw", (a1,), 1), R1, [W, F, F, F], [], [], none3),  # erased on both
+        (("raw", (a1,), 1), R1, [O, F, F, F], [a1], [], none3),
+        (("raw", (a2,), 0), R1, [O, D, F, F], [a1], [], none3),
+        (("raw", (a3,), 1), R2, [O, D, O, F], [a1, a3], [], [9, None, None]),
+        (("raw", (b2,), 1), MC, [O, D, O, O], [a1, a3], [b2], [9, 10, None]),
+        (("xor", (a1, b2), 0), MC, [D, D, O, D], [a3], [], [9, 10, None]),
+        # user 2's queue is empty: its side repeats b2, and its ACK moves nothing
+        (("xor", (a3, b2), 0), MC, [D, D, O, D], [a3], [], [9, 10, None]),
+        (("xor", (a3, b2), 0), DONE, [D, D, D, D], [], [], [9, 10, 13]),
+    ]
+    with pytest.raises(ProtocolError, match="finished round"):
+        engine._build(*bits)
+
+
+def test_engine_with_no_packets_for_user_1():
+    # RAW1 ends in the start slot; multicast has only user 2's queue, so its
+    # head goes out uncoded
+    b0, b1 = PacketId(2, 0), PacketId(2, 1)
+    engine = new_engine([], [b0, b1], 0, "")
+    assert engine.stage is Phase.RAW2
+    assert engine.boundaries == {"raw1": 0, "raw2": None, "multicast": None}
+    bits = ([], [1, 0])
+    slots = [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1)]
+    R2, MC, DONE = Phase.RAW2, Phase.MULTICAST, Phase.DONE
+    assert drive_engine(engine, bits, slots, 0) == [
+        (("raw", (b0,), 1), R2, [O, F], [], [b0], [0, None, None]),
+        (("raw", (b1,), 0), MC, [O, D], [], [b0], [0, 2, None]),
+        (("raw", (b0,), 1), MC, [O, D], [], [b0], [0, 2, None]),  # user 1's ACK
+        (("raw", (b0,), 1), MC, [O, D], [], [b0], [0, 2, None]),  # erased on both
+        (("raw", (b0,), 1), DONE, [D, D], [], [], [0, 2, 5]),
+    ]
+    with pytest.raises(ProtocolError, match="finished round"):
+        engine._build(*bits)
+
+
+def test_engine_with_no_packets_ends_every_stage_at_its_start():
+    engine = new_engine([], [], 7, "b_")
+    assert engine.stage is Phase.DONE
+    assert engine.boundaries == {"b_raw1": 7, "b_raw2": 7, "b_multicast": 7}
+    assert engine.statuses == {} and engine.v1 == [] and engine.v2 == []
+    with pytest.raises(ProtocolError, match="finished round"):
+        engine._build([], [])
 
 
 def test_receiver_observe_and_decode():
