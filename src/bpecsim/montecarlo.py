@@ -379,4 +379,8 @@ def convergence_sweep(
 
 def default_transient_length(n: int, eta: float) -> int:
     """ceil(n^(2/3)), clamped so the schedule still fits."""
-    return max(0, min(math.ceil(n ** (2.0 / 3.0)), n - floor_index(eta * n)))
+    try:
+        length = math.ceil(n ** (2.0 / 3.0))
+    except OverflowError:
+        raise ValueError("blocklength n is too large: n^(2/3) overflows a float") from None
+    return max(0, min(length, n - floor_index(eta * n)))

@@ -328,8 +328,11 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
         raise ValueError(f"blocklength must be at least 1, got {n}")
     if not 0 <= guard_coeff < _INF:
         raise ValueError(f"guard coefficient must be finite and non-negative, got {guard_coeff}")
-    # a mode is at most n slots long, so this also bounds the intra-modal guards
-    guard_slots = guard_coeff * n ** (2.0 / 3.0)
+    try:
+        # a mode is at most n slots long, so this also bounds the intra-modal guards
+        guard_slots = guard_coeff * n ** (2.0 / 3.0)
+    except OverflowError:
+        raise ValueError("blocklength n is too large: n^(2/3) overflows a float") from None
     if not math.isfinite(guard_slots):
         raise ValueError(f"guard coefficient {guard_coeff} times n^(2/3) is not finite")
     n_a = floor_index(p.eta * n)

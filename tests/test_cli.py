@@ -262,6 +262,16 @@ def test_simulate_guard_that_overflows_is_one_error_line(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_t", [[], ["--n-t", "0"]], ids=["default-n-t", "n-t-0"])
+def test_simulate_blocklength_beyond_float_is_one_error_line(capsys, n_t):
+    # the default transient length and the planner's guard both take n^(2/3)
+    code, out, err = run_cli(capsys, "simulate", "--n", "1" + "0" * 400, "--trials", "2", *n_t)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: blocklength n ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
