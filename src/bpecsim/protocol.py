@@ -382,74 +382,74 @@ class _Engine:
         self.stage = Phase.RAW1
         # built for the current positions; sent again until feedback moves one
         self._action: Optional[Action] = None
-        self._advance(start_t)
+        if not pkts1:
+            self._advance(start_t)
 
     @property
     def done(self) -> bool:
         return self.stage is Phase.DONE
 
     def _advance(self, t_next: int) -> None:
-        """Move past exhausted stages; t_next is the slot count elapsed so far."""
-        if self.stage is Phase.RAW1 and self.pos1 >= len(self.q1):
+        """End the current stage, and each next one with nothing to send, at
+        t_next, the slot count elapsed so far."""
+        if self.stage is Phase.RAW1:
             self.boundaries[self.label + "raw1"] = t_next
             self.stage = Phase.RAW2
-        if self.stage is Phase.RAW2 and self.pos2 >= len(self.q2):
+            if self.q2:
+                return
+        if self.stage is Phase.RAW2:
             self.boundaries[self.label + "raw2"] = t_next
             self.stage = Phase.MULTICAST
-        if (
-            self.stage is Phase.MULTICAST
-            and self.vpos1 >= len(self.v1)
-            and self.vpos2 >= len(self.v2)
-        ):
-            self.boundaries[self.label + "multicast"] = t_next
-            self.stage = Phase.DONE
-
-    def _raw_head(self) -> PacketId:
-        return self.q1[self.pos1] if self.stage is Phase.RAW1 else self.q2[self.pos2]
-
-    def _mc_sides(self) -> tuple[Optional[PacketId], Optional[PacketId]]:
-        """Current XOR constituents: queue head, or the last resolved packet
-        once the queue has emptied."""
-        if self.vpos1 < len(self.v1):
-            side1 = self.v1[self.vpos1]
-        else:
-            side1 = self.v1[-1] if self.v1 else None
-        if self.vpos2 < len(self.v2):
-            side2 = self.v2[self.vpos2]
-        else:
-            side2 = self.v2[-1] if self.v2 else None
-        return side1, side2
+            if self.v1 or self.v2:
+                return
+        self.boundaries[self.label + "multicast"] = t_next
+        self.stage = Phase.DONE
 
     def _build(self, bits1: list[int], bits2: list[int]) -> Action:
-        def bit_of(pid: PacketId) -> int:
-            return (bits1 if pid.user == 1 else bits2)[pid.index]
-
-        if self.stage is Phase.DONE:
+        stage = self.stage
+        if stage is Phase.RAW1:
+            pid = self.q1[self.pos1]
+            self.statuses[pid] = PacketStatus.AWAITING
+            return Action("raw", (pid,), bits1[pid.index])
+        if stage is Phase.RAW2:
+            pid = self.q2[self.pos2]
+            self.statuses[pid] = PacketStatus.AWAITING
+            return Action("raw", (pid,), bits2[pid.index])
+        if stage is Phase.DONE:
             raise ProtocolError("no action in a finished round")
-        if self.stage is Phase.MULTICAST:
-            side1, side2 = self._mc_sides()
-            if side1 is not None and side2 is not None:
-                return Action("xor", (side1, side2), bit_of(side1) ^ bit_of(side2))
-            pid = side1 if side1 is not None else side2
-            return Action("raw", (pid,), bit_of(pid))
-        pid = self._raw_head()
-        self.statuses[pid] = PacketStatus.AWAITING
-        return Action("raw", (pid,), bit_of(pid))
+        # each side is its queue head, or the last resolved packet once the
+        # queue has emptied; a side with neither leaves the other uncoded
+        v1, v2 = self.v1, self.v2
+        side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
+        side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
+        if side1 is None:
+            return Action("raw", (side2,), bits2[side2.index])
+        if side2 is None:
+            return Action("raw", (side1,), bits1[side1.index])
+        return Action("xor", (side1, side2), bits1[side1.index] ^ bits2[side2.index])
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
         """Feedback heard on at least one link; ``Transmitter`` drops the rest."""
-        if self.stage is Phase.RAW1 or self.stage is Phase.RAW2:
-            pid = self._raw_head()
-            if s1 if self.stage is Phase.RAW1 else s2:
+        stage = self.stage
+        if stage is Phase.RAW1:
+            pid = self.q1[self.pos1]
+            if s1:
                 self.statuses[pid] = PacketStatus.DELIVERED
             else:
                 self.statuses[pid] = PacketStatus.OVERHEARD_ONLY
-                (self.v1 if pid.user == 1 else self.v2).append(pid)
-            if self.stage is Phase.RAW1:
-                self.pos1 += 1
+                self.v1.append(pid)
+            self.pos1 += 1
+            ended = self.pos1 == len(self.q1)
+        elif stage is Phase.RAW2:
+            pid = self.q2[self.pos2]
+            if s2:
+                self.statuses[pid] = PacketStatus.DELIVERED
             else:
-                self.pos2 += 1
-        elif self.stage is Phase.MULTICAST:
+                self.statuses[pid] = PacketStatus.OVERHEARD_ONLY
+                self.v2.append(pid)
+            self.pos2 += 1
+            ended = self.pos2 == len(self.q2)
+        else:
             moved = False
             if s1 and self.vpos1 < len(self.v1):
                 self.statuses[self.v1[self.vpos1]] = PacketStatus.DELIVERED
@@ -461,8 +461,10 @@ class _Engine:
                 moved = True
             if not moved:
                 return  # both heads stay; so do the stage and the action
+            ended = self.vpos1 == len(self.v1) and self.vpos2 == len(self.v2)
         self._action = None
-        self._advance(t + 1)
+        if ended:
+            self._advance(t + 1)
 
 
 class Transmitter:
@@ -596,7 +598,7 @@ class Transmitter:
             return  # erased on both links: no queue, stage or action moves
         engine = self._find_owner(t) if t >= self._recheck else self._owner
         engine.apply_feedback(t, s1, s2)
-        if engine.done:
+        if engine.stage is Phase.DONE:
             self._recheck = -_INF
 
 
