@@ -390,8 +390,8 @@ class _Engine:
         return self.stage is Phase.DONE
 
     def _advance(self, t_next: int) -> None:
-        """End the current stage, and each next one with nothing to send, at
-        t_next, the slot count elapsed so far."""
+        """End the current stage, then each next stage with nothing to send;
+        they all end at t_next, the slot count elapsed so far."""
         if self.stage is Phase.RAW1:
             self.boundaries[self.label + "raw1"] = t_next
             self.stage = Phase.RAW2
@@ -417,8 +417,6 @@ class _Engine:
             return Action("raw", (pid,), bits2[pid.index])
         if stage is Phase.DONE:
             raise ProtocolError("no action in a finished round")
-        # each side is its queue head, or the last resolved packet once the
-        # queue has emptied; a side with neither leaves the other uncoded
         v1, v2 = self.v1, self.v2
         side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
         side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
