@@ -293,12 +293,17 @@ def _nofb_slots(user: int, start: int, stop: int) -> slice:
     return slice(start + (start + user - 1) % 2, stop, 2)
 
 
+def _nofb_share(user: int, start: int, stop: int) -> int:
+    """``len(range(stop)[_nofb_slots(user, start, stop)])`` for a stop past a C ssize_t."""
+    return (stop - _nofb_slots(user, start, stop).start + 1) // 2
+
+
 def _plan_nofeedback(p: ModeParams, n: int, n_a: int, guard: int) -> SchemePlan:
     derate = max(0.0, 1.0 - guard / n)
 
     def stream_sizes(start: int, stop: int, delta: float) -> tuple[int, int]:
-        share1 = len(range(stop)[_nofb_slots(1, start, stop)])
-        share2 = len(range(stop)[_nofb_slots(2, start, stop)])
+        share1 = _nofb_share(1, start, stop)
+        share2 = _nofb_share(2, start, stop)
         k1 = max(0, floor_index((1.0 - delta) * derate * share1))
         k2 = max(0, floor_index((1.0 - delta) * derate * share2))
         return k1, k2

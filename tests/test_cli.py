@@ -272,6 +272,19 @@ def test_simulate_blocklength_beyond_float_is_one_error_line(capsys, n_t):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scheme", ["inter", "intra", "nofb"])
+def test_simulate_blocklength_past_a_c_ssize_t_is_one_error_line(capsys, scheme):
+    # a float holds this n, so the n^(2/3) checks pass it to the planner
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "1" + "0" * 300, "--n-t", "0", "--trials", "1",
+        "--scheme", scheme,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

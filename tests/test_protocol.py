@@ -16,6 +16,8 @@ from bpecsim.protocol import (
     SchemePlan,
     Transmitter,
     _Engine,
+    _nofb_share,
+    _nofb_slots,
     plan_scheme,
     run_trial,
 )
@@ -112,6 +114,14 @@ def test_plan_nofeedback_sizes():
     assert plan.fec_a == (125, 125)
     assert plan.fec_b == (250, 250)
     assert plan.m1 == plan.m2 == 375
+
+
+def test_nofb_share_counts_the_slots_of_nofb_slots():
+    for user in (1, 2):
+        for stop in range(65):
+            for start in range(stop + 1):
+                expected = len(range(stop)[_nofb_slots(user, start, stop)])
+                assert _nofb_share(user, start, stop) == expected, (user, start, stop)
 
 
 # ---------------------------------------------------------------------------
