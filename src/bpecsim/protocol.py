@@ -82,6 +82,16 @@ class ProtocolError(RuntimeError):
     pass
 
 
+# The reference engine reads these per slot.  On CPython 3.10 and 3.11 an Enum
+# member lookup such as ``Phase.RAW1`` costs about ten times a global read, and
+# a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
+_RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
+_AWAITING = PacketStatus.AWAITING
+_OVERHEARD_ONLY = PacketStatus.OVERHEARD_ONLY
+_DELIVERED = PacketStatus.DELIVERED
+_new = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -384,7 +394,7 @@ class _Engine:
         self.statuses = statuses
         self.label = label
         self.boundaries = boundaries
-        self.stage = Phase.RAW1
+        self.stage = _RAW1
         # built for the current positions; sent again until feedback moves one
         self._action: Optional[Action] = None
         if not pkts1:
@@ -392,74 +402,74 @@ class _Engine:
 
     @property
     def done(self) -> bool:
-        return self.stage is Phase.DONE
+        return self.stage is _DONE
 
     def _advance(self, t_next: int) -> None:
         """End the current stage, then each next stage with nothing to send;
         they all end at t_next, the slot count elapsed so far."""
-        if self.stage is Phase.RAW1:
+        if self.stage is _RAW1:
             self.boundaries[self.label + "raw1"] = t_next
-            self.stage = Phase.RAW2
+            self.stage = _RAW2
             if self.q2:
                 return
-        if self.stage is Phase.RAW2:
+        if self.stage is _RAW2:
             self.boundaries[self.label + "raw2"] = t_next
-            self.stage = Phase.MULTICAST
+            self.stage = _MULTICAST
             if self.v1 or self.v2:
                 return
         self.boundaries[self.label + "multicast"] = t_next
-        self.stage = Phase.DONE
+        self.stage = _DONE
 
     def _build(self, bits1: list[int], bits2: list[int]) -> Action:
         stage = self.stage
-        if stage is Phase.RAW1:
+        if stage is _RAW1:
             pid = self.q1[self.pos1]
-            self.statuses[pid] = PacketStatus.AWAITING
-            return Action("raw", (pid,), bits1[pid.index])
-        if stage is Phase.RAW2:
+            self.statuses[pid] = _AWAITING
+            return _new(Action, ("raw", (pid,), bits1[pid.index]))
+        if stage is _RAW2:
             pid = self.q2[self.pos2]
-            self.statuses[pid] = PacketStatus.AWAITING
-            return Action("raw", (pid,), bits2[pid.index])
-        if stage is Phase.DONE:
+            self.statuses[pid] = _AWAITING
+            return _new(Action, ("raw", (pid,), bits2[pid.index]))
+        if stage is _DONE:
             raise ProtocolError("no action in a finished round")
         v1, v2 = self.v1, self.v2
         side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
         side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
         if side1 is None:
-            return Action("raw", (side2,), bits2[side2.index])
+            return _new(Action, ("raw", (side2,), bits2[side2.index]))
         if side2 is None:
-            return Action("raw", (side1,), bits1[side1.index])
-        return Action("xor", (side1, side2), bits1[side1.index] ^ bits2[side2.index])
+            return _new(Action, ("raw", (side1,), bits1[side1.index]))
+        return _new(Action, ("xor", (side1, side2), bits1[side1.index] ^ bits2[side2.index]))
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
         """Feedback heard on at least one link; ``Transmitter`` drops the rest."""
         stage = self.stage
-        if stage is Phase.RAW1:
+        if stage is _RAW1:
             pid = self.q1[self.pos1]
             if s1:
-                self.statuses[pid] = PacketStatus.DELIVERED
+                self.statuses[pid] = _DELIVERED
             else:
-                self.statuses[pid] = PacketStatus.OVERHEARD_ONLY
+                self.statuses[pid] = _OVERHEARD_ONLY
                 self.v1.append(pid)
             self.pos1 += 1
             ended = self.pos1 == len(self.q1)
-        elif stage is Phase.RAW2:
+        elif stage is _RAW2:
             pid = self.q2[self.pos2]
             if s2:
-                self.statuses[pid] = PacketStatus.DELIVERED
+                self.statuses[pid] = _DELIVERED
             else:
-                self.statuses[pid] = PacketStatus.OVERHEARD_ONLY
+                self.statuses[pid] = _OVERHEARD_ONLY
                 self.v2.append(pid)
             self.pos2 += 1
             ended = self.pos2 == len(self.q2)
         else:
             moved = False
             if s1 and self.vpos1 < len(self.v1):
-                self.statuses[self.v1[self.vpos1]] = PacketStatus.DELIVERED
+                self.statuses[self.v1[self.vpos1]] = _DELIVERED
                 self.vpos1 += 1
                 moved = True
             if s2 and self.vpos2 < len(self.v2):
-                self.statuses[self.v2[self.vpos2]] = PacketStatus.DELIVERED
+                self.statuses[self.v2[self.vpos2]] = _DELIVERED
                 self.vpos2 += 1
                 moved = True
             if not moved:
@@ -491,7 +501,7 @@ class Transmitter:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self.plan = plan
         self._bits = (bits1.tolist(), bits2.tolist())
-        self._pids = [[PacketId(u, i) for i in range(plan.message_size(u))] for u in (1, 2)]
+        self._pids = [[_new(PacketId, (u, i)) for i in range(plan.message_size(u))] for u in (1, 2)]
         self.statuses: dict[PacketId, PacketStatus] = dict.fromkeys(
             self._pids[0] + self._pids[1], PacketStatus.FRESH
         )
@@ -601,7 +611,7 @@ class Transmitter:
             return  # erased on both links: no queue, stage or action moves
         engine = self._find_owner(t) if t >= self._recheck else self._owner
         engine.apply_feedback(t, s1, s2)
-        if engine.stage is Phase.DONE:
+        if engine.stage is _DONE:
             self._recheck = -_INF
 
 
@@ -642,7 +652,7 @@ class Receiver:
             if known is None:
                 continue
             recovered[mine.index] = bit ^ known
-        ok = all(i in recovered for i in range(m))
+        ok = all(map(recovered.__contains__, range(m)))
         return ok, recovered
 
 
@@ -778,7 +788,7 @@ def _run_reference(
     ok1, rec1 = rx1.decode(m1)
     ok2, rec2 = rx2.decode(m2)
     for ok, rec, bits in ((ok1, rec1, bits1), (ok2, rec2, bits2)):
-        if ok and any(rec[i] != b for i, b in enumerate(bits.tolist())):
+        if ok and list(map(rec.__getitem__, range(len(bits)))) != bits.tolist():
             raise ProtocolError("decoded bits differ from the message")
 
     first = tx._engines[0]

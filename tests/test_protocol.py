@@ -472,6 +472,43 @@ def test_hand_driven_log_matches_the_reference_without_deadlines():
     assert log[end_a][1].pids == (PacketId(1, plan.run_a),)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        _Engine._advance,
+        _Engine._build,
+        _Engine.apply_feedback,
+        Transmitter.next_action,
+        Transmitter.apply_feedback,
+        Transmitter.done_at,
+        Transmitter._find_owner,
+    ],
+    ids=lambda fn: fn.__qualname__,
+)
+def test_per_slot_methods_read_no_enum_class(fn):
+    # CPython 3.10 and 3.11 take about ten times a global read for an Enum
+    # member lookup, so the per-slot path reads the members from module constants
+    assert not {"Phase", "PacketStatus"} & set(fn.__code__.co_names)
+
+
+def test_reference_builds_namedtuple_instances():
+    plan = plan_scheme(CAPACITY, 400, Scheme.INTER_MODAL, 1.0)
+    sent = []
+    keys = []
+
+    def record(t, action, tx):
+        if action is not None:
+            sent.append(action)
+        if not keys:
+            keys.extend(tx.statuses)
+
+    run_trial(CAPACITY, plan.n, 0, 0.0, plan, seed=5, observer=record)
+    assert sent and keys
+    assert all(type(action) is Action for action in sent)
+    assert all(type(pid) is PacketId for action in sent for pid in action.pids)
+    assert all(type(pid) is PacketId for pid in keys)
+
+
 # ---------------------------------------------------------------------------
 # one round's engine on packet lists no plan produces today
 # ---------------------------------------------------------------------------
