@@ -42,10 +42,12 @@ _MAX_GRID_POINTS = 1_000_001
 _GRID_DUST = 1e-9
 # eta grid points per sweep block; bounds the size of the rate kernel's arrays
 _BLOCK_ROWS = 512
+# the spelling of every float in text and CSV output
+_FLOAT = "%.12g"
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return _FLOAT % x
 
 
 def _eta_grid(grid: str) -> list[float]:
@@ -138,19 +140,18 @@ def _region_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_rows(delta_a: float, delta_b: float, grid: list[float]) -> list[str]:
-    """CSV lines (header included) for the sum-rate bounds over an eta grid,
-    computed ``_BLOCK_ROWS`` grid points at a time."""
-    lines = [CSV_HEADER]
+def sweep_csv(delta_a: float, delta_b: float, grid: list[float]) -> str:
+    """CSV text (header included) of the sum-rate bounds over an eta grid,
+    computed and formatted ``_BLOCK_ROWS`` grid points at a time."""
+    blocks = [CSV_HEADER + "\n"]
     for start in range(0, len(grid), _BLOCK_ROWS):
         etas = grid[start:start + _BLOCK_ROWS]
         sums = _sums(ModeParams(delta_a=delta_a, delta_b=delta_b, eta=np.array(etas, dtype=float)))
-        columns = [map(_fmt, etas)] + [
-            [""] * len(etas) if sums[c] is None else map(_fmt, sums[c].tolist())
-            for c in _SUM_COLUMNS
-        ]
-        lines += map(",".join, zip(*columns))
-    return lines
+        # one row template per block; a column of None is an empty field
+        row = ",".join([_FLOAT] + ["" if sums[c] is None else _FLOAT for c in _SUM_COLUMNS])
+        values = np.column_stack([etas] + [sums[c] for c in _SUM_COLUMNS if sums[c] is not None])
+        blocks.append((row + "\n") * len(etas) % tuple(values.ravel().tolist()))
+    return "".join(blocks)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -169,8 +170,7 @@ def _cmd_region(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    lines = sweep_rows(args.delta_a, args.delta_b, _eta_grid(args.eta_grid))
-    return "\n".join(lines) + "\n"
+    return sweep_csv(args.delta_a, args.delta_b, _eta_grid(args.eta_grid))
 
 
 def _cmd_simulate(args) -> str:
@@ -210,22 +210,21 @@ def _cmd_figure(args) -> str:
     if args.name == "fig3":
         # include the exact threshold point where inner meets outer
         grid = sorted(set(_eta_grid("0:1:0.01")) | {rates.achievability_threshold(0.75, 0.0)})
-        lines = sweep_rows(0.75, 0.0, grid)
-    elif args.name == "fig4":
-        lines = sweep_rows(0.75, 0.125, _eta_grid("0:1:0.01"))
-    else:
-        # fig5: region comparison in the regime where inner and outer bounds split
-        p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
-        sums = _sums(p)
-        lines = ["label,r1,r2,value"]
-        for v in rates.vertices(rates.outer_region(p)):
-            lines.append(f"vertex,{_fmt(v.r1)},{_fmt(v.r2)},")
-        lines.append(f"outer_max_sum,,,{_fmt(sums['outer_sum'])}")
-        lines.append(f"inter_modal_sum,,,{_fmt(sums['inter_modal_sum'])}")
-        lines.append(f"intra_modal_sum,,,{_fmt(sums['intra_modal_sum'])}")
-        # alternative weighted-average figure for this setup, kept for comparison
-        lines.append("intra_modal_reported,,,0.875")
-        lines.append(f"no_feedback_sum,,,{_fmt(sums['no_feedback_sum'])}")
+        return sweep_csv(0.75, 0.0, grid)
+    if args.name == "fig4":
+        return sweep_csv(0.75, 0.125, _eta_grid("0:1:0.01"))
+    # fig5: region comparison in the regime where inner and outer bounds split
+    p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
+    sums = _sums(p)
+    lines = ["label,r1,r2,value"]
+    for v in rates.vertices(rates.outer_region(p)):
+        lines.append(f"vertex,{_fmt(v.r1)},{_fmt(v.r2)},")
+    lines.append(f"outer_max_sum,,,{_fmt(sums['outer_sum'])}")
+    lines.append(f"inter_modal_sum,,,{_fmt(sums['inter_modal_sum'])}")
+    lines.append(f"intra_modal_sum,,,{_fmt(sums['intra_modal_sum'])}")
+    # alternative weighted-average figure for this setup, kept for comparison
+    lines.append("intra_modal_reported,,,0.875")
+    lines.append(f"no_feedback_sum,,,{_fmt(sums['no_feedback_sum'])}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CONTAIN_TOL = 1e-9
-IDENTITY_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class UnboundedRegionError(ValueError):
@@ -277,13 +277,23 @@ def optimal_raw_fraction(p: ModeParams) -> float:
     traffic; may exceed eta, in which case callers clip to eta."""
     if p.delta_a >= 1.0:
         raise UnsupportedParametersError("raw fraction undefined for delta_a = 1")
-    alpha = 2.0 * (1.0 - avg_erasure(p)) / ((2.0 + p.delta_a) * (1.0 - p.delta_a))
-    if alpha < 1.0 and p.delta_a > 0.0:
-        residual = alpha + alpha * p.delta_a * (1.0 - p.delta_a) / (
-            2.0 * multicast_delivery_rate(p, alpha)
-        )
-        if abs(residual - 1.0) >= IDENTITY_TOL:
-            raise RuntimeError("raw-fraction self-check failed")
+    room = 1.0 - avg_erasure(p)
+    alpha = 2.0 * room / ((2.0 + p.delta_a) * (1.0 - p.delta_a))
+    if alpha < 1.0 and p.delta_a * room > 0.0:
+        # room cancels, so alpha carries a relative error of a few eps / room,
+        # and at the root the multicast rate, room * delta_a / (2 + delta_a),
+        # is a difference of terms of size room.  Both leave the rate a
+        # relative error below err, which moves the multicast term, 1 - alpha
+        # at the root, by at most (1 - alpha) * err / (1 - err).  Past err = 1
+        # floats cannot resolve the rate and the identity goes unchecked.
+        # Random draws, near delta = 0 and 1 too, stay below a fifth of it.
+        err = 8.0 * _EPS * (2.0 + p.delta_a) / (p.delta_a * room)
+        if err < 1.0:
+            residual = alpha + alpha * p.delta_a * (1.0 - p.delta_a) / (
+                2.0 * multicast_delivery_rate(p, alpha)
+            )
+            if abs(residual - 1.0) >= 8.0 * _EPS + (1.0 - alpha) * err / (1.0 - err):
+                raise RuntimeError("raw-fraction self-check failed")
     return alpha
 
 

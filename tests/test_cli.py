@@ -3,9 +3,13 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bpecsim.cli import CSV_HEADER, _eta_grid, main
+from bpecsim.cli import _SUM_COLUMNS, CSV_HEADER, _eta_grid, _fmt, _sums, main, sweep_csv
+from bpecsim.rates import ModeParams
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +175,46 @@ def test_output_path_that_cannot_be_opened_exits_1(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)  # the largest subnormal
+@example(float(np.nextafter(1e-5, 0.0)))  # g switches to exponent form below 1e-5
+@example(1e-5)
+@example(9.999999999996e-6)  # rounds up to 1e-05 at 12 digits
+@example(999999999999.4)
+@example(999999999999.5)  # rounds up to 1e+12 at 12 digits
+@example(1e12)
+@example(float(np.nextafter(1e12, 2e12)))
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+def test_percent_spelling_equals_format_spelling(x):
+    assert "%.12g" % x == format(x, ".12g") == _fmt(x)
+
+
+def _scalar_row(delta_a, delta_b, eta):
+    sums = _sums(ModeParams(delta_a, delta_b, eta))
+    values = [eta] + [sums[c] for c in _SUM_COLUMNS]
+    return ",".join("" if v is None else format(v, ".12g") for v in values)
+
+
+@pytest.mark.parametrize("grid", ["0:1:0.0009", "0.3:0.3:0.1"])
+@pytest.mark.parametrize("delta_a, delta_b", [(0.75, 0.125), (0.2, 0.6)])
+def test_sweep_csv_rows_equal_the_scalar_oracle(grid, delta_a, delta_b):
+    etas = _eta_grid(grid)
+    text = sweep_csv(delta_a, delta_b, etas)
+    lines = text.split("\n")
+    # the 1,113-point grid spans three blocks; the text ends with a newline
+    assert lines[0] == CSV_HEADER and lines[-1] == "" and len(lines) == len(etas) + 2
+    for k in sorted({*range(0, len(etas), 50), len(etas) - 1}):
+        assert lines[k + 1] == _scalar_row(delta_a, delta_b, etas[k])
+    # the reversed pair has no inter-modal sum
+    assert all((row.split(",")[5] == "") == (delta_a < delta_b) for row in lines[1:-1])
+
+
 def test_figure_fig3_contains_threshold_row(tmp_path, capsys):
     out_path = tmp_path / "fig3.csv"
     code, _, _ = run_cli(capsys, "figure", "fig3", "--out", str(out_path))
@@ -229,6 +273,17 @@ def test_simulate_json_report(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "simulate", "--n", "1000", "--n-t", "0",
                             "--trials", "1", "--seed", "3")
     assert out1 == out2
+
+
+def test_simulate_inter_near_full_erasure_reports(capsys):
+    # the raw-fraction self-check once failed here: 1 - avg_erasure cancels
+    code, out, err = run_cli(
+        capsys, "simulate", "--delta-a", "0.9999", "--delta-b", "0.9999", "--eta", "0.2",
+        "--n", "1000", "--trials", "2",
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["scheme"] == "inter" and report["trials"] == 2
 
 
 def test_simulate_nofeedback_analytic_field(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from bpecsim.rates import (
@@ -108,6 +110,21 @@ def test_raw_fraction_quadratic_residual_grid():
             assert abs(residual - 1.0) < 1e-12
             count += 1
     assert count >= 50
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+@example(0.9999, 0.9999, 0.2)  # 1 - avg_erasure cancels to 1e-4
+@example(1.828897586412145e-16, 0.9515285397352897, 0.8920679988059864)  # rate below rounding
+@example(0.5, 1.0, 0.0)  # avg_erasure = 1: no room for any traffic
+def test_raw_fraction_self_check_passes_for_any_parameters(delta_a, delta_b, eta):
+    p = ModeParams(delta_a, delta_b, eta)
+    alpha = optimal_raw_fraction(p)
+    assert alpha == 2.0 * (1.0 - avg_erasure(p)) / ((2.0 + delta_a) * (1.0 - delta_a))
 
 
 def test_multicast_delivery_rate_is_convex_combination():
