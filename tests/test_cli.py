@@ -180,7 +180,7 @@ def test_output_path_that_cannot_be_opened_exits_1(capsys):
 @example(0.0)
 @example(-0.0)
 @example(5e-324)
-@example(-2.225073858507201e-308)  # the largest subnormal
+@example(-2.225073858507201e-308)  # the largest subnormal, negated
 @example(float(np.nextafter(1e-5, 0.0)))  # g switches to exponent form below 1e-5
 @example(1e-5)
 @example(9.999999999996e-6)  # rounds up to 1e-05 at 12 digits
