@@ -77,11 +77,14 @@ def _sums(p: ModeParams) -> dict[str, Optional[float]]:
         inter = rates.achievable_intermodal_sum(p)
     except UnsupportedParametersError:
         inter = None
+    outer, c1, c2, c3 = rates.max_sum_rates(
+        rates.outer_region(p), rates.region_c1(p), rates.region_c2(p), rates.region_c3(p)
+    )
     return {
-        "outer_sum": rates.max_sum_rate(rates.outer_region(p)),
-        "c1_sum": rates.max_sum_rate(rates.region_c1(p)),
-        "c2_sum": rates.max_sum_rate(rates.region_c2(p)),
-        "c3_sum": rates.max_sum_rate(rates.region_c3(p)),
+        "outer_sum": outer,
+        "c1_sum": c1,
+        "c2_sum": c2,
+        "c3_sum": c3,
         "inter_modal_sum": inter,
         "intra_modal_sum": rates.achievable_intramodal_sum(p),
         "no_feedback_sum": rates.achievable_nofeedback_sum(p),
@@ -140,9 +143,9 @@ def _region_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(delta_a: float, delta_b: float, grid: list[float]) -> str:
-    """CSV text (header included) of the sum-rate bounds over an eta grid,
-    computed and formatted ``_BLOCK_ROWS`` grid points at a time."""
+def _sweep_blocks(delta_a: float, delta_b: float, grid: list[float]) -> list[str]:
+    """The CSV of the sum-rate bounds over an eta grid: the header line, then
+    the rows of each ``_BLOCK_ROWS`` grid points as one text."""
     blocks = [CSV_HEADER + "\n"]
     for start in range(0, len(grid), _BLOCK_ROWS):
         etas = grid[start:start + _BLOCK_ROWS]
@@ -151,29 +154,36 @@ def sweep_csv(delta_a: float, delta_b: float, grid: list[float]) -> str:
         row = ",".join([_FLOAT] + ["" if sums[c] is None else _FLOAT for c in _SUM_COLUMNS])
         values = np.column_stack([etas] + [sums[c] for c in _SUM_COLUMNS if sums[c] is not None])
         blocks.append((row + "\n") * len(etas) % tuple(values.ravel().tolist()))
-    return "".join(blocks)
+    return blocks
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def sweep_csv(delta_a: float, delta_b: float, grid: list[float]) -> str:
+    """CSV text (header included) of the sum-rate bounds over an eta grid,
+    computed and formatted ``_BLOCK_ROWS`` grid points at a time."""
+    return "".join(_sweep_blocks(delta_a, delta_b, grid))
+
+
+def _write_text(path: Optional[str], parts: list[str]) -> None:
+    # writelines encodes part by part, so no copy of the whole text is made
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
-def _cmd_region(args) -> str:
+def _cmd_region(args) -> list[str]:
     report = _region_report(args.delta_a, args.delta_b, args.eta)
     if args.format == "json":
-        return json.dumps(report, indent=2) + "\n"
-    return _region_text(report)
+        return [json.dumps(report, indent=2) + "\n"]
+    return [_region_text(report)]
 
 
-def _cmd_sweep(args) -> str:
-    return sweep_csv(args.delta_a, args.delta_b, _eta_grid(args.eta_grid))
+def _cmd_sweep(args) -> list[str]:
+    return _sweep_blocks(args.delta_a, args.delta_b, _eta_grid(args.eta_grid))
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> list[str]:
     p = ModeParams(delta_a=args.delta_a, delta_b=args.delta_b, eta=args.eta)
     n_t = args.n_t
     if n_t is None:
@@ -203,16 +213,16 @@ def _cmd_simulate(args) -> str:
         "analytic_sum_rate": sums[_SCHEME_SUM[scheme]],
         "outer_max_sum_rate": sums["outer_sum"],
     }
-    return json.dumps(report, indent=2) + "\n"
+    return [json.dumps(report, indent=2) + "\n"]
 
 
-def _cmd_figure(args) -> str:
+def _cmd_figure(args) -> list[str]:
     if args.name == "fig3":
         # include the exact threshold point where inner meets outer
         grid = sorted(set(_eta_grid("0:1:0.01")) | {rates.achievability_threshold(0.75, 0.0)})
-        return sweep_csv(0.75, 0.0, grid)
+        return _sweep_blocks(0.75, 0.0, grid)
     if args.name == "fig4":
-        return sweep_csv(0.75, 0.125, _eta_grid("0:1:0.01"))
+        return _sweep_blocks(0.75, 0.125, _eta_grid("0:1:0.01"))
     # fig5: region comparison in the regime where inner and outer bounds split
     p = ModeParams(delta_a=0.75, delta_b=0.0, eta=1.0 / 6.0)
     sums = _sums(p)
@@ -225,14 +235,17 @@ def _cmd_figure(args) -> str:
     # alternative weighted-average figure for this setup, kept for comparison
     lines.append("intra_modal_reported,,,0.875")
     lines.append(f"no_feedback_sum,,,{_fmt(sums['no_feedback_sum'])}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 class _Command:
     """A subcommand: its line in ``bpecsim -h``, its parser, the function that
-    makes its report, and its options by dest, the keys a config file may set."""
+    makes its report (a list of texts, written in order), and its options by
+    dest, the keys a config file may set."""
 
-    def __init__(self, name: str, help: str, run: Callable[[argparse.Namespace], str], **kwargs):
+    def __init__(
+        self, name: str, help: str, run: Callable[[argparse.Namespace], list[str]], **kwargs
+    ):
         self.help = help
         self.parser = argparse.ArgumentParser(prog=f"bpecsim {name}", **kwargs)
         self.run = run

@@ -40,6 +40,10 @@ _Z95 = 1.959963984540054
 # Measured, two workers beat one from about 3 ms of work (4 trials at
 # n = 1e5); the model puts that point at 2 * _FORK_S.  On one core, the fixed
 # cost of a trial in a block is about 500 slots' worth (n = 1e2 ... 16384).
+# On a 2-vCPU Intel Xeon host a bare fork round trip takes about 4 ms, twice
+# _FORK_S; the three constants are fitted together, so one alone is not
+# refitted.  The README calls (200 trials at n = 1e5, 2000 at n = 1e3) model
+# 181 ms and 28 ms of work and take two workers under either fork figure.
 _TRIAL_S = 5e-6
 _SLOT_S = 9e-9
 _FORK_S = 2e-3

@@ -169,37 +169,56 @@ def outer_region(p: ModeParams) -> RateRegion:
     )
 
 
-def _vertex_table(region: RateRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate vertices of a region whose bounds are floats or 1-D arrays.
+def _line_index(lines: list[HalfSpace], h: HalfSpace) -> int:
+    """Index of the line in ``lines`` with h's slope and bound; appends h if none."""
+    for k, g in enumerate(lines):
+        if (h.c1, h.c2) == (g.c1, g.c2) and np.array_equal(h.bound, g.bound):
+            return k
+    lines.append(h)
+    return len(lines) - 1
 
-    Intersects every pair of constraint boundaries (including the axes) and
-    drops the pairs that are infeasible in every column.  Returns (r1, r2,
-    kept): r1 and r2 clamped to the quadrant and each column sorted by r1 then
-    r2; kept marks the feasible points not within ``CONTAIN_TOL`` of an earlier
-    kept one.  Each has one row per pair and the shape of the bounds after
-    it: float bounds give 1-D arrays.
+
+def _vertex_tables(*regions: RateRegion) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Candidate vertices of each region, from one enumeration shared by all.
+
+    The regions' bounds are floats or 1-D arrays of one length.  Their
+    halfspaces, deduplicated by slope and bound, and the two axes are the
+    lines; every pair of lines is intersected once and each halfspace is
+    tested once at every intersection.  A region takes the pairs of its own
+    lines in its own order (a pair taken in the other order negates both the
+    numerator and ``det``, so it is the same float) and drops those infeasible
+    in every column.  Returns one (r1, r2, kept) per region: r1 and r2
+    clamped to the quadrant and each column sorted by r1 then r2; kept marks
+    the feasible points not within ``CONTAIN_TOL`` of an earlier kept one.
+    Each has one row per pair and the shape of the bounds after it: float
+    bounds give 1-D arrays.
     """
-    if not any(h.c1 > 0 for h in region.halfspaces) or not any(
-        h.c2 > 0 for h in region.halfspaces
-    ):
-        raise UnboundedRegionError("region admits a recession direction")
-    # a repeated halfspace (c2 and c3 share two) only repeats points and tests
-    halfspaces: list[HalfSpace] = []
-    for h in region.halfspaces:
-        if not any(
-            (h.c1, h.c2) == (g.c1, g.c2) and np.array_equal(h.bound, g.bound) for g in halfspaces
+    for region in regions:
+        if not any(h.c1 > 0 for h in region.halfspaces) or not any(
+            h.c2 > 0 for h in region.halfspaces
         ):
-            halfspaces.append(h)
+            raise UnboundedRegionError("region admits a recession direction")
+    # each region's halfspaces as indices into lines, in order of first
+    # appearance; a repeated halfspace (c2 and c3 share two) only repeats
+    # points and tests
+    lines: list[HalfSpace] = []
+    owned = [
+        list(dict.fromkeys(_line_index(lines, h) for h in region.halfspaces))
+        for region in regions
+    ]
     # the slopes are floats; the bounds may be arrays of one length
-    c1 = np.array([h.c1 for h in halfspaces] + [1.0, 0.0])  # R1 = 0, R2 = 0
-    c2 = np.array([h.c2 for h in halfspaces] + [0.0, 1.0])
-    bounds = np.array(np.broadcast_arrays(*(h.bound for h in halfspaces), 0.0, 0.0), dtype=float)
+    c1 = np.array([h.c1 for h in lines] + [1.0, 0.0])  # R1 = 0, R2 = 0
+    c2 = np.array([h.c2 for h in lines] + [0.0, 1.0])
+    bounds = np.array(np.broadcast_arrays(*(h.bound for h in lines), 0.0, 0.0), dtype=float)
     shape = bounds.shape[1:]
     bounds = bounds.reshape(len(c1), -1)
     a, c = np.array(list(itertools.combinations(range(len(c1)), 2))).T
     det = c1[a] * c2[c] - c2[a] * c1[c]
     regular = np.abs(det) >= 1e-14
     a, c, det = a[regular], c[regular], det[regular, None]
+    # the row of each regular pair of lines, in either order; -1 for parallel lines
+    row = np.full((len(c1), len(c1)), -1)
+    row[a, c] = row[c, a] = np.arange(len(a))
     # one row per pair and one column per bound element, worked in place to
     # bound a block's memory
     r1 = bounds[a] * c2[c, None]
@@ -208,40 +227,60 @@ def _vertex_table(region: RateRegion) -> tuple[np.ndarray, np.ndarray, np.ndarra
     r2 = c1[a, None] * bounds[c]
     r2 -= bounds[a] * c1[c, None]
     r2 /= det
-    inside = RateRegion(tuple(halfspaces)).contains(r1, r2)
-    somewhere = inside.any(axis=1)
-    r1, r2, inside = r1[somewhere], r2[somewhere], inside[somewhere]
+    # RateRegion.contains, one halfspace at a time over every pair
+    quadrant = (r1 >= -CONTAIN_TOL) & (r2 >= -CONTAIN_TOL)
+    below = [h.c1 * r1 + h.c2 * r2 <= h.bound + CONTAIN_TOL for h in lines]
     r1 = np.where(r1 > 0.0, r1, 0.0)
     r2 = np.where(r2 > 0.0, r2, 0.0)
-    order = np.lexsort((r2, r1), axis=0)
-    r1, r2, inside = (np.take_along_axis(x, order, axis=0) for x in (r1, r2, inside))
-    kept = np.zeros_like(inside)
-    for k in range(len(kept)):
-        near = (
-            kept[:k]
-            & (np.abs(r1[:k] - r1[k]) <= CONTAIN_TOL)
-            & (np.abs(r2[:k] - r2[k]) <= CONTAIN_TOL)
-        )
-        kept[k] = inside[k] & ~near.any(axis=0)
-    return tuple(x.reshape(x.shape[:1] + shape) for x in (r1, r2, kept))
+    tables = []
+    for own in owned:
+        # the region's lines, then the axes
+        a, c = np.array(list(itertools.combinations(own + [len(lines), len(lines) + 1], 2))).T
+        pairs = row[a, c]
+        pairs = pairs[pairs >= 0]
+        inside = quadrant[pairs]
+        for k in own:
+            inside &= below[k][pairs]
+        somewhere = inside.any(axis=1)
+        pairs, inside = pairs[somewhere], inside[somewhere]
+        x1, x2 = r1[pairs], r2[pairs]
+        order = np.lexsort((x2, x1), axis=0)
+        x1, x2, inside = (np.take_along_axis(x, order, axis=0) for x in (x1, x2, inside))
+        kept = np.zeros_like(inside)
+        for k in range(len(kept)):
+            near = (
+                kept[:k]
+                & (np.abs(x1[:k] - x1[k]) <= CONTAIN_TOL)
+                & (np.abs(x2[:k] - x2[k]) <= CONTAIN_TOL)
+            )
+            kept[k] = inside[k] & ~near.any(axis=0)
+        tables.append(tuple(x.reshape(x.shape[:1] + shape) for x in (x1, x2, kept)))
+    return tables
 
 
 def vertices(region: RateRegion) -> list[RatePair]:
     """All extreme points of a bounded region with float bounds, sorted by r1
     then r2; points within ``CONTAIN_TOL`` of an earlier one are merged."""
-    r1, r2, kept = _vertex_table(region)
+    ((r1, r2, kept),) = _vertex_tables(region)
     if kept.ndim != 1:
         raise ValueError("vertices needs a region with float bounds")
     return [RatePair(x, y) for x, y in zip(r1[kept].tolist(), r2[kept].tolist())]
 
 
+def max_sum_rates(*regions: RateRegion) -> tuple[float | np.ndarray, ...]:
+    """``max_sum_rate`` of each region, from one enumeration of their lines."""
+    sums = []
+    for r1, r2, kept in _vertex_tables(*regions):
+        best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0, initial=-np.inf)
+        if np.isneginf(best).any():
+            raise ValueError("region is empty")
+        sums.append(_unwrap(best))
+    return tuple(sums)
+
+
 def max_sum_rate(region: RateRegion) -> float | np.ndarray:
     """Maximum of r1 + r2 over the region: a float, or an array for array bounds."""
-    r1, r2, kept = _vertex_table(region)
-    best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0, initial=-np.inf)
-    if np.isneginf(best).any():
-        raise ValueError("region is empty")
-    return _unwrap(best)
+    return max_sum_rates(region)[0]
 
 
 def achievability_threshold(delta_a: float, delta_b: float) -> float:

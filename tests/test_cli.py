@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bpecsim import rates
 from bpecsim.cli import _SUM_COLUMNS, CSV_HEADER, _eta_grid, _fmt, _sums, main, sweep_csv
-from bpecsim.rates import ModeParams
+from bpecsim.rates import ModeParams, max_sum_rates
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,37 @@ def test_sweep_csv_header_and_rows(tmp_path, capsys):
     run_cli(capsys, "sweep", "--delta-a", "0.75", "--delta-b", "0",
             "--eta-grid", "0:1:0.01", "--out", str(out2))
     assert out2.read_bytes() == text
+
+
+def test_sweep_writes_the_text_of_sweep_csv_to_a_file_and_to_stdout(tmp_path, capsys):
+    # 1,113 grid points: three blocks, each written on its own
+    argv = ["sweep", "--delta-a", "0.75", "--delta-b", "0.125", "--eta-grid", "0:1:0.0009"]
+    expected = sweep_csv(0.75, 0.125, _eta_grid("0:1:0.0009"))
+    assert expected.count("\n") == 1 + 1113
+    out_path = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == expected.encode()
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_a_sweep_that_fails_in_a_later_block_writes_no_file(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fail_third_block(*regions):
+        calls.append(len(regions))
+        if len(calls) == 3:
+            raise ValueError("region is empty")
+        return max_sum_rates(*regions)
+
+    monkeypatch.setattr(rates, "max_sum_rates", fail_third_block)
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--delta-a", "0.75", "--delta-b", "0.125",
+        "--eta-grid", "0:1:0.0009", "--out", str(out_path),
+    )
+    assert (code, out, err) == (1, "", "error: region is empty\n")
+    assert calls == [4, 4, 4]
+    assert not out_path.exists()
 
 
 def test_sweep_blank_intermodal_when_reversed(tmp_path, capsys):

@@ -25,6 +25,7 @@ from bpecsim.rates import (
     avg_erasure,
     kappa,
     max_sum_rate,
+    max_sum_rates,
     outer_region,
     region_c1,
     region_c2,
@@ -114,3 +115,24 @@ def test_a_block_of_eta_equals_its_rows(p, extra):
         assert achievable_intermodal_sum(block).tolist() == [
             achievable_intermodal_sum(row) for row in rows
         ]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(p=mode_params(), extra=st.lists(probs, min_size=0, max_size=6))
+@example(p=ModeParams(0.0, 0.0, 0.5), extra=[0.0, 1.0])
+@example(p=ModeParams(1.0, 1.0, 0.5), extra=[0.0, 1.0])
+@example(p=ModeParams(1.0, 0.0, 0.5), extra=[0.0, 1.0])
+@example(p=ModeParams(0.0, 1.0, 0.5), extra=[0.0, 1.0])
+@example(p=ModeParams(0.4, 0.4, 0.0), extra=[0.3])
+def test_one_enumeration_gives_each_region_its_own_sum(p, extra):
+    """The regions share lines (c2 and c3 two, c1 and c2 two more when the
+    deltas are equal); one table over all of them gives every region its own
+    ``max_sum_rate`` to the bit, in either order of the regions."""
+    block = ModeParams(p.delta_a, p.delta_b, np.array([p.eta, *extra]))
+    for q in (p, block):
+        regions = [builder(q) for builder in BUILDERS]
+        for order in (regions, regions[::-1]):
+            for region, shared in zip(order, max_sum_rates(*order)):
+                own = max_sum_rate(region)
+                assert type(shared) is type(own)
+                assert np.asarray(shared).tobytes() == np.asarray(own).tobytes()
