@@ -9,6 +9,12 @@ an eta grid.  For fixed (delta_a, delta_b) every halfspace slope is a float
 and only the bounds move with eta; a region built from an array eta has array
 bounds, and its sum rates come back as arrays, element for element equal to
 the float results.
+
+Vertices and maximum sum rates share one enumeration of the regions' lines
+(``_candidates``) and one merge of a column's candidates (``_merge``).
+``vertices`` merges every candidate; ``max_sum_rates`` merges only the rows
+near each column's best inside sum, and only where two of them can merge,
+which gives the same maximum (the argument is in its docstring).
 """
 from __future__ import annotations
 
@@ -178,7 +184,7 @@ def _line_index(lines: list[HalfSpace], h: HalfSpace) -> int:
     return len(lines) - 1
 
 
-def _vertex_tables(*regions: RateRegion) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _candidates(*regions: RateRegion) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Candidate vertices of each region, from one enumeration shared by all.
 
     The regions' bounds are floats or 1-D arrays of one length.  Their
@@ -187,11 +193,10 @@ def _vertex_tables(*regions: RateRegion) -> list[tuple[np.ndarray, np.ndarray, n
     tested once at every intersection.  A region takes the pairs of its own
     lines in its own order (a pair taken in the other order negates both the
     numerator and ``det``, so it is the same float) and drops those infeasible
-    in every column.  Returns one (r1, r2, kept) per region: r1 and r2
-    clamped to the quadrant and each column sorted by r1 then r2; kept marks
-    the feasible points not within ``CONTAIN_TOL`` of an earlier kept one.
-    Each has one row per pair and the shape of the bounds after it: float
-    bounds give 1-D arrays.
+    in every column.  Returns one unsorted (r1, r2, inside) per region: r1 and
+    r2 clamped to the quadrant, inside marking the points in the region up to
+    ``CONTAIN_TOL``.  Each has one row per pair and the shape of the bounds
+    after it: float bounds give 1-D arrays.
     """
     for region in regions:
         if not any(h.c1 > 0 for h in region.halfspaces) or not any(
@@ -244,36 +249,81 @@ def _vertex_tables(*regions: RateRegion) -> list[tuple[np.ndarray, np.ndarray, n
         somewhere = inside.any(axis=1)
         pairs, inside = pairs[somewhere], inside[somewhere]
         x1, x2 = r1[pairs], r2[pairs]
-        order = np.lexsort((x2, x1), axis=0)
-        x1, x2, inside = (np.take_along_axis(x, order, axis=0) for x in (x1, x2, inside))
-        kept = np.zeros_like(inside)
-        for k in range(len(kept)):
-            near = (
-                kept[:k]
-                & (np.abs(x1[:k] - x1[k]) <= CONTAIN_TOL)
-                & (np.abs(x2[:k] - x2[k]) <= CONTAIN_TOL)
-            )
-            kept[k] = inside[k] & ~near.any(axis=0)
-        tables.append(tuple(x.reshape(x.shape[:1] + shape) for x in (x1, x2, kept)))
+        tables.append(tuple(x.reshape(x.shape[:1] + shape) for x in (x1, x2, inside)))
     return tables
+
+
+def _merge(
+    r1: np.ndarray, r2: np.ndarray, inside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column of candidates sorted by r1 then r2, ties in row order, with
+    kept marking the inside points not within ``CONTAIN_TOL`` of an earlier
+    kept one.  Returns (r1, r2, kept)."""
+    order = np.lexsort((r2, r1), axis=0)
+    r1, r2, inside = (np.take_along_axis(x, order, axis=0) for x in (r1, r2, inside))
+    kept = np.zeros_like(inside)
+    for k in range(len(kept)):
+        near = (
+            kept[:k]
+            & (np.abs(r1[:k] - r1[k]) <= CONTAIN_TOL)
+            & (np.abs(r2[:k] - r2[k]) <= CONTAIN_TOL)
+        )
+        kept[k] = inside[k] & ~near.any(axis=0)
+    return r1, r2, kept
 
 
 def vertices(region: RateRegion) -> list[RatePair]:
     """All extreme points of a bounded region with float bounds, sorted by r1
     then r2; points within ``CONTAIN_TOL`` of an earlier one are merged."""
-    ((r1, r2, kept),) = _vertex_tables(region)
-    if kept.ndim != 1:
+    ((r1, r2, inside),) = _candidates(region)
+    if inside.ndim != 1:
         raise ValueError("vertices needs a region with float bounds")
+    r1, r2, kept = _merge(r1, r2, inside)
     return [RatePair(x, y) for x, y in zip(r1[kept].tolist(), r2[kept].tolist())]
 
 
 def max_sum_rates(*regions: RateRegion) -> tuple[float | np.ndarray, ...]:
-    """``max_sum_rate`` of each region, from one enumeration of their lines."""
+    """``max_sum_rate`` of each region, from one enumeration of their lines.
+
+    A column's sum is the largest r1 + r2 over the points ``_merge`` keeps,
+    but only the rows near the column's best inside sum are merged, and only
+    where two of them can merge.  This gives the same float:
+
+    - ``_merge`` drops a point only for an earlier kept point within
+      ``CONTAIN_TOL`` in each coordinate, so within 2 * ``CONTAIN_TOL`` in
+      sum.  The best inside point is kept or dropped for such a point, so the
+      maximum lies in [best - 2 * ``CONTAIN_TOL``, best].
+    - A point's keep decision depends only on the decisions of earlier points
+      within ``CONTAIN_TOL`` of it.  Each step of such a chain moves at most
+      2 * ``CONTAIN_TOL`` in sum and reaches a new row, so a row lower than
+      ``reach`` = 2 * ``CONTAIN_TOL`` * (rows + 1) below the best changes no
+      decision within 4 * ``CONTAIN_TOL`` of the best.  Dropping the rows
+      that are that low in every column leaves the maximum as it was; the
+      rest keep their row order, so sort ties break as before, and rounding
+      in the sums is far below the spare 2 * ``CONTAIN_TOL``.
+    - Where no two of the remaining rows lie within ``CONTAIN_TOL`` of each
+      other in both coordinates in any column, the merge keeps every inside
+      point, and the best inside sum is the maximum.
+    """
     sums = []
-    for r1, r2, kept in _vertex_tables(*regions):
-        best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0, initial=-np.inf)
+    for r1, r2, inside in _candidates(*regions):
+        total = np.where(inside, r1 + r2, -np.inf)
+        best = np.max(total, axis=0, initial=-np.inf)
         if np.isneginf(best).any():
             raise ValueError("region is empty")
+        reach = 2.0 * CONTAIN_TOL * (len(total) + 1)
+        # the rows within reach of the best in some column
+        rows = np.any(total >= best - reach, axis=tuple(range(1, total.ndim)))
+        r1, r2, inside = r1[rows], r2[rows], inside[rows]
+        if any(
+            (
+                (np.abs(r1[k + 1 :] - r1[k]) <= CONTAIN_TOL)
+                & (np.abs(r2[k + 1 :] - r2[k]) <= CONTAIN_TOL)
+            ).any()
+            for k in range(len(r1) - 1)
+        ):
+            r1, r2, kept = _merge(r1, r2, inside)
+            best = np.max(np.where(kept, r1 + r2, -np.inf), axis=0)
         sums.append(_unwrap(best))
     return tuple(sums)
 

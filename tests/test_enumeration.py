@@ -11,6 +11,7 @@ element, what each value gives alone.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from bpecsim.rates import (
     CONTAIN_TOL,
     ModeParams,
     RatePair,
+    _candidates,
     achievability_threshold,
     achievable_intermodal_sum,
     achievable_intramodal_sum,
@@ -136,3 +138,35 @@ def test_one_enumeration_gives_each_region_its_own_sum(p, extra):
                 own = max_sum_rate(region)
                 assert type(shared) is type(own)
                 assert np.asarray(shared).tobytes() == np.asarray(own).tobytes()
+
+
+# (builder, point, maximum) where the merge drops the best inside candidate
+# for an earlier kept one within CONTAIN_TOL, so the maximum sits below the
+# best inside sum in its last bits, which the .12g CSV pins cannot see
+MERGE_LOWERS_THE_MAXIMUM = [
+    (outer_region, ModeParams(0.75, 0.125, 0.52), 0.7),
+    (region_c2, ModeParams(0.3, 0.9, 0.0), 0.19999999999999993),
+    (region_c3, ModeParams(0.0, 1.0, 0.001), 0.001),
+]
+
+
+@pytest.mark.parametrize("builder, p, maximum", MERGE_LOWERS_THE_MAXIMUM)
+def test_the_merge_sets_these_maxima(builder, p, maximum):
+    region = builder(p)
+    ((r1, r2, inside),) = _candidates(region)
+    assert max((r1 + r2)[inside]) > maximum
+    assert max_sum_rate(region) == oracle_max_sum_rate(region) == maximum
+    block = ModeParams(p.delta_a, p.delta_b, np.array([0.5, p.eta, 1.0]))
+    assert max_sum_rate(builder(block))[1] == maximum
+
+
+@pytest.mark.parametrize("delta_a, delta_b", [(0.75, 0.125), (0.3, 0.9)])
+def test_a_fine_eta_block_equals_the_oracle(delta_a, delta_b):
+    """Each of these blocks holds one point where the merge lowers a sum."""
+    etas = np.linspace(0.0, 1.0, 1001)
+    block = ModeParams(delta_a, delta_b, etas)
+    sums = max_sum_rates(*(builder(block) for builder in BUILDERS))
+    for builder, got in zip(BUILDERS, sums):
+        assert got.tolist() == [
+            oracle_max_sum_rate(builder(ModeParams(delta_a, delta_b, eta))) for eta in etas
+        ]
