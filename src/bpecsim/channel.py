@@ -156,8 +156,8 @@ def sample_block(
     drawn; each random piece is compared over all rows at once against its
     scalar threshold, and a fixed piece is written without a compare.  Slots
     past n take the mode-B probability (deadline-free runs read them).  The
-    whole block's words are alive at once: at most 512 KiB for the blocks of
-    at most 2**15 slots that ``simulate`` runs, and a one-row call compares
+    whole block's words are alive at once: at most 1 MiB for the blocks of
+    at most 2**16 slots that ``simulate`` runs, and a one-row call compares
     its row where Philox wrote it.  Raises IndexError unless 1 <= t0 <= t1.
     """
     n = schedule.n
@@ -197,6 +197,10 @@ def sample_block(
                 words = row[None]
             else:
                 words[r] = row
+            # at most one row's draw lives beside the block's words: with two,
+            # glibc's malloc gave a block of two long rows back to the OS and
+            # faulted it in again every block
+            del row
     received = np.empty((len(keys), 2 * count), dtype=bool)
     for lo, hi, thr in pieces:
         if 0 < thr < 2**64:

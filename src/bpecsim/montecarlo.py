@@ -13,7 +13,7 @@ k).spawn(1)[0])``: the Philox key of the first child of
 a slab of up to ``_BLOCK_SLOTS`` trials at once (a whole chunk unless it is
 longer), with numpy's SeedSequence mixing written as uint32 array operations
 over the slab's trials, and each block takes its slice.  So key memory stays
-under about 3 MB however many trials a chunk runs.
+under about 6 MB however many trials a chunk runs.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ _Z95 = 1.959963984540054
 # time (the fork, its copy-on-write faults, reading its result, reaping it).
 # Measured, two workers beat one from about 3 ms of work (4 trials at
 # n = 1e5); the model puts that point at 2 * _FORK_S.  On one core, the fixed
-# cost of a trial in a block is about 500 slots' worth (n = 1e2 ... 16384).
+# cost of a trial in a block is about 100-250 slots' worth (n = 1e2 ... 32768,
+# Intel Xeon).
 # On a 2-vCPU Intel Xeon host a bare fork round trip takes about 4 ms, twice
 # _FORK_S; the three constants are fitted together, so one alone is not
 # refitted.  The README calls (200 trials at n = 1e5, 2000 at n = 1e3) model
@@ -48,8 +49,10 @@ _TRIAL_S = 5e-6
 _SLOT_S = 9e-9
 _FORK_S = 2e-3
 # Each chunk runs its trials in blocks of at most this many slots, which share
-# their array work: 32 trials at n = 1e3, one trial for n > 2^14.
-_BLOCK_SLOTS = 2**15
+# their array work: 65 trials at n = 1e3, one trial for n > 2^15.  A block
+# costs about 150 us besides its trials (inter, n = 1e3), so larger blocks pay
+# it less often; 2^17 adds about 1.8 MB of peak memory for no further gain.
+_BLOCK_SLOTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -225,9 +228,9 @@ def simulate(
     sum_rates = [sum_rate for sum_rate, _, _ in outcomes]
     fail1 = sum(not ok1 for _, ok1, _ in outcomes)
     fail2 = sum(not ok2 for _, _, ok2 in outcomes)
-    mean = sum(sum_rates) / trials
+    mean = _sum_in_order(sum_rates) / trials
     if trials > 1:
-        var = sum((x - mean) ** 2 for x in sum_rates) / (trials - 1)
+        var = _sum_in_order((x - mean) ** 2 for x in sum_rates) / (trials - 1)
         half = _Z95 * math.sqrt(var / trials)
     else:
         half = 0.0
@@ -238,6 +241,16 @@ def simulate(
         failure_rate_1=fail1 / trials,
         failure_rate_2=fail2 / trials,
     )
+
+
+def _sum_in_order(xs) -> float:
+    """The floats xs added one at a time, left to right, as builtin ``sum``
+    adds them before Python 3.12, whose compensated ``sum`` would change the
+    last digits of a report with the Python version."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def _worker_count(trials: int, n: int) -> int:

@@ -2,7 +2,9 @@
 problem, and each of its rows must equal ``run_trial`` on that row's seed.
 ``simulate`` runs its trials in such blocks, so its reports must equal a
 per-trial reduction wherever the blocks and the worker chunks are cut."""
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -206,10 +208,11 @@ def _per_trial_reduction(p, n, n_t, delta_t, scheme, guard, trials, master):
     plan = plan_scheme(p, n, scheme, guard)
     stats = [run_trial(p, n, n_t, delta_t, plan, trial_seed(master, k)) for k in range(trials)]
     rates = [s.sum_rate for s in stats]
-    mean = sum(rates) / trials
+    # floats added left to right, as builtin sum() adds them before Python 3.12
+    mean = functools.reduce(operator.add, rates, 0.0) / trials
     half = 0.0
     if trials > 1:
-        var = sum((x - mean) ** 2 for x in rates) / (trials - 1)
+        var = functools.reduce(operator.add, [(x - mean) ** 2 for x in rates], 0.0) / (trials - 1)
         half = montecarlo._Z95 * math.sqrt(var / trials)
     return AggregateStats(
         trials=trials,
@@ -233,3 +236,20 @@ def test_simulate_is_byte_identical_across_block_edges(monkeypatch, scheme, guar
             monkeypatch.setattr(montecarlo, "_worker_count", lambda trials, n, k=k: k)
             got = simulate(p, 1000, 100, 0.5, scheme, guard, trials, 29)
             assert repr(got) == repr(expected), (trials, k)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("n, trials", [(1000, 150), (20_000, 8)])
+def test_simulate_stats_do_not_depend_on_the_block_size(monkeypatch, scheme, n, trials):
+    # 16, 32 or 65 trials to a block at n = 1e3; at n = 2e4 one trial, run by
+    # run_trial, or blocks of three
+    p = ModeParams(0.75, 0.0, 32 / 35)
+    reports = set()
+    for slots in (2**14, 2**15, 2**16):
+        monkeypatch.setattr(montecarlo, "_BLOCK_SLOTS", slots)
+        for k in (1, 2):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda trials, n, k=k: k)
+            got = simulate(p, n, 0, 0.0, scheme, 0.0, trials, 29)
+            reports.add(repr(got))
+    assert len(reports) == 1
+    assert 0 < got.failure_rate_1 < 1 and 0 < got.failure_rate_2 < 1

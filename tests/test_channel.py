@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,23 @@ def test_sample_block_rows_do_not_leak_words_into_each_other(t0, count):
     block = sample_block(schedule, keys, t0, t0 + count)
     for r in range(3):
         assert (block[:, r] == sample_block(schedule, keys[r : r + 1], t0, t0 + count)[:, 0]).all()
+
+
+def test_sample_block_holds_one_drawn_row_beside_its_words():
+    # two rows of 15000 random slots: their words take 480 KB, one row's draw
+    # 240 KB, out and the compare 120 KB each; with two draws alive at once,
+    # glibc's malloc gave such blocks' memory back and faulted it in each block
+    schedule = build_schedule(30_000, 0.5, 0, 0.75, 0.0, 0.0)
+    keys = np.array([(1, 2), (3, 4)], dtype=np.uint64)
+    sample_block(schedule, keys)
+    tracemalloc.start()
+    try:
+        sample_block(schedule, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words, row, out = 2 * 30_000 * 8, 30_000 * 8, 2 * 2 * 30_000
+    assert words + row + out <= peak < words + row + out + 16_384
 
 
 def test_sample_block_rejects_a_bad_slot_range():

@@ -3,7 +3,8 @@
 Each case runs ``bpecsim <argv>`` in process and pins the sha256 of what it
 writes to stdout: the three figure datasets, the region report as text and as
 JSON at five parameter points, six sweeps and simulate reports per scheme at
-n = 1000 (with the default guard and with a short one) and at n = 20000.
+n = 1000 (with the default guard and with a short one), n = 20000 and
+n = 40000.
 A change to any printed number, key order, label or line ending changes them.
 An intended output change re-records the pins and lists them in CHANGES.md.
 """
@@ -48,16 +49,21 @@ CASES = {
                                 "--eta", "0.3", "--n", "1000", "--trials", "50",
                                 "--scheme", "intra"],
     # blocks of many trials with a guard short enough that some trials fail, so
-    # the report depends on the realizations: three full blocks and a partial one
+    # the report depends on the realizations: a full block and a partial one
     **{f"simulate-{scheme}-n1000-guard": ["simulate", "--delta-a", "0.75", "--delta-b", "0.125",
                                           "--eta", "0.5", "--delta-t", "0.5", "--n", "1000",
                                           "--guard-coeff", "0.75", "--trials", "100",
                                           "--seed", "7", "--scheme", scheme]
        for scheme in ("inter", "intra", "nofb")},
-    # past the block limit each trial samples through ChannelSampler.slots; with
-    # no guard some trials fail, so the report depends on every realization
+    # blocks of three trials, the last one partial; with no guard some trials
+    # fail, so the report depends on every realization
     **{f"simulate-{scheme}-n20000": ["simulate", "--n", "20000", "--trials", "8",
                                      "--guard-coeff", "0", "--scheme", scheme]
+       for scheme in ("inter", "intra", "nofb")},
+    # past half the block limit each trial runs through run_trial and samples
+    # through ChannelSampler.slots
+    **{f"simulate-{scheme}-n40000-guard": ["simulate", "--n", "40000", "--trials", "8",
+                                           "--guard-coeff", "0", "--scheme", scheme]
        for scheme in ("inter", "intra", "nofb")},
 }
 
@@ -78,13 +84,16 @@ SHA256 = {
     "simulate-inter": "ff91a490678e187a7197e027f76e9369eff994dee44998cb1a2fd73f3b54d074",
     "simulate-inter-n1000-guard": "5265346240430bfa4b8fc42a35055215476f5914672a54e5e469f809a50ee3e2",
     "simulate-inter-n20000": "14cf95cda0b2f0453113fb6671827c4925dc5d8f69b939e0628c0f5236061c42",
+    "simulate-inter-n40000-guard": "82ad4555edd9f16b63e1ad1ac075eb91f27dae5274a8fdfe9fd73f0626a14617",
     "simulate-intra": "deab5533d4fbe1075add6f0d845096b21cd833ea3ad31ef1ebe3466a672c24f1",
     "simulate-intra-n1000-guard": "6d90c53420a8b27ae227329a7f96fd1c7cd32bc040b5bd3535fdaee05d0fa585",
     "simulate-intra-n20000": "bf8c3edaed39b9c1c71d1c51e10380a585098c61bb6116ab0fff6cb01b5416a4",
+    "simulate-intra-n40000-guard": "3a484d2e15b005fe3313dae6a0e3deed271269bdcd42756588177ba937bae538",
     "simulate-intra-reversed": "121116375573844b6eb24113adee50ef798489df31056df8ce209b43ddf1b744",
     "simulate-nofb": "d5fb7eaa15b4e0bd367b47a2cf7918ced85a965ec256b36b414f8bfdfdcb3ec6",
     "simulate-nofb-n1000-guard": "261a8956d5987eb028d08b868f7e76a95606922709b3ced408bf7dfdc0b5a7f9",
     "simulate-nofb-n20000": "529766dcd06f39cbd6ce1c1796976efaf6b65407e8566d54c57c3f71d63ebdfa",
+    "simulate-nofb-n40000-guard": "59e0418d2d39b8f188d8a9573bc663b126cacfa1098766697d2e81891485668c",
     "sweep-fig4-params": "f7fc1151f80d261ac71cb2e30cd7d814e1d707a3ec0f50e7fb833f8e4ea16de1",
     "sweep-offset-capacity-params": "2fc51f402958c97444c0e0ddff77d66a11820ac2c19c0c97b736c8b91678547b",
     "sweep-offset-fig4-params": "4cc253f933911f4b08c71aff6c7dedd5eeac15fb01b73c36ead403a3437c6839",

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -185,11 +187,13 @@ def test_a_chunk_derives_its_keys_in_one_call(monkeypatch):
     _force_workers(monkeypatch, 1)
     seen = _count_block_keys(monkeypatch)
     agg = simulate(*N1E3_ARGS, 77, 9)
-    assert seen == [(0, 77)]  # three blocks, the last one partial
+    assert seen == [(0, 77)]  # a full block, then a partial one
     # each block's slice of the chunk's keys gives the trials that run_trial runs
     plan = plan_scheme(N1E3, 1000, Scheme.INTER_MODAL, 0.75)
     trials = [run_trial(N1E3, 1000, 100, 0.5, plan, trial_seed(9, k)) for k in range(77)]
-    assert agg.mean_sum_rate == sum(t.sum_rate for t in trials) / 77
+    # the rates are added left to right, whatever the Python version
+    total = functools.reduce(operator.add, [t.sum_rate for t in trials], 0.0)
+    assert agg.mean_sum_rate == total / 77
     assert agg.failure_rate_1 == sum(not t.decode_ok_1 for t in trials) / 77
     assert agg.failure_rate_2 == sum(not t.decode_ok_2 for t in trials) / 77
     assert 0 < agg.failure_rate_1 < 1 and 0 < agg.failure_rate_2 < 1
@@ -208,13 +212,42 @@ def test_a_long_chunk_derives_its_keys_a_slab_at_a_time(monkeypatch):
 
 
 def test_chunks_that_end_in_partial_blocks_leave_the_stats_unchanged(monkeypatch):
+    per_block = montecarlo._BLOCK_SLOTS // 1000
     stats = []
-    for k in (1, 2):  # two workers run chunks of 38 and 39 trials: 32 + 6 and 32 + 7
+    for k in (1, 2):  # two workers run chunks of per_block + 6 and per_block + 7 trials
         _force_workers(monkeypatch, k)
-        stats.append(simulate(*N1E3_ARGS, 77, 9))
+        stats.append(simulate(*N1E3_ARGS, 2 * per_block + 13, 9))
         _assert_no_child_left()
     assert stats[0] == stats[1]
     assert 0 < stats[0].failure_rate_1 < 1 and 0 < stats[0].failure_rate_2 < 1
+
+
+def test_rates_are_added_left_to_right():
+    # Python 3.12's builtin sum() is compensated and gives 60.0 here
+    assert montecarlo._sum_in_order([0.1, 0.2, 0.3] * 100) == 60.00000000000009
+    assert montecarlo._sum_in_order(x for x in [0.1, 0.2, 0.3] * 100) == 60.00000000000009
+    assert montecarlo._sum_in_order([]) == 0.0
+
+
+@pytest.mark.parametrize("n", [montecarlo._BLOCK_SLOTS // 2 + 1, 100_000])
+def test_a_trial_longer_than_half_a_block_runs_through_run_trial(monkeypatch, n):
+    # each trial of the headline (n = 1e5) is one run_trial call, which a
+    # tracer sees under simulate
+    args = (CAPACITY, n, 0, 0.0, Scheme.INTER_MODAL, 0.0, 3, 5)
+    expected = simulate(*args)
+    seeds = []
+
+    def counting_run_trial(p, n, n_t, delta_t, plan, seed):
+        seeds.append(seed.entropy)
+        return run_trial(p, n, n_t, delta_t, plan, seed)
+
+    def no_run_block(*args):
+        raise AssertionError("a long trial ran in a block")
+
+    monkeypatch.setattr(montecarlo, "run_trial", counting_run_trial)
+    monkeypatch.setattr(montecarlo, "run_block", no_run_block)
+    assert simulate(*args) == expected
+    assert seeds == [(5, 0), (5, 1), (5, 2)]
 
 
 @pytest.mark.parametrize("index", [1, 6])  # in the parent's chunk, in a child's
