@@ -757,7 +757,8 @@ def _run_reference(
     horizon = len(s1_list)
     t = 0
     while True:
-        if tx.done_at(t):
+        # done_at can change its answer only from the slot that _recheck names
+        if t >= tx._recheck and tx.done_at(t):
             break
         if t >= horizon:
             if not run_to_completion:
@@ -772,16 +773,19 @@ def _run_reference(
             s1_list.extend(ext1.tolist())
             s2_list.extend(ext2.tolist())
             horizon += 4096
-        action = tx.next_action(t)
         sa, sb = s1_list[t], s2_list[t]
-        if action is not None:
-            if sa:
-                rx1.observe(action)
-            if sb:
-                rx2.observe(action)
-            tx.apply_feedback(t, action, sa, sb)
-        if observer is not None:
-            observer(t, action, tx)
+        if sa or sb or observer is not None:
+            # unobserved, a slot erased on both links moves nothing: its
+            # action would be built again, unchanged, at the next heard slot
+            action = tx.next_action(t)
+            if action is not None:
+                if sa:
+                    rx1.observe(action)
+                if sb:
+                    rx2.observe(action)
+                tx.apply_feedback(t, action, sa, sb)
+            if observer is not None:
+                observer(t, action, tx)
         t += 1
 
     m1, m2 = len(bits1), len(bits2)

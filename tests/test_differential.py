@@ -32,18 +32,20 @@ def plans(p, n, guard_coeff):
 
 
 def assert_drivers_agree(p, n, n_t, delta_t, plan, seed, channel=None):
-    """Both drivers give the same trial; returns the slots the reference driver ran."""
+    """Both drivers give the same trial, and the reference driver gives it
+    both unobserved and observed, since an observer makes it act on every
+    slot; returns the slots the observed run ran."""
     slots = 0
 
     def count(t, action, tx):
         nonlocal slots
         slots += 1
 
-    ref = run_trial(
-        p, n, n_t, delta_t, plan, seed, channel=channel, driver="reference", observer=count
-    )
-    bat = run_trial(p, n, n_t, delta_t, plan, seed, channel=channel, driver="batched")
-    assert repr(ref) == repr(bat), (p, n, n_t, delta_t, plan.scheme, seed)
+    args = (p, n, n_t, delta_t, plan, seed)
+    ref = run_trial(*args, channel=channel, driver="reference")
+    watched = run_trial(*args, channel=channel, observer=count)
+    bat = run_trial(*args, channel=channel, driver="batched")
+    assert repr(ref) == repr(watched) == repr(bat), (p, n, n_t, delta_t, plan.scheme, seed)
     return slots
 
 
