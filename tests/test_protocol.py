@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from bpecsim.protocol import (
     Scheme,
     SchemePlan,
     Transmitter,
+    _PACKET_IDS,
     _Engine,
     _nofb_share,
     _nofb_slots,
+    _packet_ids,
     plan_scheme,
     run_trial,
 )
@@ -507,6 +510,86 @@ def test_reference_builds_namedtuple_instances():
     assert all(type(action) is Action for action in sent)
     assert all(type(pid) is PacketId for action in sent for pid in action.pids)
     assert all(type(pid) is PacketId for pid in keys)
+
+
+def test_unobserved_reference_skips_slots_before_a_round_starts(monkeypatch):
+    # intra at the capacity point: round B waits for its start slot n_a
+    plan = plan_scheme(CAPACITY, 10_000, Scheme.INTRA_MODAL, 3.0)
+    returned = []
+    next_action = Transmitter.next_action
+
+    def counting(self, t):
+        action = next_action(self, t)
+        returned.append(action)
+        return action
+
+    monkeypatch.setattr(Transmitter, "next_action", counting)
+    unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
+    assert returned and None not in returned
+    returned.clear()
+    observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
+    assert None in returned  # the observer sees the idle slots
+    assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
+
+
+def test_transmitters_share_packet_ids_but_not_statuses():
+    plan = plan_scheme(CAPACITY, 400, Scheme.INTER_MODAL, 1.0)
+    bits = message(plan, 6)
+    a, b = Transmitter(plan, *bits), Transmitter(plan, *bits)
+    assert list(a.statuses) == list(b.statuses)
+    assert all(x is y for x, y in zip(a.statuses, b.statuses))
+    assert a.statuses is not b.statuses
+    fresh = [PacketStatus.FRESH] * (plan.message_size(1) + plan.message_size(2))
+    assert list(a.statuses.values()) == list(b.statuses.values()) == fresh
+    t = 0
+    while not a.done_at(t):
+        a.apply_feedback(t, a.next_action(t), 1, 1)
+        t += 1
+    assert set(a.statuses.values()) == {PacketStatus.DELIVERED}
+    assert list(b.statuses.values()) == fresh
+
+
+def test_packet_ids_answer_long_short_long_requests():
+    def expected(user, m):
+        return [PacketId(user, i) for i in range(m)]
+
+    # past the longest lists interned so far, so each user's list grows here
+    base = {u: len(_PACKET_IDS.get(u, [])) for u in (1, 2)}
+    sizes = {1: (base[1] + 70, 3, base[1] + 160), 2: (base[2] + 20, 0, base[2] + 45)}
+    earlier = {}
+    for step in range(3):
+        for user, steps in sizes.items():
+            m = steps[step]
+            ids = _packet_ids(user, m)
+            assert ids == expected(user, m)
+            assert all(type(pid) is PacketId for pid in ids)
+            if step == 0:
+                earlier[user] = ids
+    for user, ids in earlier.items():
+        # a later, longer request leaves a list returned before unchanged
+        assert ids == expected(user, sizes[user][0])
+        assert all(x is y for x, y in zip(ids, _packet_ids(user, sizes[user][2])))
+
+
+def test_second_reference_trial_builds_no_packet_ids():
+    plan = plan_scheme(CAPACITY, 1000, Scheme.INTER_MODAL, 1.0)
+
+    def live_ids():
+        gc.collect()
+        return sum(type(o) is PacketId for o in gc.get_objects())
+
+    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
+    after_first = live_ids()
+    during = []
+
+    def count_once(t, action, tx):
+        if not during:
+            during.append(live_ids())
+
+    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 2, observer=count_once)
+    # the second trial's transmitter holds the first trial's ids
+    assert during == [after_first]
+    assert live_ids() == after_first
 
 
 # ---------------------------------------------------------------------------
