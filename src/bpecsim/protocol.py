@@ -19,6 +19,7 @@ The batched driver runs a block of trials that share one plan at once;
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -442,7 +443,7 @@ class _Engine:
         return _new(Action, ("xor", (side1, side2), bits1[side1.index] ^ bits2[side2.index]))
 
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
-        """Feedback heard on at least one link; ``Transmitter`` drops the rest."""
+        """Feedback heard on at least one link; its callers drop the rest."""
         stage = self.stage
         if stage is _RAW1:
             pid = self.q1[self.pos1]
@@ -642,14 +643,18 @@ class Receiver:
         self.overheard: dict[PacketId, int] = {}
         self.coded_observations: list[tuple[tuple[PacketId, ...], int]] = []
 
+    def _record_raw(self, pid: PacketId, bit: int) -> None:
+        """Record one received uncoded packet: an own packet by its index, the
+        other user's packet as overheard."""
+        if pid.user == self.user:
+            self.received_own[pid.index] = bit
+        else:
+            self.overheard[pid] = bit
+
     def observe(self, action: Action) -> None:
         """Record one received symbol (call only when this user's link is on)."""
         if action.kind == "raw":
-            pid = action.pids[0]
-            if pid.user == self.user:
-                self.received_own[pid.index] = action.bit
-            else:
-                self.overheard[pid] = action.bit
+            self._record_raw(action.pids[0], action.bit)
             return
         mine = action.pids[0] if action.pids[0].user == self.user else action.pids[1]
         other = action.pids[1] if action.pids[0].user == self.user else action.pids[0]
@@ -768,14 +773,15 @@ def _run_reference(
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
     tx = Transmitter(plan, bits1, bits2, ignore_boundaries=run_to_completion)
+    sent1, sent2 = tx._bits  # the bit lists that _Engine._build reads
     rx1 = Receiver(1)
     rx2 = Receiver(2)
     s1_list = s1.tolist()
     s2_list = s2.tolist()
     horizon = len(s1_list)
-    t = 0
-    while True:
-        # done_at can change its answer only from the slot that _recheck names
+    for t in itertools.count():
+        # done_at can change its answer only from the slot that _recheck names;
+        # from any other slot, tx._owner and tx._idle stay current
         if t >= tx._recheck and tx.done_at(t):
             break
         if t >= horizon:
@@ -792,21 +798,41 @@ def _run_reference(
             s2_list.extend(ext2.tolist())
             horizon += 4096
         sa, sb = s1_list[t], s2_list[t]
-        if (sa or sb) and not tx._idle or observer is not None:
-            # unobserved, a slot erased on both links moves nothing: its
-            # action would be built again, unchanged, at the next heard slot;
-            # nor does a slot before the owning round's start, which has no
-            # action (the done_at check above keeps _idle current)
-            action = tx.next_action(t)
-            if action is not None:
+        if observer is None:
+            if not (sa or sb) or tx._idle:
+                # a slot erased on both links moves nothing: its action would
+                # be built again, unchanged, at the next heard slot; nor does
+                # a slot before the owning round's start, which has no action
+                continue
+            engine = tx._owner
+            stage = engine.stage
+            if stage is _RAW1 or stage is _RAW2:
+                # the head packet goes out uncoded, as _Engine._build sends it;
+                # feedback settles it in this same slot, so neither its Action
+                # nor the AWAITING status that _build sets is ever read
+                if stage is _RAW1:
+                    pid = engine.q1[engine.pos1]
+                    bit = sent1[pid.index]
+                else:
+                    pid = engine.q2[engine.pos2]
+                    bit = sent2[pid.index]
                 if sa:
-                    rx1.observe(action)
+                    rx1._record_raw(pid, bit)
                 if sb:
-                    rx2.observe(action)
-                tx.apply_feedback(t, action, sa, sb)
-            if observer is not None:
-                observer(t, action, tx)
-        t += 1
+                    rx2._record_raw(pid, bit)
+                engine.apply_feedback(t, sa, sb)
+                if engine.stage is _DONE:
+                    tx._recheck = -_INF  # as Transmitter.apply_feedback does
+                continue
+        action = tx.next_action(t)
+        if action is not None:
+            if sa:
+                rx1.observe(action)
+            if sb:
+                rx2.observe(action)
+            tx.apply_feedback(t, action, sa, sb)
+        if observer is not None:
+            observer(t, action, tx)
 
     m1, m2 = len(bits1), len(bits2)
     ok1, rec1 = rx1.decode(m1)

@@ -185,6 +185,29 @@ def test_reference_raises_when_a_decoded_bit_differs(monkeypatch):
         )
 
 
+def test_reference_raises_when_a_raw_phase_bit_differs(monkeypatch):
+    # slot 0 sends a1 uncoded and user 1 hears it, but the transmitter's bit
+    # list holds a1 flipped, so user 1 decodes a1 wrong
+    init = Transmitter.__init__
+
+    def flip_a1(tx, *args, **kwargs):
+        init(tx, *args, **kwargs)
+        tx._bits[0][0] ^= 1
+
+    monkeypatch.setattr(Transmitter, "__init__", flip_a1)
+    with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
+        run_trial(
+            ModeParams(0.5, 0.0, 1.0),
+            2,
+            0,
+            0.0,
+            micro_plan(2),
+            seed=1,
+            channel=inject([(1, 0), (0, 1)]),
+            driver="reference",
+        )
+
+
 def test_raw_retransmits_on_double_erasure():
     actions = []
     stats = run_trial(
@@ -529,6 +552,27 @@ def test_unobserved_reference_skips_slots_before_a_round_starts(monkeypatch):
     returned.clear()
     observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
     assert None in returned  # the observer sees the idle slots
+    assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
+
+
+@pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
+def test_unobserved_reference_builds_no_raw_phase_action(monkeypatch, scheme):
+    # unobserved, a raw-phase slot is settled without an Action: the loop
+    # reads the head packet itself, and feedback follows in the same slot
+    plan = plan_scheme(CAPACITY, 10_000, scheme, 3.0)
+    stages = []
+    build = _Engine._build
+
+    def counting(self, bits1, bits2):
+        stages.append(self.stage)
+        return build(self, bits1, bits2)
+
+    monkeypatch.setattr(_Engine, "_build", counting)
+    unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
+    assert stages and set(stages) == {Phase.MULTICAST}
+    stages.clear()
+    observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
+    assert {Phase.RAW1, Phase.RAW2} <= set(stages)
     assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
 
 
