@@ -421,6 +421,14 @@ class _Engine:
         self.boundaries[self.label + "multicast"] = t_next
         self.stage = _DONE
 
+    def _heads(self) -> tuple[Optional[PacketId], Optional[PacketId]]:
+        """The multicast pair: each virtual queue's head, or its most recently
+        resolved packet once it has emptied, or None if it never held one."""
+        v1, v2 = self.v1, self.v2
+        side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
+        side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
+        return side1, side2
+
     def _build(self, bits1: list[int], bits2: list[int]) -> Action:
         stage = self.stage
         if stage is _RAW1:
@@ -433,9 +441,7 @@ class _Engine:
             return _new(Action, ("raw", (pid,), bits2[pid.index]))
         if stage is _DONE:
             raise ProtocolError("no action in a finished round")
-        v1, v2 = self.v1, self.v2
-        side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
-        side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
+        side1, side2 = self._heads()
         if side1 is None:
             return _new(Action, ("raw", (side2,), bits2[side2.index]))
         if side2 is None:
@@ -635,13 +641,14 @@ class Transmitter:
 
 
 class Receiver:
-    """Receiver-side bookkeeping: own packets, overheard packets, coded symbols."""
+    """Receiver-side bookkeeping: own packets heard uncoded, overheard packets
+    of the other user, and own packets resolved from XORs as they arrive."""
 
     def __init__(self, user: int):
         self.user = user
         self.received_own: dict[int, int] = {}
         self.overheard: dict[PacketId, int] = {}
-        self.coded_observations: list[tuple[tuple[PacketId, ...], int]] = []
+        self._resolved: dict[int, int] = {}
 
     def _record_raw(self, pid: PacketId, bit: int) -> None:
         """Record one received uncoded packet: an own packet by its index, the
@@ -651,30 +658,32 @@ class Receiver:
         else:
             self.overheard[pid] = bit
 
-    def observe(self, action: Action) -> None:
-        """Record one received symbol (call only when this user's link is on)."""
-        if action.kind == "raw":
-            self._record_raw(action.pids[0], action.bit)
-            return
-        mine = action.pids[0] if action.pids[0].user == self.user else action.pids[1]
-        other = action.pids[1] if action.pids[0].user == self.user else action.pids[0]
-        if mine.index not in self.received_own and other not in self.overheard:
+    def _record_xor(self, mine: PacketId, other: PacketId, bit: int) -> None:
+        """Record one received XOR of an own packet and the other user's: the
+        own packet is resolved now from the overheard one.  A packet's bit
+        never changes, so resolving on arrival gives what resolving at the
+        end would."""
+        known = self.overheard.get(other)
+        if known is not None:
+            self._resolved[mine.index] = bit ^ known
+        elif mine.index not in self.received_own:
             # every useful multicast reception resolves exactly one own packet
             raise ProtocolError("multicast symbol not resolvable")
-        self.coded_observations.append((action.pids, action.bit))
+
+    def observe(self, action: Action) -> None:
+        """Record one received symbol (call only when this user's link is on)."""
+        pids = action.pids
+        if action.kind == "raw":
+            self._record_raw(pids[0], action.bit)
+        elif pids[0].user == self.user:
+            self._record_xor(pids[0], pids[1], action.bit)
+        else:
+            self._record_xor(pids[1], pids[0], action.bit)
 
     def decode(self, m: int) -> tuple[bool, dict[int, int]]:
-        """Single-pass substitution; every coded symbol has one own constituent."""
-        recovered = dict(self.received_own)
-        for pids, bit in self.coded_observations:
-            mine = pids[0] if pids[0].user == self.user else pids[1]
-            if mine.index in recovered:
-                continue
-            other = pids[1] if pids[0].user == self.user else pids[0]
-            known = self.overheard.get(other)
-            if known is None:
-                continue
-            recovered[mine.index] = bit ^ known
+        """The own packets heard uncoded, and those resolved from XORs where
+        none was heard uncoded; ok when all ``m`` are known."""
+        recovered = {**self._resolved, **self.received_own}
         ok = all(map(recovered.__contains__, range(m)))
         return ok, recovered
 
@@ -804,26 +813,41 @@ def _run_reference(
                 # be built again, unchanged, at the next heard slot; nor does
                 # a slot before the owning round's start, which has no action
                 continue
+            # the symbol goes out as _Engine._build would send it, with no
+            # Action: only the receivers would read it, and feedback in this
+            # same slot overwrites the AWAITING status _build sets in a raw phase
             engine = tx._owner
             stage = engine.stage
-            if stage is _RAW1 or stage is _RAW2:
-                # the head packet goes out uncoded, as _Engine._build sends it;
-                # feedback settles it in this same slot, so neither its Action
-                # nor the AWAITING status that _build sets is ever read
-                if stage is _RAW1:
-                    pid = engine.q1[engine.pos1]
+            if stage is _RAW1:
+                pid = engine.q1[engine.pos1]
+                bit = sent1[pid.index]
+            elif stage is _RAW2:
+                pid = engine.q2[engine.pos2]
+                bit = sent2[pid.index]
+            else:  # multicast: the round is not done, since it owns the slot
+                side1, side2 = engine._heads()
+                if side1 is None:
+                    pid = side2
+                    bit = sent2[pid.index]
+                elif side2 is None:
+                    pid = side1
                     bit = sent1[pid.index]
                 else:
-                    pid = engine.q2[engine.pos2]
-                    bit = sent2[pid.index]
+                    pid = None
+                    bit = sent1[side1.index] ^ sent2[side2.index]
+                    if sa:
+                        rx1._record_xor(side1, side2, bit)
+                    if sb:
+                        rx2._record_xor(side2, side1, bit)
+            if pid is not None:
                 if sa:
                     rx1._record_raw(pid, bit)
                 if sb:
                     rx2._record_raw(pid, bit)
-                engine.apply_feedback(t, sa, sb)
-                if engine.stage is _DONE:
-                    tx._recheck = -_INF  # as Transmitter.apply_feedback does
-                continue
+            engine.apply_feedback(t, sa, sb)
+            if engine.stage is _DONE:
+                tx._recheck = -_INF  # as Transmitter.apply_feedback does
+            continue
         action = tx.next_action(t)
         if action is not None:
             if sa:
@@ -831,8 +855,7 @@ def _run_reference(
             if sb:
                 rx2.observe(action)
             tx.apply_feedback(t, action, sa, sb)
-        if observer is not None:
-            observer(t, action, tx)
+        observer(t, action, tx)
 
     m1, m2 = len(bits1), len(bits2)
     ok1, rec1 = rx1.decode(m1)

@@ -1,0 +1,69 @@
+"""Every channel realization at small n: the batched driver against the
+per-slot reference, row by row.
+
+A slot has four link states, so n slots have 4**n realizations.  One
+``_run_block`` call runs all of them as the rows of one block, and each row
+must give what an unobserved reference ``run_trial`` gives on that row's
+injected channel: both decode flags, every phase boundary (-1 in the block,
+None in ``TrialStats``) and the first round's backlogs.  The plans are built
+by hand so that small n still holds a chained tail round (inter) and a round
+that waits for its start slot (intra).
+"""
+import numpy as np
+import pytest
+
+from bpecsim.protocol import Scheme, SchemePlan, _run_block, run_trial
+from bpecsim.rates import ModeParams
+
+PLANS = {
+    "inter": (
+        ModeParams(0.5, 0.5, 0.5),
+        SchemePlan(
+            scheme=Scheme.INTER_MODAL, n=6, n_a=3, m1=2, m2=1, alpha=1.0, guard=0,
+            tail1=1, tail2=1,
+        ),
+    ),
+    "intra": (
+        ModeParams(0.5, 0.5, 0.6),
+        SchemePlan(
+            scheme=Scheme.INTRA_MODAL, n=5, n_a=3, m1=2, m2=2, alpha=0.0, guard=0,
+            run_a=1, run_b=1,
+        ),
+    ),
+}
+
+
+def every_realization(n):
+    """(4**n, n) bool link states: row r's slot t has bits 2t and 2t + 1 of r."""
+    rows = np.arange(4**n)[:, None]
+    shifts = 2 * np.arange(n)
+    return (rows >> shifts) & 1 == 1, (rows >> (shifts + 1)) & 1 == 1
+
+
+@pytest.mark.parametrize("name", PLANS)
+def test_every_realization_matches_the_reference(name):
+    p, plan = PLANS[name]
+    n = plan.n
+    b1, b2 = every_realization(n)
+    out = _run_block(plan, b1, b2)
+    first_raw2 = plan.rounds()[0].label + "raw2"
+    ok = out.decode_ok.T.tolist()
+    backlog = out.backlog.T.tolist()
+    ends = {key: v.tolist() for key, v in out.boundaries.items()}
+    for r in range(len(b1)):
+        channel = (b1[r].astype(np.uint8), b2[r].astype(np.uint8))
+        stats = run_trial(p, n, 0, 0.0, plan, 1, channel=channel, driver="reference")
+        boundaries = {key: None if v[r] < 0 else v[r] for key, v in ends.items()}
+        expected = (ok[r], boundaries, backlog[r] if ends[first_raw2][r] >= 0 else [None, None])
+        got = (
+            [stats.decode_ok_1, stats.decode_ok_2],
+            stats.phase_boundaries,
+            [stats.backlog_1, stats.backlog_2],
+        )
+        assert got == expected, (name, b1[r].tolist(), b2[r].tolist())
+    # some rows send XORs, every phase ends in some rows and not in others,
+    # and each user decodes in some rows and fails in others
+    assert ((out.boundaries[first_raw2] >= 0) & (out.backlog.sum(axis=0) > 0)).any()
+    for key, v in out.boundaries.items():
+        assert 0 < (v >= 0).sum() < len(b1), key
+    assert (0 < out.decode_ok.sum(axis=1)).all() and (out.decode_ok.sum(axis=1) < len(b1)).all()

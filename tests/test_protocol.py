@@ -161,7 +161,8 @@ def test_micro_trace_four_slots():
 
 def test_reference_raises_when_a_decoded_bit_differs(monkeypatch):
     # the micro trace with slot 2's XOR sent with its bit flipped: user 1
-    # hears it and decodes a1 wrong, which the reference's own check catches
+    # hears it and decodes a1 wrong, which the reference's own check catches;
+    # only an observed run builds Actions, so the observer keeps it on that path
     next_action = Transmitter.next_action
 
     def flip_slot_2(tx, t):
@@ -172,6 +173,30 @@ def test_reference_raises_when_a_decoded_bit_differs(monkeypatch):
         return action._replace(bit=action.bit ^ 1)
 
     monkeypatch.setattr(Transmitter, "next_action", flip_slot_2)
+    with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
+        run_trial(
+            ModeParams(0.5, 0.0, 1.0),
+            4,
+            0,
+            0.0,
+            micro_plan(4),
+            seed=1,
+            channel=inject([(0, 1), (1, 0), (1, 0), (0, 1)]),
+            observer=lambda t, a, tx: None,
+        )
+
+
+def test_unobserved_reference_raises_when_a_multicast_bit_differs(monkeypatch):
+    # the micro trace with a1 flipped in the transmitter's bit list: user 1
+    # misses slot 0's uncoded a1 and reaches it only through slot 2's XOR,
+    # which it resolves on arrival to the flipped bit
+    init = Transmitter.__init__
+
+    def flip_a1(tx, *args, **kwargs):
+        init(tx, *args, **kwargs)
+        tx._bits[0][0] ^= 1
+
+    monkeypatch.setattr(Transmitter, "__init__", flip_a1)
     with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
         run_trial(
             ModeParams(0.5, 0.0, 1.0),
@@ -535,44 +560,49 @@ def test_reference_builds_namedtuple_instances():
     assert all(type(pid) is PacketId for pid in keys)
 
 
+def record_observed_path(monkeypatch):
+    """Record, per method, what each call of a method that only the observed
+    reference path calls returned."""
+    returned = {}
+    for owner, name in (
+        (Transmitter, "next_action"),
+        (Transmitter, "apply_feedback"),
+        (_Engine, "_build"),
+        (Receiver, "observe"),
+    ):
+        calls = returned[name] = []
+
+        def recording(*args, _fn=getattr(owner, name), _calls=calls):
+            result = _fn(*args)
+            _calls.append(result)
+            return result
+
+        monkeypatch.setattr(owner, name, recording)
+    return returned
+
+
 def test_unobserved_reference_skips_slots_before_a_round_starts(monkeypatch):
     # intra at the capacity point: round B waits for its start slot n_a
     plan = plan_scheme(CAPACITY, 10_000, Scheme.INTRA_MODAL, 3.0)
-    returned = []
-    next_action = Transmitter.next_action
-
-    def counting(self, t):
-        action = next_action(self, t)
-        returned.append(action)
-        return action
-
-    monkeypatch.setattr(Transmitter, "next_action", counting)
+    returned = record_observed_path(monkeypatch)
     unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    assert returned and None not in returned
-    returned.clear()
+    assert not any(returned.values())
     observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
-    assert None in returned  # the observer sees the idle slots
+    assert None in returned["next_action"]  # the observer sees the idle slots
     assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
 
 
 @pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
 def test_unobserved_reference_builds_no_raw_phase_action(monkeypatch, scheme):
-    # unobserved, a raw-phase slot is settled without an Action: the loop
-    # reads the head packet itself, and feedback follows in the same slot
+    # unobserved, no slot builds an Action: the loop reads the head packet,
+    # or the multicast pair, itself, and feedback follows in the same slot
     plan = plan_scheme(CAPACITY, 10_000, scheme, 3.0)
-    stages = []
-    build = _Engine._build
-
-    def counting(self, bits1, bits2):
-        stages.append(self.stage)
-        return build(self, bits1, bits2)
-
-    monkeypatch.setattr(_Engine, "_build", counting)
+    returned = record_observed_path(monkeypatch)
     unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    assert stages and set(stages) == {Phase.MULTICAST}
-    stages.clear()
+    assert not any(returned.values())
     observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
-    assert {Phase.RAW1, Phase.RAW2} <= set(stages)
+    assert all(returned.values())
+    assert {action.kind for action in returned["_build"]} == {"raw", "xor"}
     assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
 
 
@@ -838,6 +868,8 @@ def test_status_progression_is_monotone():
 
 
 def test_completion_correctness_with_deadline_removed():
+    # the batched driver has no deadline-free mode, so the observed run, which
+    # builds every Action, is the oracle for the unobserved one past n
     cases = [
         (ModeParams(0.9, 0.3, 0.5), Scheme.INTER_MODAL),
         (ModeParams(0.6, 0.4, 0.4), Scheme.INTER_MODAL),
@@ -853,6 +885,11 @@ def test_completion_correctness_with_deadline_removed():
             assert stats.decode_ok_1 and stats.decode_ok_2
             assert stats.bits_delivered_1 == stats.m1
             assert stats.bits_delivered_2 == stats.m2
+            observed = run_trial(
+                p, 400, 30, 0.95, plan, seed=seed, run_to_completion=True,
+                observer=lambda t, a, tx: None,
+            )
+            assert repr(stats) == repr(observed), (p, scheme, seed)
 
 
 def test_deadline_free_run_raises_when_no_slot_past_n_is_heard():
