@@ -396,8 +396,6 @@ class _Engine:
         self.label = label
         self.boundaries = boundaries
         self.stage = _RAW1
-        # built for the current positions; sent again until feedback moves one
-        self._action: Optional[Action] = None
         if not pkts1:
             self._advance(start_t)
 
@@ -429,44 +427,31 @@ class _Engine:
         side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
         return side1, side2
 
-    def _build(self, bits1: list[int], bits2: list[int]) -> Action:
-        stage = self.stage
-        if stage is _RAW1:
-            pid = self.q1[self.pos1]
-            self.statuses[pid] = _AWAITING
-            return _new(Action, ("raw", (pid,), bits1[pid.index]))
-        if stage is _RAW2:
-            pid = self.q2[self.pos2]
-            self.statuses[pid] = _AWAITING
-            return _new(Action, ("raw", (pid,), bits2[pid.index]))
-        if stage is _DONE:
-            raise ProtocolError("no action in a finished round")
-        side1, side2 = self._heads()
-        if side1 is None:
-            return _new(Action, ("raw", (side2,), bits2[side2.index]))
-        if side2 is None:
-            return _new(Action, ("raw", (side1,), bits1[side1.index]))
-        return _new(Action, ("xor", (side1, side2), bits1[side1.index] ^ bits2[side2.index]))
-
     def apply_feedback(self, t: int, s1: int, s2: int) -> None:
-        """Feedback heard on at least one link; its callers drop the rest."""
+        """One slot's feedback; a slot erased on both links leaves a raw head AWAITING."""
         stage = self.stage
         if stage is _RAW1:
             pid = self.q1[self.pos1]
             if s1:
                 self.statuses[pid] = _DELIVERED
-            else:
+            elif s2:
                 self.statuses[pid] = _OVERHEARD_ONLY
                 self.v1.append(pid)
+            else:
+                self.statuses[pid] = _AWAITING
+                return
             self.pos1 += 1
             ended = self.pos1 == len(self.q1)
         elif stage is _RAW2:
             pid = self.q2[self.pos2]
             if s2:
                 self.statuses[pid] = _DELIVERED
-            else:
+            elif s1:
                 self.statuses[pid] = _OVERHEARD_ONLY
                 self.v2.append(pid)
+            else:
+                self.statuses[pid] = _AWAITING
+                return
             self.pos2 += 1
             ended = self.pos2 == len(self.q2)
         else:
@@ -480,9 +465,8 @@ class _Engine:
                 self.vpos2 += 1
                 moved = True
             if not moved:
-                return  # both heads stay; so do the stage and the action
+                return  # both heads stay, and so does the stage
             ended = self.vpos1 == len(self.v1) and self.vpos2 == len(self.v2)
-        self._action = None
         if ended:
             self._advance(t + 1)
 
@@ -508,11 +492,12 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
 class Transmitter:
     """Causal transmitter state: the plan's rounds, queues and per-packet statuses.
 
-    Rounds run in order.  A round waits for its start slot and is abandoned at
-    its limit; a chained round starts when the previous round finishes.
-    ``ignore_boundaries`` lets every round start as soon as the previous one
-    finishes and lifts every limit (used by deadline-free runs, where every
-    round simply drains).
+    The reference loop sends each slot from the owning round and passes the
+    slot's feedback to it.  Rounds run in order.  A round waits for its start
+    slot and is abandoned at its limit; a chained round starts when the
+    previous round finishes.  ``ignore_boundaries`` lets every round start as
+    soon as the previous one finishes and lifts every limit (used by
+    deadline-free runs, where every round simply drains).
     """
 
     def __init__(
@@ -578,7 +563,7 @@ class Transmitter:
 
     def _find_owner(self, t: int) -> Optional[_Engine]:
         """``_pending(t)``, kept until the answer can change: at the owner's
-        next window edge, or when feedback finishes it (``apply_feedback``
+        next window edge, or when feedback finishes it (the reference loop
         then resets ``_recheck``)."""
         owner = self._owner = self._pending(t)
         if owner is None:
@@ -619,30 +604,11 @@ class Transmitter:
     def v_2_given_1(self) -> list[PacketId]:
         return self._waiting(2)
 
-    def next_action(self, t: int) -> Optional[Action]:
-        """Pick slot t's symbol from feedback through slot t-1; None when idle."""
-        engine = self._find_owner(t) if t >= self._recheck else self._owner
-        if engine is None:
-            raise ProtocolError("transmitter is done; no further actions")
-        if self._idle:
-            return None  # idle until the round's start slot
-        action = engine._action
-        if action is None:
-            action = engine._action = engine._build(*self._bits)
-        return action
-
-    def apply_feedback(self, t: int, action: Optional[Action], s1: int, s2: int) -> None:
-        if action is None or not (s1 or s2):
-            return  # erased on both links: no queue, stage or action moves
-        engine = self._find_owner(t) if t >= self._recheck else self._owner
-        engine.apply_feedback(t, s1, s2)
-        if engine.stage is _DONE:
-            self._recheck = -_INF
-
 
 class Receiver:
     """Receiver-side bookkeeping: own packets heard uncoded, overheard packets
-    of the other user, and own packets resolved from XORs as they arrive."""
+    of the other user, and own packets resolved from XORs as they arrive, as
+    the reference loop records them."""
 
     def __init__(self, user: int):
         self.user = user
@@ -669,16 +635,6 @@ class Receiver:
         elif mine.index not in self.received_own:
             # every useful multicast reception resolves exactly one own packet
             raise ProtocolError("multicast symbol not resolvable")
-
-    def observe(self, action: Action) -> None:
-        """Record one received symbol (call only when this user's link is on)."""
-        pids = action.pids
-        if action.kind == "raw":
-            self._record_raw(pids[0], action.bit)
-        elif pids[0].user == self.user:
-            self._record_xor(pids[0], pids[1], action.bit)
-        else:
-            self._record_xor(pids[1], pids[0], action.bit)
 
     def decode(self, m: int) -> tuple[bool, dict[int, int]]:
         """The own packets heard uncoded, and those resolved from XORs where
@@ -782,7 +738,7 @@ def _run_reference(
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
     tx = Transmitter(plan, bits1, bits2, ignore_boundaries=run_to_completion)
-    sent1, sent2 = tx._bits  # the bit lists that _Engine._build reads
+    sent1, sent2 = tx._bits  # the message bits each slot's symbol is made of
     rx1 = Receiver(1)
     rx2 = Receiver(2)
     s1_list = s1.tolist()
@@ -807,55 +763,51 @@ def _run_reference(
             s2_list.extend(ext2.tolist())
             horizon += 4096
         sa, sb = s1_list[t], s2_list[t]
-        if observer is None:
-            if not (sa or sb) or tx._idle:
-                # a slot erased on both links moves nothing: its action would
-                # be built again, unchanged, at the next heard slot; nor does
-                # a slot before the owning round's start, which has no action
+        if not (sa or sb) or tx._idle:
+            # without an observer, skip a slot erased on both links, where no
+            # queue, stage or decode moves, and an idle slot, which sends nothing
+            if observer is None:
                 continue
-            # the symbol goes out as _Engine._build would send it, with no
-            # Action: only the receivers would read it, and feedback in this
-            # same slot overwrites the AWAITING status _build sets in a raw phase
-            engine = tx._owner
-            stage = engine.stage
-            if stage is _RAW1:
-                pid = engine.q1[engine.pos1]
-                bit = sent1[pid.index]
-            elif stage is _RAW2:
-                pid = engine.q2[engine.pos2]
+            if tx._idle:
+                observer(t, None, tx)
+                continue
+        engine = tx._owner
+        stage = engine.stage
+        if stage is _RAW1:
+            pid = engine.q1[engine.pos1]
+            bit = sent1[pid.index]
+        elif stage is _RAW2:
+            pid = engine.q2[engine.pos2]
+            bit = sent2[pid.index]
+        else:  # multicast: the round is not done, since it owns the slot
+            side1, side2 = engine._heads()
+            if side1 is None:
+                pid = side2
                 bit = sent2[pid.index]
-            else:  # multicast: the round is not done, since it owns the slot
-                side1, side2 = engine._heads()
-                if side1 is None:
-                    pid = side2
-                    bit = sent2[pid.index]
-                elif side2 is None:
-                    pid = side1
-                    bit = sent1[pid.index]
-                else:
-                    pid = None
-                    bit = sent1[side1.index] ^ sent2[side2.index]
-                    if sa:
-                        rx1._record_xor(side1, side2, bit)
-                    if sb:
-                        rx2._record_xor(side2, side1, bit)
-            if pid is not None:
+            elif side2 is None:
+                pid = side1
+                bit = sent1[pid.index]
+            else:
+                pid = None
+                bit = sent1[side1.index] ^ sent2[side2.index]
                 if sa:
-                    rx1._record_raw(pid, bit)
+                    rx1._record_xor(side1, side2, bit)
                 if sb:
-                    rx2._record_raw(pid, bit)
-            engine.apply_feedback(t, sa, sb)
-            if engine.stage is _DONE:
-                tx._recheck = -_INF  # as Transmitter.apply_feedback does
-            continue
-        action = tx.next_action(t)
-        if action is not None:
+                    rx2._record_xor(side2, side1, bit)
+        if pid is not None:
             if sa:
-                rx1.observe(action)
+                rx1._record_raw(pid, bit)
             if sb:
-                rx2.observe(action)
-            tx.apply_feedback(t, action, sa, sb)
-        observer(t, action, tx)
+                rx2._record_raw(pid, bit)
+        engine.apply_feedback(t, sa, sb)
+        if engine.stage is _DONE:
+            tx._recheck = -_INF  # feedback finished the owner
+        if observer is not None:
+            if pid is None:
+                action = _new(Action, ("xor", (side1, side2), bit))
+            else:
+                action = _new(Action, ("raw", (pid,), bit))
+            observer(t, action, tx)
 
     m1, m2 = len(bits1), len(bits2)
     ok1, rec1 = rx1.decode(m1)

@@ -5,14 +5,15 @@ A slot has four link states, so n slots have 4**n realizations.  One
 ``_run_block`` call runs all of them as the rows of one block, and each row
 must give what an unobserved reference ``run_trial`` gives on that row's
 injected channel: both decode flags, every phase boundary (-1 in the block,
-None in ``TrialStats``) and the first round's backlogs.  The plans are built
+None in ``TrialStats``) and the first round's backlogs.  A quarter of the
+rows also run observed, which must give the same stats.  The plans are built
 by hand so that small n still holds a chained tail round (inter) and a round
 that waits for its start slot (intra).
 """
 import numpy as np
 import pytest
 
-from bpecsim.protocol import Scheme, SchemePlan, _run_block, run_trial
+from bpecsim.protocol import Action, Scheme, SchemePlan, _run_block, run_trial
 from bpecsim.rates import ModeParams
 
 PLANS = {
@@ -40,6 +41,28 @@ def every_realization(n):
     return (rows >> shifts) & 1 == 1, (rows >> (shifts + 1)) & 1 == 1
 
 
+def observed_run(p, plan, channel):
+    """An observed reference trial: its stats and what the observer got per slot."""
+    got = []
+
+    def record(t, action, tx):
+        assert t == len(got)
+        got.append(action)
+
+    return run_trial(p, plan.n, 0, 0.0, plan, 1, channel=channel, observer=record), got
+
+
+def idle_slots(plan, boundaries):
+    """The slots where a round waits for its start after the round before it ended."""
+    rounds = plan.rounds()
+    idle = []
+    for before, spec in zip(rounds, rounds[1:]):
+        if not spec.chained:
+            end = boundaries[before.label + "multicast"]
+            idle += range(before.limit if end is None else end, spec.start)
+    return idle
+
+
 @pytest.mark.parametrize("name", PLANS)
 def test_every_realization_matches_the_reference(name):
     p, plan = PLANS[name]
@@ -61,6 +84,17 @@ def test_every_realization_matches_the_reference(name):
             [stats.backlog_1, stats.backlog_2],
         )
         assert got == expected, (name, b1[r].tolist(), b2[r].tolist())
+        if (b1[r].sum() + 2 * b2[r].sum()) % 4 == 0:
+            # a quarter of the rows, with every link state in every slot: the
+            # observer gets None on the idle slots and an Action on every
+            # other slot until the last round ends or the deadline comes
+            observed, sent = observed_run(p, plan, channel)
+            assert observed == stats, (name, r)
+            last = stats.phase_boundaries[plan.rounds()[-1].label + "multicast"]
+            assert len(sent) == (n if last is None else last), (name, r)
+            idle = [t for t, action in enumerate(sent) if action is None]
+            assert idle == idle_slots(plan, stats.phase_boundaries), (name, r)
+            assert all(type(action) is Action for action in sent if action is not None)
     # some rows send XORs, every phase ends in some rows and not in others,
     # and each user decodes in some rows and fails in others
     assert ((out.boundaries[first_raw2] >= 0) & (out.backlog.sum(axis=0) > 0)).any()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bpecsim import protocol
 from bpecsim.channel import ChannelSampler, build_schedule, floor_index
 from bpecsim.montecarlo import trial_seed
 from bpecsim.protocol import (
@@ -21,6 +22,7 @@ from bpecsim.protocol import (
     _nofb_share,
     _nofb_slots,
     _packet_ids,
+    _run_reference,
     plan_scheme,
     run_trial,
 )
@@ -159,78 +161,51 @@ def test_micro_trace_four_slots():
     assert stats.phase_boundaries == {"raw1": 1, "raw2": 2, "multicast": 4}
 
 
+def run_with_a1_flipped(monkeypatch, slots, **kwargs):
+    """The micro plan over the injected ``slots``, with a1 flipped in the
+    transmitter's bit list after the message is drawn."""
+    init = Transmitter.__init__
+
+    def flip_a1(tx, *args, **kw):
+        init(tx, *args, **kw)
+        tx._bits[0][0] ^= 1
+
+    monkeypatch.setattr(Transmitter, "__init__", flip_a1)
+    n = len(slots)
+    return run_trial(
+        ModeParams(0.5, 0.0, 1.0), n, 0, 0.0, micro_plan(n), seed=1, channel=inject(slots),
+        driver="reference", **kwargs,
+    )
+
+
+# user 1 misses slot 0's uncoded a1 and reaches it only through slot 2's XOR
+MICRO_TRACE = [(0, 1), (1, 0), (1, 0), (0, 1)]
+
+
 def test_reference_raises_when_a_decoded_bit_differs(monkeypatch):
-    # the micro trace with slot 2's XOR sent with its bit flipped: user 1
-    # hears it and decodes a1 wrong, which the reference's own check catches;
-    # only an observed run builds Actions, so the observer keeps it on that path
-    next_action = Transmitter.next_action
-
-    def flip_slot_2(tx, t):
-        action = next_action(tx, t)
-        if t != 2:
-            return action
-        assert action.kind == "xor"
-        return action._replace(bit=action.bit ^ 1)
-
-    monkeypatch.setattr(Transmitter, "next_action", flip_slot_2)
+    # the observed run of the test below: the XOR its observer is shown
+    # carries the flipped bit, and user 1 resolves a1 wrong from it
+    sent = []
     with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
-        run_trial(
-            ModeParams(0.5, 0.0, 1.0),
-            4,
-            0,
-            0.0,
-            micro_plan(4),
-            seed=1,
-            channel=inject([(0, 1), (1, 0), (1, 0), (0, 1)]),
-            observer=lambda t, a, tx: None,
-        )
+        run_with_a1_flipped(monkeypatch, MICRO_TRACE, observer=lambda t, a, tx: sent.append(a))
+    a1, b1 = PacketId(1, 0), PacketId(2, 0)
+    assert [(a.kind, a.pids) for a in sent] == [
+        ("raw", (a1,)), ("raw", (b1,)), ("xor", (a1, b1)), ("xor", (a1, b1)),
+    ]
 
 
 def test_unobserved_reference_raises_when_a_multicast_bit_differs(monkeypatch):
     # the micro trace with a1 flipped in the transmitter's bit list: user 1
-    # misses slot 0's uncoded a1 and reaches it only through slot 2's XOR,
-    # which it resolves on arrival to the flipped bit
-    init = Transmitter.__init__
-
-    def flip_a1(tx, *args, **kwargs):
-        init(tx, *args, **kwargs)
-        tx._bits[0][0] ^= 1
-
-    monkeypatch.setattr(Transmitter, "__init__", flip_a1)
+    # resolves slot 2's XOR on arrival to the flipped bit
     with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
-        run_trial(
-            ModeParams(0.5, 0.0, 1.0),
-            4,
-            0,
-            0.0,
-            micro_plan(4),
-            seed=1,
-            channel=inject([(0, 1), (1, 0), (1, 0), (0, 1)]),
-            driver="reference",
-        )
+        run_with_a1_flipped(monkeypatch, MICRO_TRACE)
 
 
 def test_reference_raises_when_a_raw_phase_bit_differs(monkeypatch):
     # slot 0 sends a1 uncoded and user 1 hears it, but the transmitter's bit
     # list holds a1 flipped, so user 1 decodes a1 wrong
-    init = Transmitter.__init__
-
-    def flip_a1(tx, *args, **kwargs):
-        init(tx, *args, **kwargs)
-        tx._bits[0][0] ^= 1
-
-    monkeypatch.setattr(Transmitter, "__init__", flip_a1)
     with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
-        run_trial(
-            ModeParams(0.5, 0.0, 1.0),
-            2,
-            0,
-            0.0,
-            micro_plan(2),
-            seed=1,
-            channel=inject([(1, 0), (0, 1)]),
-            driver="reference",
-        )
+        run_with_a1_flipped(monkeypatch, [(1, 0), (0, 1)])
 
 
 def test_raw_retransmits_on_double_erasure():
@@ -294,24 +269,13 @@ def test_xor_feedback_dequeues_only_delivered_side():
     assert checkpoints[2] == (2, [], [b1])
 
 
-def test_transmitter_raises_when_done():
-    plan = micro_plan(2)
-    stats = run_trial(
-        ModeParams(0.5, 0.0, 1.0),
-        2,
-        0,
-        0.0,
-        plan,
-        seed=1,
-        channel=inject([(1, 1), (1, 1)]),
-    )
-    assert stats.decode_ok_1 and stats.decode_ok_2
-    tx = Transmitter(plan, np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
-    tx.apply_feedback(0, tx.next_action(0), 1, 1)
-    tx.apply_feedback(1, tx.next_action(1), 1, 1)
-    assert tx.phase is Phase.DONE
-    with pytest.raises(ProtocolError):
-        tx.next_action(2)
+def settle(tx, t, s1, s2):
+    """Pass slot t's feedback to the round that owns the slot, as the
+    reference loop does; ``done_at`` must see it."""
+    engine = tx._owner
+    engine.apply_feedback(t, s1, s2)
+    if engine.done:
+        tx._recheck = -math.inf
 
 
 def test_done_at_sees_the_feedback_of_its_own_slot():
@@ -319,31 +283,10 @@ def test_done_at_sees_the_feedback_of_its_own_slot():
     tx = Transmitter(micro_plan(2), np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
     for t in range(2):
         assert not tx.done_at(t)
-        tx.apply_feedback(t, tx.next_action(t), 1, 1)
+        settle(tx, t, 1, 1)
     assert tx.done_at(1)
     assert tx.done_at(2)
-
-
-def test_next_action_twice_in_a_slot_changes_nothing():
-    p = ModeParams(0.6, 0.2, 0.5)
-    n = 120
-    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
-    rng = np.random.default_rng(2)
-    s1, s2 = (rng.random((2, n)) > 0.6).astype(np.uint8)
-    bits1, bits2 = rng.integers(0, 2, size=(2, plan.m1), dtype=np.uint8)
-    tx = Transmitter(plan, bits1, bits2)
-    kinds = set()
-    for t in range(n):
-        if tx.done_at(t):
-            break
-        first = tx.next_action(t)
-        statuses = dict(tx.statuses)
-        second = tx.next_action(t)
-        assert second == first
-        assert tx.statuses == statuses
-        kinds.add(first and first.kind)  # None while idle before round B
-        tx.apply_feedback(t, second, int(s1[t]), int(s2[t]))
-    assert {"raw", "xor"} <= kinds
+    assert tx.phase is Phase.DONE
 
 
 def message(plan, seed):
@@ -354,50 +297,48 @@ def message(plan, seed):
     return bits1, bits2
 
 
-def drive_by_hand(tx, s1, s2, on_erased=None):
-    """Run ``tx`` over the slot states in the reference driver's order and
-    return its ``(t, action, phase)`` log; ``on_erased(tx, t, action)`` runs
-    after the feedback of each slot erased on both links."""
-    log = []
-    for t in range(len(s1)):
-        if tx.done_at(t):
-            break
-        action = tx.next_action(t)
-        sa, sb = int(s1[t]), int(s2[t])
-        if on_erased is None or sa or sb:
-            tx.apply_feedback(t, action, sa, sb)
-        else:
-            before = (dict(tx.statuses), tx.phase, tx.v_1_given_2, tx.v_2_given_1)
-            tx.apply_feedback(t, action, sa, sb)
-            assert (dict(tx.statuses), tx.phase, tx.v_1_given_2, tx.v_2_given_1) == before
-            on_erased(tx, t, action)
-        log.append((t, action, tx.phase))
-    return log
+def observe_erased_slots(p, plan, seed, **kwargs):
+    """Run an observed reference trial and check it after each slot erased on
+    both links: no status moves but the sent head's, which is AWAITING in a
+    raw phase, the phase and both virtual queues stay, and the next slot sends
+    the same symbol unless it is a round's start or limit.  Return the
+    ``(t, action, phase)`` log, the ``(t, phase)`` of each erased slot (phase
+    None while idle), the last snapshot's virtual queues and the stats, which
+    an unobserved run must give too."""
+    fresh = Transmitter(plan, *message(plan, seed))
+    snaps = [(None, dict(fresh.statuses), fresh.phase, [], [])]
 
+    def snapshot(t, action, tx):
+        assert t == len(snaps) - 1
+        snaps.append((action, dict(tx.statuses), tx.phase, tx.v_1_given_2, tx.v_2_given_1))
 
-def reference_log(p, plan, seed, **kwargs):
-    logged = []
-    stats = run_trial(
-        p, plan.n, 0, 0.0, plan, seed=seed,
-        observer=lambda t, a, tx: logged.append((t, a, tx.phase)), **kwargs,
-    )
-    return logged, stats
-
-
-def test_transmitter_driven_by_hand_matches_the_reference_log():
-    # mode A erases heavily, so round A is cut off at its limit n_a = 20
-    p = ModeParams(0.75, 0.0, 0.5)
-    n = 40
-    plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
-    rng = np.random.default_rng(11)
-    s1, s2 = (rng.random((2, n)) > 0.75).astype(np.uint8)
-    s1[20:] = s2[20:] = 1
-    logged, stats = reference_log(p, plan, 7, channel=(s1, s2))
-    assert stats.phase_boundaries["a_multicast"] is None
-    assert stats.phase_boundaries["b_multicast"] is not None
-    tx = Transmitter(plan, *message(plan, 7))
-    assert drive_by_hand(tx, s1, s2) == logged
-    assert tx.boundaries == stats.phase_boundaries
+    stats = run_trial(p, plan.n, 0, 0.0, plan, seed=seed, observer=snapshot, **kwargs)
+    assert run_trial(p, plan.n, 0, 0.0, plan, seed=seed, driver="reference", **kwargs) == stats
+    if "channel" in kwargs:
+        s1, s2 = kwargs["channel"]
+    else:
+        s1, s2 = ChannelSampler(
+            build_schedule(plan.n, p.eta, 0, p.delta_a, 0.0, p.delta_b),
+            np.random.SeedSequence(seed).spawn(2)[0],
+        ).slots(1, len(snaps))
+    edges = set() if kwargs.get("run_to_completion") else {
+        edge for spec in plan.rounds() if not spec.chained for edge in (spec.start, spec.limit)
+    }
+    erased = []
+    for t, (before, after) in enumerate(zip(snaps, snaps[1:])):
+        if s1[t] or s2[t]:
+            continue
+        action, statuses = after[0], dict(before[1])
+        if action is not None and action.kind == "raw":
+            head = action.pids[0]
+            if statuses[head] in (PacketStatus.FRESH, PacketStatus.AWAITING):
+                statuses[head] = PacketStatus.AWAITING
+        assert (statuses, *before[2:]) == after[1:], t
+        if t + 1 not in edges:
+            assert t + 2 < len(snaps) and snaps[t + 2][0] == action, t
+        erased.append((t, None if action is None else after[2]))
+    log = [(t, snap[0], snap[2]) for t, snap in enumerate(snaps[1:])]
+    return log, erased, snaps[-1][3:], stats
 
 
 # intra-modal, two packets per user and round; round A ends at slot 8 and
@@ -421,25 +362,14 @@ def test_slot_erased_on_both_links_changes_nothing():
         scheme=Scheme.INTRA_MODAL, n=20, n_a=10, m1=4, m2=4, alpha=0.0, guard=0,
         run_a=2, run_b=2,
     )
-    s1, s2 = inject(WAIT_FOR_B)
-    seen = []
-
-    def unchanged(tx, t, action):
-        # the same round owns the next slot and sends the same symbol again
-        assert not tx.done_at(t + 1)
-        assert tx.next_action(t + 1) == action
-        seen.append((t, tx.phase if action is not None else None))
-
-    tx = Transmitter(plan, *message(plan, 3))
-    log = drive_by_hand(tx, s1, s2, on_erased=unchanged)
-    assert seen == [
+    log, erased, _, stats = observe_erased_slots(p, plan, 3, channel=inject(WAIT_FOR_B))
+    assert erased == [
         (0, Phase.RAW1), (3, Phase.RAW2), (6, Phase.MULTICAST), (8, None),
         (10, Phase.RAW1), (12, Phase.RAW1), (16, Phase.MULTICAST),
     ]
-    assert tx.boundaries["a_multicast"] == 8 and tx.boundaries["b_multicast"] == 18
-    logged, stats = reference_log(p, plan, 3, channel=(s1, s2))
-    assert log == logged
-    assert tx.boundaries == stats.phase_boundaries
+    assert [t for t, action, _ in log if action is None] == [8, 9]
+    assert stats.phase_boundaries["a_multicast"] == 8
+    assert stats.phase_boundaries["b_multicast"] == 18
 
 
 def test_slot_erased_on_both_links_changes_nothing_at_capacity():
@@ -448,21 +378,11 @@ def test_slot_erased_on_both_links_changes_nothing_at_capacity():
     plan = plan_scheme(CAPACITY, n, Scheme.INTER_MODAL, 0.0)
     rng = np.random.default_rng(5)
     s1, s2 = (rng.random((2, n)) >= np.where(np.arange(n) < plan.n_a, 0.75, 0.0)).astype(np.uint8)
-    phases = set()
-
-    def unchanged(tx, t, action):
-        if t + 1 < n:
-            assert not tx.done_at(t + 1)
-            assert tx.next_action(t + 1) == action
-        phases.add(tx.phase)
-
-    tx = Transmitter(plan, *message(plan, 9))
-    log = drive_by_hand(tx, s1, s2, on_erased=unchanged)
-    assert {Phase.RAW1, Phase.RAW2, Phase.MULTICAST} <= phases
-    assert log == reference_log(CAPACITY, plan, 9, channel=(s1, s2))[0]
+    _, erased, _, _ = observe_erased_slots(CAPACITY, plan, 9, channel=(s1, s2))
+    assert {Phase.RAW1, Phase.RAW2, Phase.MULTICAST} <= {phase for _, phase in erased}
 
 
-def test_hand_driven_log_matches_the_reference_when_round_a_is_cut_off():
+def test_slot_erased_on_both_links_changes_nothing_when_round_a_is_cut_off():
     # round A fills both virtual queues, resolves one packet and then hears
     # nothing until its limit n_a = 20; round B runs in a clean mode B
     p = ModeParams(0.75, 0.0, 0.5)
@@ -470,30 +390,33 @@ def test_hand_driven_log_matches_the_reference_when_round_a_is_cut_off():
     plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
     assert (plan.run_a, plan.run_b) == (3, 10)
     head = [(0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (0, 1), (1, 0)]
-    s1, s2 = inject(head + [(0, 0)] * (20 - len(head)) + [(1, 1)] * 20)
-    tx = Transmitter(plan, *message(plan, 4))
-    log = drive_by_hand(tx, s1, s2)
-    logged, stats = reference_log(p, plan, 4, channel=(s1, s2))
-    assert log == logged
+    channel = inject(head + [(0, 0)] * (20 - len(head)) + [(1, 1)] * 20)
+    log, erased, waiting, stats = observe_erased_slots(p, plan, 4, channel=channel)
+    assert [t for t, _ in erased] == list(range(len(head), 20))
     assert stats.phase_boundaries["a_multicast"] is None
     assert stats.phase_boundaries["b_raw1"] == 30
     assert (stats.backlog_1, stats.backlog_2) == (2, 2)
     # round A's leftover queues outlive its cut-off
-    assert tx.v_1_given_2 == [PacketId(1, 1)]
-    assert tx.v_2_given_1 == [PacketId(2, 0), PacketId(2, 1)]
+    assert waiting == ([PacketId(1, 1)], [PacketId(2, 0), PacketId(2, 1)])
     assert log[20][1].pids == (PacketId(1, 3),)
+    # the same plan where mode A erases at random and mode B is clean
+    rng = np.random.default_rng(11)
+    s1, s2 = (rng.random((2, n)) > 0.75).astype(np.uint8)
+    s1[20:] = s2[20:] = 1
+    _, erased, _, stats = observe_erased_slots(p, plan, 7, channel=(s1, s2))
+    assert erased
+    assert stats.phase_boundaries["a_multicast"] is None
+    assert stats.phase_boundaries["b_multicast"] is not None
 
 
-def test_hand_driven_log_matches_the_reference_when_the_tail_opens():
+def test_slot_erased_on_both_links_changes_nothing_when_the_tail_opens():
     # the core's multicast ends with slot 2's feedback; the chained tail
     # sends its first packet in slot 3
     p = ModeParams(0.5, 0.0, 1.0)
     plan = micro_plan(8, tail=1)
-    s1, s2 = inject([(0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (1, 1), (0, 0), (0, 0)])
-    tx = Transmitter(plan, *message(plan, 2))
-    log = drive_by_hand(tx, s1, s2)
-    logged, stats = reference_log(p, plan, 2, channel=(s1, s2))
-    assert log == logged
+    channel = inject([(0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (1, 1), (0, 0), (0, 0)])
+    log, erased, _, stats = observe_erased_slots(p, plan, 2, channel=channel)
+    assert erased == [(3, Phase.FRESH_TAIL)]
     assert stats.phase_boundaries["multicast"] == 3
     assert stats.phase_boundaries["tail_multicast"] == 6
     assert [(t, a.pids, phase) for t, a, phase in log[2:5]] == [
@@ -503,36 +426,32 @@ def test_hand_driven_log_matches_the_reference_when_the_tail_opens():
     ]
 
 
-def test_hand_driven_log_matches_the_reference_without_deadlines():
+def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
     # windows (0, inf): round A runs past n_a = 30, round B opens in the slot
     # after it ends, and the run goes on past n = 60
     p = ModeParams(0.6, 0.2, 0.5)
     n = 60
     plan = plan_scheme(p, n, Scheme.INTRA_MODAL, 0.0)
-    logged, stats = reference_log(p, plan, 1, run_to_completion=True)
+    log, erased, _, stats = observe_erased_slots(p, plan, 1, run_to_completion=True)
     end_a = stats.phase_boundaries["a_multicast"]
-    assert plan.n_a < end_a and len(logged) > n
-    schedule = build_schedule(n, p.eta, 0, p.delta_a, 0.0, p.delta_b)
-    sampler = ChannelSampler(schedule, np.random.SeedSequence(1).spawn(2)[0])
-    s1, s2 = sampler.slots(1, len(logged) + 1)
-    tx = Transmitter(plan, *message(plan, 1), ignore_boundaries=True)
-    log = drive_by_hand(tx, s1, s2)
-    assert log == logged
-    assert tx.done_at(len(log))
-    assert tx.boundaries == stats.phase_boundaries
+    assert plan.n_a < end_a and len(log) > n
+    assert {t < end_a for t, _ in erased} == {True, False}  # in both rounds
     assert log[end_a][1].pids == (PacketId(1, plan.run_a),)
+    assert log[-1][2] is Phase.DONE
+    assert len(log) == stats.phase_boundaries["b_multicast"]
 
 
 @pytest.mark.parametrize(
     "fn",
     [
+        _run_reference,
         _Engine._advance,
-        _Engine._build,
+        _Engine._heads,
         _Engine.apply_feedback,
-        Transmitter.next_action,
-        Transmitter.apply_feedback,
         Transmitter.done_at,
         Transmitter._find_owner,
+        Receiver._record_raw,
+        Receiver._record_xor,
     ],
     ids=lambda fn: fn.__qualname__,
 )
@@ -560,36 +479,42 @@ def test_reference_builds_namedtuple_instances():
     assert all(type(pid) is PacketId for pid in keys)
 
 
-def record_observed_path(monkeypatch):
-    """Record, per method, what each call of a method that only the observed
-    reference path calls returned."""
-    returned = {}
-    for owner, name in (
-        (Transmitter, "next_action"),
-        (Transmitter, "apply_feedback"),
-        (_Engine, "_build"),
-        (Receiver, "observe"),
-    ):
-        calls = returned[name] = []
+def record_new(monkeypatch):
+    """Record the class of each object the package builds with ``protocol._new``."""
+    built = []
+    new = protocol._new
 
-        def recording(*args, _fn=getattr(owner, name), _calls=calls):
-            result = _fn(*args)
-            _calls.append(result)
-            return result
+    def recording(cls, args):
+        built.append(cls)
+        return new(cls, args)
 
-        monkeypatch.setattr(owner, name, recording)
-    return returned
+    monkeypatch.setattr(protocol, "_new", recording)
+    return built
+
+
+def observed_and_unobserved(monkeypatch, plan):
+    """The capacity point at n = 1e4, seed 1: the observed run's actions, then
+    the ``_new`` calls of the unobserved run, whose stats must equal the
+    observed and the batched runs' stats."""
+    built = record_new(monkeypatch)
+    actions = []
+    observed = run_trial(
+        CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: actions.append(a)
+    )
+    assert Action in built
+    built.clear()  # the observed run interned the plan's packet ids
+    unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
+    assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
+    return actions, built
 
 
 def test_unobserved_reference_skips_slots_before_a_round_starts(monkeypatch):
     # intra at the capacity point: round B waits for its start slot n_a
     plan = plan_scheme(CAPACITY, 10_000, Scheme.INTRA_MODAL, 3.0)
-    returned = record_observed_path(monkeypatch)
-    unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    assert not any(returned.values())
-    observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
-    assert None in returned["next_action"]  # the observer sees the idle slots
-    assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
+    actions, built = observed_and_unobserved(monkeypatch, plan)
+    assert built == []
+    idle = [t for t, action in enumerate(actions) if action is None]
+    assert idle and idle[-1] == plan.n_a - 1  # the observer sees the idle slots
 
 
 @pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
@@ -597,13 +522,9 @@ def test_unobserved_reference_builds_no_raw_phase_action(monkeypatch, scheme):
     # unobserved, no slot builds an Action: the loop reads the head packet,
     # or the multicast pair, itself, and feedback follows in the same slot
     plan = plan_scheme(CAPACITY, 10_000, scheme, 3.0)
-    returned = record_observed_path(monkeypatch)
-    unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    assert not any(returned.values())
-    observed = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: None)
-    assert all(returned.values())
-    assert {action.kind for action in returned["_build"]} == {"raw", "xor"}
-    assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
+    actions, built = observed_and_unobserved(monkeypatch, plan)
+    assert built == []
+    assert {action.kind for action in actions if action is not None} == {"raw", "xor"}
 
 
 def test_transmitters_share_packet_ids_but_not_statuses():
@@ -617,7 +538,7 @@ def test_transmitters_share_packet_ids_but_not_statuses():
     assert list(a.statuses.values()) == list(b.statuses.values()) == fresh
     t = 0
     while not a.done_at(t):
-        a.apply_feedback(t, a.next_action(t), 1, 1)
+        settle(a, t, 1, 1)
         t += 1
     assert set(a.statuses.values()) == {PacketStatus.DELIVERED}
     assert list(b.statuses.values()) == fresh
@@ -684,17 +605,33 @@ def new_engine(pkts1, pkts2, start_t, label):
     return _Engine(pkts1, pkts2, statuses, start_t, label, boundaries)
 
 
+def sent_symbol(engine, bits):
+    """The reference loop's symbol for ``engine``'s current state: a raw
+    phase's head, or the multicast pair, or its one side once the other
+    queue never held a packet."""
+    if engine.stage is Phase.RAW1:
+        pids = (engine.q1[engine.pos1],)
+    elif engine.stage is Phase.RAW2:
+        pids = (engine.q2[engine.pos2],)
+    else:
+        pids = tuple(pid for pid in engine._heads() if pid is not None)
+    bit = 0
+    for pid in pids:
+        bit ^= bits[pid.user - 1][pid.index]
+    return ("raw" if len(pids) == 1 else "xor", pids, bit)
+
+
 def drive_engine(engine, bits, slots, start_t):
-    """Send ``engine``'s action in each slot from ``start_t`` and apply the
-    feedback ``Transmitter`` would pass on; return per slot the action, then
-    the stage, statuses, waiting virtual queues and boundaries after it."""
+    """Send ``engine``'s symbol in each slot from ``start_t`` and apply the
+    slot's feedback, as an observed reference run does; return per slot the
+    symbol, then the stage, statuses, waiting virtual queues and boundaries
+    after it."""
     log = []
     for t, (s1, s2) in enumerate(slots, start_t):
-        action = engine._build(*bits)
-        if s1 or s2:  # Transmitter drops feedback erased on both links
-            engine.apply_feedback(t, s1, s2)
+        symbol = sent_symbol(engine, bits)
+        engine.apply_feedback(t, s1, s2)
         log.append((
-            (action.kind, action.pids, action.bit),
+            symbol,
             engine.stage,
             list(engine.statuses.values()),
             engine.v1[engine.vpos1 :],
@@ -726,8 +663,6 @@ def test_engine_with_unequal_packet_lists():
         (("xor", (a3, b2), 0), MC, [D, D, O, D], [a3], [], [9, 10, None]),
         (("xor", (a3, b2), 0), DONE, [D, D, D, D], [], [], [9, 10, 13]),
     ]
-    with pytest.raises(ProtocolError, match="finished round"):
-        engine._build(*bits)
 
 
 def test_engine_with_no_packets_for_user_1():
@@ -747,8 +682,6 @@ def test_engine_with_no_packets_for_user_1():
         (("raw", (b0,), 1), MC, [O, D], [], [b0], [0, 2, None]),  # erased on both
         (("raw", (b0,), 1), DONE, [D, D], [], [], [0, 2, 5]),
     ]
-    with pytest.raises(ProtocolError, match="finished round"):
-        engine._build(*bits)
 
 
 def test_engine_with_no_packets_ends_every_stage_at_its_start():
@@ -756,23 +689,21 @@ def test_engine_with_no_packets_ends_every_stage_at_its_start():
     assert engine.stage is Phase.DONE
     assert engine.boundaries == {"b_raw1": 7, "b_raw2": 7, "b_multicast": 7}
     assert engine.statuses == {} and engine.v1 == [] and engine.v2 == []
-    with pytest.raises(ProtocolError, match="finished round"):
-        engine._build([], [])
 
 
 def test_receiver_observe_and_decode():
     rx = Receiver(1)
     b2 = PacketId(2, 1)
     a5 = PacketId(1, 4)
-    rx.observe(Action("raw", (b2,), 1))
+    rx._record_raw(b2, 1)
     assert rx.overheard[b2] == 1
-    rx.observe(Action("xor", (a5, b2), 0))
+    rx._record_xor(a5, b2, 0)
     ok, recovered = rx.decode(5)
     assert not ok  # only a5 of the five own packets is known
     assert recovered[4] == 1  # 0 ^ overheard 1
     rx2 = Receiver(1)
     for i in range(3):
-        rx2.observe(Action("raw", (PacketId(1, i),), 1))
+        rx2._record_raw(PacketId(1, i), 1)
     ok2, rec2 = rx2.decode(3)
     assert ok2 and rec2 == {0: 1, 1: 1, 2: 1}
 
@@ -780,12 +711,12 @@ def test_receiver_observe_and_decode():
 def test_receiver_rejects_unresolvable_multicast():
     # neither the own packet nor the overheard partner is known
     with pytest.raises(ProtocolError):
-        Receiver(1).observe(Action("xor", (PacketId(1, 0), PacketId(2, 0)), 0))
+        Receiver(1)._record_xor(PacketId(1, 0), PacketId(2, 0), 0)
 
 
 def test_decode_fails_without_covering_observation():
     rx = Receiver(2)
-    rx.observe(Action("raw", (PacketId(2, 0),), 0))
+    rx._record_raw(PacketId(2, 0), 0)
     ok, _ = rx.decode(2)
     assert not ok
 
@@ -868,8 +799,9 @@ def test_status_progression_is_monotone():
 
 
 def test_completion_correctness_with_deadline_removed():
-    # the batched driver has no deadline-free mode, so the observed run, which
-    # builds every Action, is the oracle for the unobserved one past n
+    # the batched driver has no deadline-free mode; the observed run, which
+    # takes slots erased on both links through the loop body too, must give
+    # the unobserved run's stats past n
     cases = [
         (ModeParams(0.9, 0.3, 0.5), Scheme.INTER_MODAL),
         (ModeParams(0.6, 0.4, 0.4), Scheme.INTER_MODAL),
