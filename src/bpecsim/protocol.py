@@ -19,7 +19,6 @@ The batched driver runs a block of trials that share one plan at once;
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -399,10 +398,6 @@ class _Engine:
         if not pkts1:
             self._advance(start_t)
 
-    @property
-    def done(self) -> bool:
-        return self.stage is _DONE
-
     def _advance(self, t_next: int) -> None:
         """End the current stage, then each next stage with nothing to send;
         they all end at t_next, the slot count elapsed so far."""
@@ -492,24 +487,15 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
 class Transmitter:
     """Causal transmitter state: the plan's rounds, queues and per-packet statuses.
 
-    The reference loop sends each slot from the owning round and passes the
-    slot's feedback to it.  Rounds run in order.  A round waits for its start
-    slot and is abandoned at its limit; a chained round starts when the
-    previous round finishes.  ``ignore_boundaries`` lets every round start as
-    soon as the previous one finishes and lifts every limit (used by
-    deadline-free runs, where every round simply drains).
+    The reference loop runs the rounds in order and passes each slot's
+    feedback to the current round, ``_cursor``.  A round waits for its start
+    slot and is abandoned at its limit; a chained round opens when the
+    previous round finishes.
     """
 
-    def __init__(
-        self,
-        plan: SchemePlan,
-        bits1: np.ndarray,
-        bits2: np.ndarray,
-        ignore_boundaries: bool = False,
-    ):
+    def __init__(self, plan: SchemePlan, bits1: np.ndarray, bits2: np.ndarray):
         if plan.scheme is Scheme.NO_FEEDBACK:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
-        self.plan = plan
         self._bits = (bits1.tolist(), bits2.tolist())
         self._pids = [_packet_ids(u, plan.message_size(u)) for u in (1, 2)]
         self.statuses: dict[PacketId, PacketStatus] = dict.fromkeys(
@@ -517,10 +503,6 @@ class Transmitter:
         )
         self.boundaries: dict[str, Optional[int]] = {}
         self._rounds = plan.rounds()
-        self._windows = [
-            (0, _INF) if ignore_boundaries else (spec.start, spec.limit)
-            for spec in self._rounds
-        ]
         self._engines: list[Optional[_Engine]] = [None] * len(self._rounds)
         for i, spec in enumerate(self._rounds):
             for phase in (Phase.RAW1, Phase.RAW2, Phase.MULTICAST):
@@ -528,9 +510,6 @@ class Transmitter:
             if not spec.chained:  # a chained round opens when it is reached
                 self._open(i, spec.start)
         self._cursor = 0
-        self._owner: Optional[_Engine] = None  # the round that owns slots before _recheck
-        self._idle = False  # the owner waits for its start slot
-        self._recheck = -_INF  # the slot from which the owner must be found again
 
     def _open(self, i: int, t: int) -> _Engine:
         spec = self._rounds[i]
@@ -546,45 +525,13 @@ class Transmitter:
         )
         return engine
 
-    def _pending(self, t: int) -> Optional[_Engine]:
-        """The round that owns slot t, or None once every round is over.
-
-        A round is over when it is past its limit, or done and past its start.
-        Rounds end in order and never resume, so the cursor only moves forward.
-        """
-        while self._cursor < len(self._rounds):
-            start, limit = self._windows[self._cursor]
-            if t < limit:
-                engine = self._engines[self._cursor] or self._open(self._cursor, t)
-                if t < start or not engine.done:
-                    return engine
-            self._cursor += 1
-        return None
-
-    def _find_owner(self, t: int) -> Optional[_Engine]:
-        """``_pending(t)``, kept until the answer can change: at the owner's
-        next window edge, or when feedback finishes it (the reference loop
-        then resets ``_recheck``)."""
-        owner = self._owner = self._pending(t)
-        if owner is None:
-            self._recheck = _INF
-        else:
-            start, limit = self._windows[self._cursor]
-            self._idle = t < start
-            self._recheck = start if self._idle else limit
-        return owner
-
-    def done_at(self, t: int) -> bool:
-        owner = self._find_owner(t) if t >= self._recheck else self._owner
-        return owner is None
-
     @property
     def phase(self) -> Phase:
-        """Phase of the round that owns the latest slot; a chained round
-        reports FRESH_TAIL until it is done."""
+        """Phase of the first unfinished round from the current one on; a
+        chained round reports FRESH_TAIL until it is done."""
         for i in range(self._cursor, len(self._rounds)):
             engine = self._engines[i]
-            if engine is None or not engine.done:
+            if engine is None or engine.stage is not _DONE:
                 return Phase.FRESH_TAIL if self._rounds[i].chained else engine.stage
         return Phase.DONE
 
@@ -737,77 +684,81 @@ def _run_reference(
     run_to_completion: bool,
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
-    tx = Transmitter(plan, bits1, bits2, ignore_boundaries=run_to_completion)
+    tx = Transmitter(plan, bits1, bits2)
     sent1, sent2 = tx._bits  # the message bits each slot's symbol is made of
     rx1 = Receiver(1)
     rx2 = Receiver(2)
     s1_list = s1.tolist()
     s2_list = s2.tolist()
     horizon = len(s1_list)
-    for t in itertools.count():
-        # done_at can change its answer only from the slot that _recheck names;
-        # from any other slot, tx._owner and tx._idle stay current
-        if t >= tx._recheck and tx.done_at(t):
-            break
-        if t >= horizon:
-            if not run_to_completion:
-                break
-            if sampler is None:
-                raise ProtocolError("deadline-free runs need a channel sampler")
-            if schedule.delta_b >= 1.0:
-                raise ProtocolError(
-                    "a deadline-free run cannot finish: every slot past n is erased"
-                )
-            ext1, ext2 = sampler.slots(horizon + 1, horizon + 4097)
-            s1_list.extend(ext1.tolist())
-            s2_list.extend(ext2.tolist())
-            horizon += 4096
-        sa, sb = s1_list[t], s2_list[t]
-        if not (sa or sb) or tx._idle:
-            # without an observer, skip a slot erased on both links, where no
-            # queue, stage or decode moves, and an idle slot, which sends nothing
-            if observer is None:
+    t = 0
+    for i, spec in enumerate(tx._rounds):
+        # a deadline-free run starts each round where the one before ended
+        # and drains it; otherwise a round has the slots [start, limit)
+        start, limit = (0, _INF) if run_to_completion else (spec.start, spec.limit)
+        if t >= limit:
+            continue  # the rounds before ran to this round's limit
+        tx._cursor = i
+        engine = tx._engines[i] or tx._open(i, t)  # a chained round opens here
+        if t < start:  # the round waits for its start slot and sends nothing
+            if observer is not None:
+                for idle in range(t, start):
+                    observer(idle, None, tx)
+            t = start
+        while engine.stage is not _DONE and t < limit:
+            if t >= horizon:  # only a deadline-free run reads past n
+                if sampler is None:
+                    raise ProtocolError("deadline-free runs need a channel sampler")
+                if schedule.delta_b >= 1.0:
+                    raise ProtocolError(
+                        "a deadline-free run cannot finish: every slot past n is erased"
+                    )
+                ext1, ext2 = sampler.slots(horizon + 1, horizon + 4097)
+                s1_list.extend(ext1.tolist())
+                s2_list.extend(ext2.tolist())
+                horizon += 4096
+            sa, sb = s1_list[t], s2_list[t]
+            if not (sa or sb) and observer is None:
+                # no queue, stage or decode moves on a slot erased on both
+                # links, so an unobserved run skips it
+                t += 1
                 continue
-            if tx._idle:
-                observer(t, None, tx)
-                continue
-        engine = tx._owner
-        stage = engine.stage
-        if stage is _RAW1:
-            pid = engine.q1[engine.pos1]
-            bit = sent1[pid.index]
-        elif stage is _RAW2:
-            pid = engine.q2[engine.pos2]
-            bit = sent2[pid.index]
-        else:  # multicast: the round is not done, since it owns the slot
-            side1, side2 = engine._heads()
-            if side1 is None:
-                pid = side2
-                bit = sent2[pid.index]
-            elif side2 is None:
-                pid = side1
+            stage = engine.stage
+            if stage is _RAW1:
+                pid = engine.q1[engine.pos1]
                 bit = sent1[pid.index]
-            else:
-                pid = None
-                bit = sent1[side1.index] ^ sent2[side2.index]
+            elif stage is _RAW2:
+                pid = engine.q2[engine.pos2]
+                bit = sent2[pid.index]
+            else:  # multicast: the loop runs only a round that is not done
+                side1, side2 = engine._heads()
+                if side1 is None:
+                    pid = side2
+                    bit = sent2[pid.index]
+                elif side2 is None:
+                    pid = side1
+                    bit = sent1[pid.index]
+                else:
+                    pid = None
+                    bit = sent1[side1.index] ^ sent2[side2.index]
+                    if sa:
+                        rx1._record_xor(side1, side2, bit)
+                    if sb:
+                        rx2._record_xor(side2, side1, bit)
+            if pid is not None:
                 if sa:
-                    rx1._record_xor(side1, side2, bit)
+                    rx1._record_raw(pid, bit)
                 if sb:
-                    rx2._record_xor(side2, side1, bit)
-        if pid is not None:
-            if sa:
-                rx1._record_raw(pid, bit)
-            if sb:
-                rx2._record_raw(pid, bit)
-        engine.apply_feedback(t, sa, sb)
-        if engine.stage is _DONE:
-            tx._recheck = -_INF  # feedback finished the owner
-        if observer is not None:
-            if pid is None:
-                action = _new(Action, ("xor", (side1, side2), bit))
-            else:
-                action = _new(Action, ("raw", (pid,), bit))
-            observer(t, action, tx)
+                    rx2._record_raw(pid, bit)
+            engine.apply_feedback(t, sa, sb)
+            if observer is not None:
+                if pid is None:
+                    action = _new(Action, ("xor", (side1, side2), bit))
+                else:
+                    action = _new(Action, ("raw", (pid,), bit))
+                observer(t, action, tx)
+            t += 1
+    tx._cursor = len(tx._rounds)  # every round is over
 
     m1, m2 = len(bits1), len(bits2)
     ok1, rec1 = rx1.decode(m1)

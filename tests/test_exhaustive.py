@@ -7,13 +7,15 @@ must give what an unobserved reference ``run_trial`` gives on that row's
 injected channel: both decode flags, every phase boundary (-1 in the block,
 None in ``TrialStats``) and the first round's backlogs.  A quarter of the
 rows also run observed, which must give the same stats.  The plans are built
-by hand so that small n still holds a chained tail round (inter) and a round
-that waits for its start slot (intra).
+by hand so that small n still holds a chained tail round (inter), a round
+that waits for its start slot (intra) and an empty round that is done before
+it starts, so the slots between the round before and its start stay idle
+(intra-empty-b).
 """
 import numpy as np
 import pytest
 
-from bpecsim.protocol import Action, Scheme, SchemePlan, _run_block, run_trial
+from bpecsim.protocol import Action, Phase, Scheme, SchemePlan, _run_block, run_trial
 from bpecsim.rates import ModeParams
 
 PLANS = {
@@ -31,6 +33,13 @@ PLANS = {
             run_a=1, run_b=1,
         ),
     ),
+    "intra-empty-b": (
+        ModeParams(0.5, 0.5, 0.6),
+        SchemePlan(
+            scheme=Scheme.INTRA_MODAL, n=5, n_a=3, m1=1, m2=1, alpha=0.0, guard=0,
+            run_a=1, run_b=0,
+        ),
+    ),
 }
 
 
@@ -42,14 +51,19 @@ def every_realization(n):
 
 
 def observed_run(p, plan, channel):
-    """An observed reference trial: its stats and what the observer got per slot."""
+    """An observed reference trial: its stats, what the observer got per slot
+    and the observed transmitter."""
     got = []
+    txs = set()
 
     def record(t, action, tx):
         assert t == len(got)
         got.append(action)
+        txs.add(tx)
 
-    return run_trial(p, plan.n, 0, 0.0, plan, 1, channel=channel, observer=record), got
+    stats = run_trial(p, plan.n, 0, 0.0, plan, 1, channel=channel, observer=record)
+    (tx,) = txs
+    return stats, got, tx
 
 
 def idle_slots(plan, boundaries):
@@ -88,16 +102,21 @@ def test_every_realization_matches_the_reference(name):
             # a quarter of the rows, with every link state in every slot: the
             # observer gets None on the idle slots and an Action on every
             # other slot until the last round ends or the deadline comes
-            observed, sent = observed_run(p, plan, channel)
+            observed, sent, tx = observed_run(p, plan, channel)
             assert observed == stats, (name, r)
+            assert tx.phase is Phase.DONE, (name, r)  # also where a deadline cut a round
             last = stats.phase_boundaries[plan.rounds()[-1].label + "multicast"]
             assert len(sent) == (n if last is None else last), (name, r)
             idle = [t for t, action in enumerate(sent) if action is None]
             assert idle == idle_slots(plan, stats.phase_boundaries), (name, r)
             assert all(type(action) is Action for action in sent if action is not None)
     # some rows send XORs, every phase ends in some rows and not in others,
-    # and each user decodes in some rows and fails in others
+    # and each user decodes in some rows and fails in others; a round with no
+    # packets ends at its start in every row, so its phases are left out
     assert ((out.boundaries[first_raw2] >= 0) & (out.backlog.sum(axis=0) > 0)).any()
-    for key, v in out.boundaries.items():
-        assert 0 < (v >= 0).sum() < len(b1), key
+    for spec in plan.rounds():
+        if spec.m1 or spec.m2:
+            for phase in ("raw1", "raw2", "multicast"):
+                v = out.boundaries[spec.label + phase]
+                assert 0 < (v >= 0).sum() < len(b1), spec.label + phase
     assert (0 < out.decode_ok.sum(axis=1)).all() and (out.decode_ok.sum(axis=1) < len(b1)).all()

@@ -269,24 +269,15 @@ def test_xor_feedback_dequeues_only_delivered_side():
     assert checkpoints[2] == (2, [], [b1])
 
 
-def settle(tx, t, s1, s2):
-    """Pass slot t's feedback to the round that owns the slot, as the
-    reference loop does; ``done_at`` must see it."""
-    engine = tx._owner
-    engine.apply_feedback(t, s1, s2)
-    if engine.done:
-        tx._recheck = -math.inf
-
-
-def test_done_at_sees_the_feedback_of_its_own_slot():
-    # asking again after a slot's last feedback must see the round end
-    tx = Transmitter(micro_plan(2), np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.uint8))
-    for t in range(2):
-        assert not tx.done_at(t)
-        settle(tx, t, 1, 1)
-    assert tx.done_at(1)
-    assert tx.done_at(2)
-    assert tx.phase is Phase.DONE
+def settle(tx):
+    """Drive the transmitter's rounds in order with every slot heard on both
+    links, as the reference loop does, until every round is DONE."""
+    t = 0
+    for i in range(len(tx._rounds)):
+        engine = tx._engines[i] or tx._open(i, t)
+        while engine.stage is not Phase.DONE:
+            engine.apply_feedback(t, 1, 1)
+            t += 1
 
 
 def message(plan, seed):
@@ -448,8 +439,6 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
         _Engine._advance,
         _Engine._heads,
         _Engine.apply_feedback,
-        Transmitter.done_at,
-        Transmitter._find_owner,
         Receiver._record_raw,
         Receiver._record_xor,
     ],
@@ -536,11 +525,9 @@ def test_transmitters_share_packet_ids_but_not_statuses():
     assert a.statuses is not b.statuses
     fresh = [PacketStatus.FRESH] * (plan.message_size(1) + plan.message_size(2))
     assert list(a.statuses.values()) == list(b.statuses.values()) == fresh
-    t = 0
-    while not a.done_at(t):
-        settle(a, t, 1, 1)
-        t += 1
+    settle(a)
     assert set(a.statuses.values()) == {PacketStatus.DELIVERED}
+    assert a.phase is Phase.DONE
     assert list(b.statuses.values()) == fresh
 
 
