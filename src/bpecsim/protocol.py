@@ -12,10 +12,9 @@ scheme is one round per non-transient mode.  The no-feedback baseline has no
 rounds; it sends idealized erasure-coded streams.
 
 Two drivers iterate the same rounds and produce identical ``TrialStats``: a
-per-slot reference loop (supports action recording, per-slot observers and
-deadline-free runs) and a batched driver that jumps between resolution slots.
-The batched driver runs a block of trials that share one plan at once;
-``run_trial`` gives it a block of one.
+per-slot reference driver that runs each phase as one slot loop (it supports
+per-slot observers and deadline-free runs) and a batched driver that jumps
+between resolution slots over a block of trials sharing one plan at once.
 """
 from __future__ import annotations
 
@@ -367,11 +366,10 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
 class _Engine:
     """One three-phase round over a fixed pair of packet lists.
 
-    Multicast pairs the current queue heads afresh each slot, so each virtual
-    queue drains at its own link rate.  When one queue has emptied, its side of
-    the XOR is padded with the most recently resolved packet from that queue
-    (known to both receivers), so the other head stays decodable; with no such
-    packet the remaining head goes out uncoded.
+    Per user u (0 or 1), ``q[u]`` is the raw-phase queue with its head at
+    ``pos[u]``, and ``v[u]`` is the virtual queue (packets the other user
+    overheard) with its head at ``vpos[u]``.  ``_raw_phase`` and ``_multicast``
+    move them; ``_advance`` ends the stages.
     """
 
     def __init__(
@@ -383,14 +381,10 @@ class _Engine:
         label: str,
         boundaries: dict[str, Optional[int]],
     ):
-        self.q1 = pkts1
-        self.q2 = pkts2
-        self.pos1 = 0
-        self.pos2 = 0
-        self.v1: list[PacketId] = []
-        self.v2: list[PacketId] = []
-        self.vpos1 = 0
-        self.vpos2 = 0
+        self.q = (pkts1, pkts2)
+        self.pos = [0, 0]
+        self.v: tuple[list[PacketId], list[PacketId]] = ([], [])
+        self.vpos = [0, 0]
         self.statuses = statuses
         self.label = label
         self.boundaries = boundaries
@@ -404,66 +398,15 @@ class _Engine:
         if self.stage is _RAW1:
             self.boundaries[self.label + "raw1"] = t_next
             self.stage = _RAW2
-            if self.q2:
+            if self.q[1]:
                 return
         if self.stage is _RAW2:
             self.boundaries[self.label + "raw2"] = t_next
             self.stage = _MULTICAST
-            if self.v1 or self.v2:
+            if self.v[0] or self.v[1]:
                 return
         self.boundaries[self.label + "multicast"] = t_next
         self.stage = _DONE
-
-    def _heads(self) -> tuple[Optional[PacketId], Optional[PacketId]]:
-        """The multicast pair: each virtual queue's head, or its most recently
-        resolved packet once it has emptied, or None if it never held one."""
-        v1, v2 = self.v1, self.v2
-        side1 = v1[self.vpos1] if self.vpos1 < len(v1) else v1[-1] if v1 else None
-        side2 = v2[self.vpos2] if self.vpos2 < len(v2) else v2[-1] if v2 else None
-        return side1, side2
-
-    def apply_feedback(self, t: int, s1: int, s2: int) -> None:
-        """One slot's feedback; a slot erased on both links leaves a raw head AWAITING."""
-        stage = self.stage
-        if stage is _RAW1:
-            pid = self.q1[self.pos1]
-            if s1:
-                self.statuses[pid] = _DELIVERED
-            elif s2:
-                self.statuses[pid] = _OVERHEARD_ONLY
-                self.v1.append(pid)
-            else:
-                self.statuses[pid] = _AWAITING
-                return
-            self.pos1 += 1
-            ended = self.pos1 == len(self.q1)
-        elif stage is _RAW2:
-            pid = self.q2[self.pos2]
-            if s2:
-                self.statuses[pid] = _DELIVERED
-            elif s1:
-                self.statuses[pid] = _OVERHEARD_ONLY
-                self.v2.append(pid)
-            else:
-                self.statuses[pid] = _AWAITING
-                return
-            self.pos2 += 1
-            ended = self.pos2 == len(self.q2)
-        else:
-            moved = False
-            if s1 and self.vpos1 < len(self.v1):
-                self.statuses[self.v1[self.vpos1]] = _DELIVERED
-                self.vpos1 += 1
-                moved = True
-            if s2 and self.vpos2 < len(self.v2):
-                self.statuses[self.v2[self.vpos2]] = _DELIVERED
-                self.vpos2 += 1
-                moved = True
-            if not moved:
-                return  # both heads stay, and so does the stage
-            ended = self.vpos1 == len(self.v1) and self.vpos2 == len(self.v2)
-        if ended:
-            self._advance(t + 1)
 
 
 # Per user, PacketId(user, 0), PacketId(user, 1), ... for the longest message
@@ -487,10 +430,9 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
 class Transmitter:
     """Causal transmitter state: the plan's rounds, queues and per-packet statuses.
 
-    The reference loop runs the rounds in order and passes each slot's
-    feedback to the current round, ``_cursor``.  A round waits for its start
-    slot and is abandoned at its limit; a chained round opens when the
-    previous round finishes.
+    The reference loop runs the rounds in order and the phases of the current
+    round, ``_cursor``.  A round waits for its start slot and is abandoned at
+    its limit; a chained round opens when the previous round finishes.
     """
 
     def __init__(self, plan: SchemePlan, bits1: np.ndarray, bits2: np.ndarray):
@@ -540,7 +482,7 @@ class Transmitter:
         out = []
         for engine in self._engines:
             if engine is not None:
-                out.extend(engine.v1[engine.vpos1 :] if user == 1 else engine.v2[engine.vpos2 :])
+                out.extend(engine.v[user - 1][engine.vpos[user - 1] :])
         return out
 
     @property
@@ -555,38 +497,18 @@ class Transmitter:
 class Receiver:
     """Receiver-side bookkeeping: own packets heard uncoded, overheard packets
     of the other user, and own packets resolved from XORs as they arrive, as
-    the reference loop records them."""
+    the phase loops record them."""
 
     def __init__(self, user: int):
         self.user = user
         self.received_own: dict[int, int] = {}
         self.overheard: dict[PacketId, int] = {}
-        self._resolved: dict[int, int] = {}
-
-    def _record_raw(self, pid: PacketId, bit: int) -> None:
-        """Record one received uncoded packet: an own packet by its index, the
-        other user's packet as overheard."""
-        if pid.user == self.user:
-            self.received_own[pid.index] = bit
-        else:
-            self.overheard[pid] = bit
-
-    def _record_xor(self, mine: PacketId, other: PacketId, bit: int) -> None:
-        """Record one received XOR of an own packet and the other user's: the
-        own packet is resolved now from the overheard one.  A packet's bit
-        never changes, so resolving on arrival gives what resolving at the
-        end would."""
-        known = self.overheard.get(other)
-        if known is not None:
-            self._resolved[mine.index] = bit ^ known
-        elif mine.index not in self.received_own:
-            # every useful multicast reception resolves exactly one own packet
-            raise ProtocolError("multicast symbol not resolvable")
+        self.resolved: dict[int, int] = {}
 
     def decode(self, m: int) -> tuple[bool, dict[int, int]]:
         """The own packets heard uncoded, and those resolved from XORs where
         none was heard uncoded; ok when all ``m`` are known."""
-        recovered = {**self._resolved, **self.received_own}
+        recovered = {**self.resolved, **self.received_own}
         ok = all(map(recovered.__contains__, range(m)))
         return ok, recovered
 
@@ -672,6 +594,124 @@ def _trial_stats(
 # Reference driver
 # ---------------------------------------------------------------------------
 
+_Pair = tuple[list[int], list[int]]  # per user: a link's slot states, or the message bits
+
+
+def _raw_phase(
+    engine: _Engine, t: int, stop: int, links: _Pair, sent: _Pair, rx: tuple[Receiver, Receiver],
+    observer: Optional[Callable], tx: Optional[Transmitter],
+) -> int:
+    """Run ``engine``'s raw phase from slot ``t`` until it ends or the slots
+    reach ``stop``; return the next slot.  RAW1 sends user 1's packets and
+    RAW2 user 2's, with links, bits and receivers swapped.  The head stays
+    until a receiver hears it: DELIVERED if its own user did, else
+    OVERHEARD_ONLY and queued for multicast.  A slot erased on both links
+    turns the head AWAITING and changes nothing else, so an unobserved run
+    skips it."""
+    u = 0 if engine.stage is _RAW1 else 1
+    queue, v, statuses = engine.q[u], engine.v[u], engine.statuses
+    own, other = links[u], links[1 - u]
+    bits = sent[u]
+    got, overheard = rx[u].received_own, rx[1 - u].overheard
+    pos, end = engine.pos[u], len(queue)
+    while pos < end and t < stop:
+        if own[t]:
+            pid = queue[pos]
+            bit = got[pid[1]] = bits[pid[1]]
+            statuses[pid] = _DELIVERED
+            if other[t]:
+                overheard[pid] = bit
+            pos += 1
+        elif other[t]:
+            pid = queue[pos]
+            overheard[pid] = bits[pid[1]]
+            statuses[pid] = _OVERHEARD_ONLY
+            v.append(pid)
+            pos += 1
+        elif observer is None:
+            t += 1
+            continue
+        else:
+            pid = queue[pos]
+            statuses[pid] = _AWAITING
+        t += 1
+        if observer is not None:
+            engine.pos[u] = pos
+            if pos == end:
+                engine._advance(t)
+            observer(t - 1, _new(Action, ("raw", (pid,), bits[pid[1]])), tx)
+    if observer is None:  # an observed run wrote back after each slot
+        engine.pos[u] = pos
+        if pos == end:
+            engine._advance(t)
+    return t
+
+
+def _multicast(
+    engine: _Engine, t: int, stop: int, links: _Pair, sent: _Pair, rx: tuple[Receiver, Receiver],
+    observer: Optional[Callable], tx: Optional[Transmitter],
+) -> int:
+    """Run ``engine``'s multicast phase from slot ``t`` until both virtual
+    queues drain or the slots reach ``stop``; return the next slot.  Each slot
+    pairs the queues' heads afresh, so each queue drains at its own link's
+    rate.  A queue that has emptied is padded with its most recently resolved
+    packet, known to both receivers, so the other head stays decodable; if
+    the other queue never held a packet, the head goes out bare.  A receiver
+    resolves its own side of an XOR on arrival from the side it overheard; a
+    packet's bit never changes, so this gives what resolving at the end would."""
+    s1, s2 = links
+    v1, v2 = engine.v
+    vpos1, vpos2 = engine.vpos
+    end1, end2 = len(v1), len(v2)
+    bits1, bits2 = sent
+    statuses = engine.statuses
+    over1, over2 = rx[0].overheard, rx[1].overheard
+    res1, res2 = rx[0].resolved, rx[1].resolved
+    while (vpos1 < end1 or vpos2 < end2) and t < stop:
+        heard1, heard2 = s1[t], s2[t]
+        if not (heard1 or heard2) and observer is None:
+            t += 1
+            continue
+        side1 = v1[vpos1] if vpos1 < end1 else v1[-1] if end1 else None
+        side2 = v2[vpos2] if vpos2 < end2 else v2[-1] if end2 else None
+        if side1 is None or side2 is None:
+            # a bare head: the other receiver overheard it in the raw phase
+            pid = side1 or side2
+            u = pid[0] - 1
+            bit = sent[u][pid[1]]
+            if links[u][t]:
+                rx[u].received_own[pid[1]] = bit
+        else:
+            bit = bits1[side1[1]] ^ bits2[side2[1]]
+            if heard1:
+                known = over1.get(side2)
+                if known is None:
+                    raise ProtocolError("multicast symbol not resolvable")
+                res1[side1[1]] = bit ^ known
+            if heard2:
+                known = over2.get(side1)
+                if known is None:
+                    raise ProtocolError("multicast symbol not resolvable")
+                res2[side2[1]] = bit ^ known
+        if heard1 and vpos1 < end1:
+            statuses[side1] = _DELIVERED
+            vpos1 += 1
+        if heard2 and vpos2 < end2:
+            statuses[side2] = _DELIVERED
+            vpos2 += 1
+        t += 1
+        if observer is not None:
+            engine.vpos[:] = vpos1, vpos2
+            if vpos1 == end1 and vpos2 == end2:
+                engine._advance(t)
+            pids = (side1, side2) if side1 and side2 else (side1 or side2,)
+            observer(t - 1, _new(Action, ("xor" if side1 and side2 else "raw", pids, bit)), tx)
+    if observer is None:  # an observed run wrote back after each slot
+        engine.vpos[:] = vpos1, vpos2
+        if vpos1 == end1 and vpos2 == end2:
+            engine._advance(t)
+    return t
+
 
 def _run_reference(
     plan: SchemePlan,
@@ -685,12 +725,9 @@ def _run_reference(
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
     tx = Transmitter(plan, bits1, bits2)
-    sent1, sent2 = tx._bits  # the message bits each slot's symbol is made of
-    rx1 = Receiver(1)
-    rx2 = Receiver(2)
-    s1_list = s1.tolist()
-    s2_list = s2.tolist()
-    horizon = len(s1_list)
+    rx = (Receiver(1), Receiver(2))
+    links = (s1.tolist(), s2.tolist())
+    horizon = len(links[0])
     t = 0
     for i, spec in enumerate(tx._rounds):
         # a deadline-free run starts each round where the one before ended
@@ -713,64 +750,26 @@ def _run_reference(
                     raise ProtocolError(
                         "a deadline-free run cannot finish: every slot past n is erased"
                     )
-                ext1, ext2 = sampler.slots(horizon + 1, horizon + 4097)
-                s1_list.extend(ext1.tolist())
-                s2_list.extend(ext2.tolist())
+                for link, ext in zip(links, sampler.slots(horizon + 1, horizon + 4097)):
+                    link.extend(ext.tolist())
                 horizon += 4096
-            sa, sb = s1_list[t], s2_list[t]
-            if not (sa or sb) and observer is None:
-                # no queue, stage or decode moves on a slot erased on both
-                # links, so an unobserved run skips it
-                t += 1
-                continue
-            stage = engine.stage
-            if stage is _RAW1:
-                pid = engine.q1[engine.pos1]
-                bit = sent1[pid.index]
-            elif stage is _RAW2:
-                pid = engine.q2[engine.pos2]
-                bit = sent2[pid.index]
-            else:  # multicast: the loop runs only a round that is not done
-                side1, side2 = engine._heads()
-                if side1 is None:
-                    pid = side2
-                    bit = sent2[pid.index]
-                elif side2 is None:
-                    pid = side1
-                    bit = sent1[pid.index]
-                else:
-                    pid = None
-                    bit = sent1[side1.index] ^ sent2[side2.index]
-                    if sa:
-                        rx1._record_xor(side1, side2, bit)
-                    if sb:
-                        rx2._record_xor(side2, side1, bit)
-            if pid is not None:
-                if sa:
-                    rx1._record_raw(pid, bit)
-                if sb:
-                    rx2._record_raw(pid, bit)
-            engine.apply_feedback(t, sa, sb)
-            if observer is not None:
-                if pid is None:
-                    action = _new(Action, ("xor", (side1, side2), bit))
-                else:
-                    action = _new(Action, ("raw", (pid,), bit))
-                observer(t, action, tx)
-            t += 1
+            phase = _multicast if engine.stage is _MULTICAST else _raw_phase
+            t = phase(engine, t, min(limit, horizon), links, tx._bits, rx, observer, tx)
     tx._cursor = len(tx._rounds)  # every round is over
 
-    m1, m2 = len(bits1), len(bits2)
-    ok1, rec1 = rx1.decode(m1)
-    ok2, rec2 = rx2.decode(m2)
-    for ok, rec, bits in ((ok1, rec1, bits1), (ok2, rec2, bits2)):
-        if ok and list(map(rec.__getitem__, range(len(bits)))) != bits.tolist():
+    ok = []
+    for receiver, bits in zip(rx, (bits1, bits2)):
+        decoded, recovered = receiver.decode(len(bits))
+        # every recovered packet must be right, whether or not its message decoded
+        message = bits.tolist()
+        if list(map(message.__getitem__, recovered)) != list(recovered.values()):
             raise ProtocolError("decoded bits differ from the message")
+        ok.append(decoded)
 
     first = tx._engines[0]
     return _trial_stats(
-        plan, schedule, s1, s2, (m1, m2), (ok1, ok2), dict(tx.boundaries),
-        (len(first.v1), len(first.v2)),
+        plan, schedule, s1, s2, (len(bits1), len(bits2)), tuple(ok), dict(tx.boundaries),
+        tuple(map(len, first.v)),
     )
 
 

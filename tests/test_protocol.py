@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -19,9 +20,12 @@ from bpecsim.protocol import (
     Transmitter,
     _PACKET_IDS,
     _Engine,
+    _multicast,
     _nofb_share,
     _nofb_slots,
     _packet_ids,
+    _raw_phase,
+    _run_block,
     _run_reference,
     plan_scheme,
     run_trial,
@@ -161,9 +165,10 @@ def test_micro_trace_four_slots():
     assert stats.phase_boundaries == {"raw1": 1, "raw2": 2, "multicast": 4}
 
 
-def run_with_a1_flipped(monkeypatch, slots, **kwargs):
-    """The micro plan over the injected ``slots``, with a1 flipped in the
-    transmitter's bit list after the message is drawn."""
+def run_with_a1_flipped(monkeypatch, slots, m1=1, **kwargs):
+    """The micro plan with ``m1`` packets for user 1 over the injected
+    ``slots``, with a1 flipped in the transmitter's bit list after the
+    message is drawn."""
     init = Transmitter.__init__
 
     def flip_a1(tx, *args, **kw):
@@ -173,8 +178,8 @@ def run_with_a1_flipped(monkeypatch, slots, **kwargs):
     monkeypatch.setattr(Transmitter, "__init__", flip_a1)
     n = len(slots)
     return run_trial(
-        ModeParams(0.5, 0.0, 1.0), n, 0, 0.0, micro_plan(n), seed=1, channel=inject(slots),
-        driver="reference", **kwargs,
+        ModeParams(0.5, 0.0, 1.0), n, 0, 0.0, micro_plan(n, m1=m1), seed=1,
+        channel=inject(slots), driver="reference", **kwargs,
     )
 
 
@@ -199,6 +204,21 @@ def test_unobserved_reference_raises_when_a_multicast_bit_differs(monkeypatch):
     # resolves slot 2's XOR on arrival to the flipped bit
     with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
         run_with_a1_flipped(monkeypatch, MICRO_TRACE)
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_reference_raises_when_an_undecoded_message_holds_a_wrong_bit(monkeypatch, observed):
+    # a1 and a2 are overheard only by user 2, and b1 only by user 1; slot 3's
+    # XOR a1 ^ b1 reaches user 1, who resolves a1 wrong but never gets a2
+    slots = [(0, 1), (0, 1), (1, 0), (1, 0)]
+    clean = run_trial(
+        ModeParams(0.5, 0.0, 1.0), 4, 0, 0.0, micro_plan(4, m1=2), seed=1,
+        channel=inject(slots), driver="reference",
+    )
+    assert not clean.decode_ok_1
+    observer = (lambda t, a, tx: None) if observed else None
+    with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
+        run_with_a1_flipped(monkeypatch, slots, m1=2, observer=observer)
 
 
 def test_reference_raises_when_a_raw_phase_bit_differs(monkeypatch):
@@ -269,15 +289,25 @@ def test_xor_feedback_dequeues_only_delivered_side():
     assert checkpoints[2] == (2, [], [b1])
 
 
+def run_phases(engine, t, links, bits, rx, observer=None):
+    """Run ``engine``'s phase loops from slot ``t``, picking each by the stage
+    as the reference loop does, until the round is DONE or the ``links`` run
+    out; return the next slot."""
+    while engine.stage is not Phase.DONE and t < len(links[0]):
+        phase = _multicast if engine.stage is Phase.MULTICAST else _raw_phase
+        t = phase(engine, t, len(links[0]), links, bits, rx, observer, None)
+    return t
+
+
 def settle(tx):
-    """Drive the transmitter's rounds in order with every slot heard on both
-    links, as the reference loop does, until every round is DONE."""
+    """Run the transmitter's rounds in order through the phase loops, with
+    every slot heard on both links, until every round is DONE."""
+    heard = [1] * len(tx.statuses)  # every packet is delivered in its raw phase
+    rx = (Receiver(1), Receiver(2))
     t = 0
     for i in range(len(tx._rounds)):
         engine = tx._engines[i] or tx._open(i, t)
-        while engine.stage is not Phase.DONE:
-            engine.apply_feedback(t, 1, 1)
-            t += 1
+        t = run_phases(engine, t, (heard, heard), tx._bits, rx)
 
 
 def message(plan, seed):
@@ -400,6 +430,30 @@ def test_slot_erased_on_both_links_changes_nothing_when_round_a_is_cut_off():
     assert stats.phase_boundaries["b_multicast"] is not None
 
 
+@pytest.mark.parametrize(
+    "head, ends",
+    [
+        ([(0, 0)] * 6, [None, None, None]),
+        ([(1, 0), (1, 0)] + [(0, 0)] * 4, [2, None, None]),
+        ([(0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (0, 0)], [2, 4, None]),
+    ],
+    ids=["raw1", "raw2", "multicast"],
+)
+def test_round_limit_cuts_a_phase(head, ends):
+    # intra, two packets per user and round: round A's limit n_a = 6 stops
+    # the loop of the phase it cuts, and round B runs on a clean channel
+    p = ModeParams(0.5, 0.0, 0.5)
+    plan = SchemePlan(
+        scheme=Scheme.INTRA_MODAL, n=12, n_a=6, m1=4, m2=4, alpha=0.0, guard=0,
+        run_a=2, run_b=2,
+    )
+    channel = inject(head + [(1, 1)] * 6)
+    _, _, _, stats = observe_erased_slots(p, plan, 0, channel=channel)
+    assert stats == run_trial(p, plan.n, 0, 0.0, plan, 0, channel=channel, driver="batched")
+    assert [stats.phase_boundaries["a_" + key] for key in ("raw1", "raw2", "multicast")] == ends
+    assert stats.phase_boundaries["b_multicast"] == 10
+
+
 def test_slot_erased_on_both_links_changes_nothing_when_the_tail_opens():
     # the core's multicast ends with slot 2's feedback; the chained tail
     # sends its first packet in slot 3
@@ -437,10 +491,8 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
     [
         _run_reference,
         _Engine._advance,
-        _Engine._heads,
-        _Engine.apply_feedback,
-        Receiver._record_raw,
-        Receiver._record_xor,
+        _raw_phase,
+        _multicast,
     ],
     ids=lambda fn: fn.__qualname__,
 )
@@ -592,39 +644,25 @@ def new_engine(pkts1, pkts2, start_t, label):
     return _Engine(pkts1, pkts2, statuses, start_t, label, boundaries)
 
 
-def sent_symbol(engine, bits):
-    """The reference loop's symbol for ``engine``'s current state: a raw
-    phase's head, or the multicast pair, or its one side once the other
-    queue never held a packet."""
-    if engine.stage is Phase.RAW1:
-        pids = (engine.q1[engine.pos1],)
-    elif engine.stage is Phase.RAW2:
-        pids = (engine.q2[engine.pos2],)
-    else:
-        pids = tuple(pid for pid in engine._heads() if pid is not None)
-    bit = 0
-    for pid in pids:
-        bit ^= bits[pid.user - 1][pid.index]
-    return ("raw" if len(pids) == 1 else "xor", pids, bit)
-
-
-def drive_engine(engine, bits, slots, start_t):
-    """Send ``engine``'s symbol in each slot from ``start_t`` and apply the
-    slot's feedback, as an observed reference run does; return per slot the
-    symbol, then the stage, statuses, waiting virtual queues and boundaries
+def drive_engine(engine, bits, slots, start_t, rx=None):
+    """Run ``engine``'s phase loops over ``slots`` from ``start_t`` with an
+    observer, as an observed reference run does; return per slot the symbol
+    sent, then the stage, statuses, waiting virtual queues and boundaries
     after it."""
+    links = tuple([0] * start_t + list(link) for link in zip(*slots))
     log = []
-    for t, (s1, s2) in enumerate(slots, start_t):
-        symbol = sent_symbol(engine, bits)
-        engine.apply_feedback(t, s1, s2)
+
+    def record(t, action, tx):
         log.append((
-            symbol,
+            action,
             engine.stage,
             list(engine.statuses.values()),
-            engine.v1[engine.vpos1 :],
-            engine.v2[engine.vpos2 :],
+            engine.v[0][engine.vpos[0] :],
+            engine.v[1][engine.vpos[1] :],
             list(engine.boundaries.values()),
         ))
+
+    run_phases(engine, start_t, links, bits, rx or (Receiver(1), Receiver(2)), record)
     return log
 
 
@@ -675,36 +713,44 @@ def test_engine_with_no_packets_ends_every_stage_at_its_start():
     engine = new_engine([], [], 7, "b_")
     assert engine.stage is Phase.DONE
     assert engine.boundaries == {"b_raw1": 7, "b_raw2": 7, "b_multicast": 7}
-    assert engine.statuses == {} and engine.v1 == [] and engine.v2 == []
+    assert engine.statuses == {} and engine.v == ([], [])
 
 
 def test_receiver_observe_and_decode():
-    rx = Receiver(1)
+    # user 2 overhears a5 and user 1 overhears b2 in the raw phases; the XOR
+    # a5 ^ b2 (bit 0) reaches user 1 only, who resolves a5 on arrival
     b2 = PacketId(2, 1)
     a5 = PacketId(1, 4)
-    rx._record_raw(b2, 1)
-    assert rx.overheard[b2] == 1
-    rx._record_xor(a5, b2, 0)
-    ok, recovered = rx.decode(5)
+    rx = (Receiver(1), Receiver(2))
+    slots = [(0, 1), (1, 0), (1, 0)]
+    drive_engine(new_engine([a5], [b2], 0, ""), ([0, 0, 0, 0, 1], [0, 1]), slots, 0, rx)
+    assert rx[0].overheard[b2] == 1
+    ok, recovered = rx[0].decode(5)
     assert not ok  # only a5 of the five own packets is known
     assert recovered[4] == 1  # 0 ^ overheard 1
-    rx2 = Receiver(1)
-    for i in range(3):
-        rx2._record_raw(PacketId(1, i), 1)
-    ok2, rec2 = rx2.decode(3)
+    rx2 = (Receiver(1), Receiver(2))
+    own = [PacketId(1, i) for i in range(3)]
+    drive_engine(new_engine(own, [], 0, ""), ([1, 1, 1], []), [(1, 0)] * 3, 0, rx2)
+    ok2, rec2 = rx2[0].decode(3)
     assert ok2 and rec2 == {0: 1, 1: 1, 2: 1}
 
 
 def test_receiver_rejects_unresolvable_multicast():
-    # neither the own packet nor the overheard partner is known
-    with pytest.raises(ProtocolError):
-        Receiver(1)._record_xor(PacketId(1, 0), PacketId(2, 0), 0)
+    # the raw phases fill both virtual queues, then an XOR reaches receivers
+    # that know neither the own packet nor the overheard partner
+    engine = new_engine([PacketId(1, 0)], [PacketId(2, 0)], 0, "")
+    bits = ([0], [1])
+    drive_engine(engine, bits, [(0, 1), (1, 0)], 0)
+    assert engine.stage is Phase.MULTICAST
+    with pytest.raises(ProtocolError, match="multicast symbol not resolvable"):
+        drive_engine(engine, bits, [(1, 0)], 2)
 
 
 def test_decode_fails_without_covering_observation():
-    rx = Receiver(2)
-    rx._record_raw(PacketId(2, 0), 0)
-    ok, _ = rx.decode(2)
+    rx = (Receiver(1), Receiver(2))
+    engine = new_engine([], [PacketId(2, 0), PacketId(2, 1)], 0, "")
+    drive_engine(engine, ([], [0, 0]), [(0, 1)], 0, rx)
+    ok, _ = rx[1].decode(2)
     assert not ok
 
 
@@ -830,6 +876,36 @@ def test_deadline_free_run_raises_when_no_slot_past_n_is_heard():
     stats = run_trial(clean_a, n, 0, 0.0, plan, 0, observer=bounded, run_to_completion=True)
     assert stats.decode_ok_1 and stats.decode_ok_2
     assert stats.phase_boundaries["a_multicast"] == n // 2
+
+
+@pytest.mark.parametrize(
+    "phase, m1, m2", [("raw1", 90, 10), ("raw2", 40, 60), ("multicast", 35, 35)]
+)
+def test_deadline_free_run_extends_the_channel_inside_a_phase(phase, m1, m2):
+    # one inter-modal round at n = 100 whose named phase runs at slot n, where
+    # the loop stops for the first extension of the channel and then resumes
+    p = ModeParams(0.5, 0.5, 0.5)
+    plan = SchemePlan(
+        scheme=Scheme.INTER_MODAL, n=100, n_a=50, m1=m1, m2=m2, alpha=1.0, guard=0
+    )
+    stats = run_trial(p, plan.n, 0, 0.0, plan, 0, run_to_completion=True)
+    observed = run_trial(
+        p, plan.n, 0, 0.0, plan, 0, run_to_completion=True, observer=lambda t, a, tx: None
+    )
+    assert observed == stats
+    ends = [stats.phase_boundaries[key] for key in ("raw1", "raw2", "multicast")]
+    k = ("raw1", "raw2", "multicast").index(phase)
+    assert ([0] + ends)[k] < plan.n < ends[k]
+    # the batched driver over the same slots, with the round's limit past its end
+    horizon = ends[-1]
+    s1, s2 = ChannelSampler(
+        build_schedule(plan.n, p.eta, 0, p.delta_a, 0.0, p.delta_b),
+        np.random.SeedSequence(0).spawn(2)[0],
+    ).slots(1, horizon + 1)
+    longer = dataclasses.replace(plan, n=horizon)
+    block = _run_block(longer, s1.view(bool)[None], s2.view(bool)[None])
+    assert {key: int(v[0]) for key, v in block.boundaries.items()} == stats.phase_boundaries
+    assert block.decode_ok[:, 0].tolist() == [stats.decode_ok_1, stats.decode_ok_2] == [True, True]
 
 
 def test_driver_equivalence_on_grid():
