@@ -486,15 +486,18 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
     assert len(log) == stats.phase_boundaries["b_multicast"]
 
 
+# A per-slot rule keeps the id of the method that first applied it, so its case
+# keeps its name when the rule moves into another function
 @pytest.mark.parametrize(
     "fn",
     [
-        _run_reference,
-        _Engine._advance,
-        _raw_phase,
-        _multicast,
+        pytest.param(_run_reference, id="_run_reference"),
+        pytest.param(_Engine._advance, id="_Engine._advance"),
+        pytest.param(_raw_phase, id="Receiver._record_raw"),  # raw stores
+        pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw statuses
+        pytest.param(_multicast, id="Receiver._record_xor"),  # XOR resolution
+        pytest.param(_multicast, id="_Engine._heads"),  # pad and bare heads
     ],
-    ids=lambda fn: fn.__qualname__,
 )
 def test_per_slot_methods_read_no_enum_class(fn):
     # CPython 3.10 and 3.11 take about ten times a global read for an Enum
