@@ -12,13 +12,16 @@ scheme is one round per non-transient mode.  The no-feedback baseline has no
 rounds; it sends idealized erasure-coded streams.
 
 Two drivers iterate the same rounds and produce identical ``TrialStats``: a
-per-slot reference driver that runs each phase as one slot loop (it supports
-per-slot observers and deadline-free runs) and a batched driver that jumps
-between resolution slots over a block of trials sharing one plan at once.
+per-slot reference driver that runs each phase as one loop, the raw phases
+over a per-trial index of the slots some link hears and multicast slot by
+slot (it supports per-slot observers and deadline-free runs), and a batched
+driver that jumps between resolution slots over a block of trials sharing
+one plan at once.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -499,8 +502,7 @@ class Receiver:
     of the other user, and own packets resolved from XORs as they arrive, as
     the phase loops record them."""
 
-    def __init__(self, user: int):
-        self.user = user
+    def __init__(self):
         self.received_own: dict[int, int] = {}
         self.overheard: dict[PacketId, int] = {}
         self.resolved: dict[int, int] = {}
@@ -594,53 +596,77 @@ def _trial_stats(
 # Reference driver
 # ---------------------------------------------------------------------------
 
-_Pair = tuple[list[int], list[int]]  # per user: a link's slot states, or the message bits
+_Pair = tuple[list[int], list[int]]  # per user: the message bits
+_Links = tuple[bytearray, bytearray, list[int]]  # per link its slot states, then the heard slots
+
+
+def _link_states(s1: np.ndarray, s2: np.ndarray) -> _Links:
+    """The two links' 0/1 slot states as bytearrays, and the sorted list of
+    slots that at least one link hears; a deadline-free run extends all three."""
+    heard = np.flatnonzero((s1 | s2).view(bool)).tolist()
+    return bytearray(s1.tobytes()), bytearray(s2.tobytes()), heard
+
+
+def _report_erased(
+    statuses: dict[PacketId, PacketStatus], pid: PacketId, bit: int, start: int, stop: int,
+    observer: Callable, tx: Optional[Transmitter],
+) -> None:
+    """Show the observer the raw slots [start, stop), each erased on both
+    links: the head ``pid`` turns AWAITING and goes out again in each."""
+    if start < stop:
+        statuses[pid] = _AWAITING
+        for t in range(start, stop):
+            observer(t, _new(Action, ("raw", (pid,), bit)), tx)
 
 
 def _raw_phase(
-    engine: _Engine, t: int, stop: int, links: _Pair, sent: _Pair, rx: tuple[Receiver, Receiver],
+    engine: _Engine, t: int, stop: int, links: _Links, sent: _Pair, rx: tuple[Receiver, Receiver],
     observer: Optional[Callable], tx: Optional[Transmitter],
 ) -> int:
     """Run ``engine``'s raw phase from slot ``t`` until it ends or the slots
     reach ``stop``; return the next slot.  RAW1 sends user 1's packets and
     RAW2 user 2's, with links, bits and receivers swapped.  The head stays
     until a receiver hears it: DELIVERED if its own user did, else
-    OVERHEARD_ONLY and queued for multicast.  A slot erased on both links
-    turns the head AWAITING and changes nothing else, so an unobserved run
-    skips it."""
+    OVERHEARD_ONLY and queued for multicast.  So the loop walks the heard
+    slots in [t, stop), one per packet, paired with the queue from its head.
+    A slot erased on both links only turns the head AWAITING, so an
+    unobserved run never visits it, and an observed run reports each such
+    slot before the next heard slot, or before returning at ``stop``."""
     u = 0 if engine.stage is _RAW1 else 1
     queue, v, statuses = engine.q[u], engine.v[u], engine.statuses
-    own, other = links[u], links[1 - u]
+    own, other, heard = links[u], links[1 - u], links[2]
     bits = sent[u]
     got, overheard = rx[u].received_own, rx[1 - u].overheard
     pos, end = engine.pos[u], len(queue)
-    while pos < end and t < stop:
-        if own[t]:
-            pid = queue[pos]
+    i = bisect_left(heard, t)
+    j = bisect_left(heard, stop, i, min(len(heard), i + end - pos))
+    for pid, th in zip(queue[pos:], heard[i:j]):
+        if observer is not None:
+            _report_erased(statuses, pid, bits[pid[1]], t, th, observer, tx)
+        if own[th]:
             bit = got[pid[1]] = bits[pid[1]]
             statuses[pid] = _DELIVERED
-            if other[t]:
+            if other[th]:
                 overheard[pid] = bit
-            pos += 1
-        elif other[t]:
-            pid = queue[pos]
+        else:
             overheard[pid] = bits[pid[1]]
             statuses[pid] = _OVERHEARD_ONLY
             v.append(pid)
-            pos += 1
-        elif observer is None:
-            t += 1
-            continue
-        else:
-            pid = queue[pos]
-            statuses[pid] = _AWAITING
-        t += 1
         if observer is not None:
-            engine.pos[u] = pos
-            if pos == end:
+            t = th + 1
+            engine.pos[u] += 1
+            if engine.pos[u] == end:
                 engine._advance(t)
-            observer(t - 1, _new(Action, ("raw", (pid,), bits[pid[1]])), tx)
-    if observer is None:  # an observed run wrote back after each slot
+            observer(th, _new(Action, ("raw", (pid,), bits[pid[1]])), tx)
+    pos += j - i
+    if pos < end:  # no slot after the last one sent is heard before stop
+        if observer is not None:
+            pid = queue[pos]
+            _report_erased(statuses, pid, bits[pid[1]], t, stop, observer, tx)
+        t = stop
+    else:
+        t = heard[j - 1] + 1
+    if observer is None:  # an observed run wrote back after each heard slot
         engine.pos[u] = pos
         if pos == end:
             engine._advance(t)
@@ -648,7 +674,7 @@ def _raw_phase(
 
 
 def _multicast(
-    engine: _Engine, t: int, stop: int, links: _Pair, sent: _Pair, rx: tuple[Receiver, Receiver],
+    engine: _Engine, t: int, stop: int, links: _Links, sent: _Pair, rx: tuple[Receiver, Receiver],
     observer: Optional[Callable], tx: Optional[Transmitter],
 ) -> int:
     """Run ``engine``'s multicast phase from slot ``t`` until both virtual
@@ -659,7 +685,7 @@ def _multicast(
     the other queue never held a packet, the head goes out bare.  A receiver
     resolves its own side of an XOR on arrival from the side it overheard; a
     packet's bit never changes, so this gives what resolving at the end would."""
-    s1, s2 = links
+    s1, s2, _ = links
     v1, v2 = engine.v
     vpos1, vpos2 = engine.vpos
     end1, end2 = len(v1), len(v2)
@@ -725,9 +751,9 @@ def _run_reference(
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
     tx = Transmitter(plan, bits1, bits2)
-    rx = (Receiver(1), Receiver(2))
-    links = (s1.tolist(), s2.tolist())
-    horizon = len(links[0])
+    rx = (Receiver(), Receiver())
+    links = _link_states(s1, s2)
+    horizon = len(s1)
     t = 0
     for i, spec in enumerate(tx._rounds):
         # a deadline-free run starts each round where the one before ended
@@ -750,8 +776,10 @@ def _run_reference(
                     raise ProtocolError(
                         "a deadline-free run cannot finish: every slot past n is erased"
                     )
-                for link, ext in zip(links, sampler.slots(horizon + 1, horizon + 4097)):
-                    link.extend(ext.tolist())
+                ext1, ext2, ext_heard = _link_states(*sampler.slots(horizon + 1, horizon + 4097))
+                links[0].extend(ext1)
+                links[1].extend(ext2)
+                links[2].extend([horizon + th for th in ext_heard])
                 horizon += 4096
             phase = _multicast if engine.stage is _MULTICAST else _raw_phase
             t = phase(engine, t, min(limit, horizon), links, tx._bits, rx, observer, tx)
@@ -760,8 +788,9 @@ def _run_reference(
     ok = []
     for receiver, bits in zip(rx, (bits1, bits2)):
         decoded, recovered = receiver.decode(len(bits))
-        # every recovered packet must be right, whether or not its message decoded
-        message = bits.tolist()
+        # every recovered packet must match the message, whether or not it
+        # decoded; the uint8 array's bytes, not the transmitter's copy of it
+        message = bits.tobytes()
         if list(map(message.__getitem__, recovered)) != list(recovered.values()):
             raise ProtocolError("decoded bits differ from the message")
         ok.append(decoded)

@@ -20,11 +20,13 @@ from bpecsim.protocol import (
     Transmitter,
     _PACKET_IDS,
     _Engine,
+    _link_states,
     _multicast,
     _nofb_share,
     _nofb_slots,
     _packet_ids,
     _raw_phase,
+    _report_erased,
     _run_block,
     _run_reference,
     plan_scheme,
@@ -289,25 +291,26 @@ def test_xor_feedback_dequeues_only_delivered_side():
     assert checkpoints[2] == (2, [], [b1])
 
 
-def run_phases(engine, t, links, bits, rx, observer=None):
-    """Run ``engine``'s phase loops from slot ``t``, picking each by the stage
-    as the reference loop does, until the round is DONE or the ``links`` run
-    out; return the next slot."""
-    while engine.stage is not Phase.DONE and t < len(links[0]):
+def run_phases(engine, t, s1, s2, bits, rx, observer=None):
+    """Run ``engine``'s phase loops from slot ``t`` over the 0/1 link states
+    ``s1``/``s2``, picking each by the stage as the reference loop does, until
+    the round is DONE or the slots run out; return the next slot."""
+    links = _link_states(s1, s2)
+    while engine.stage is not Phase.DONE and t < len(s1):
         phase = _multicast if engine.stage is Phase.MULTICAST else _raw_phase
-        t = phase(engine, t, len(links[0]), links, bits, rx, observer, None)
+        t = phase(engine, t, len(s1), links, bits, rx, observer, None)
     return t
 
 
 def settle(tx):
     """Run the transmitter's rounds in order through the phase loops, with
     every slot heard on both links, until every round is DONE."""
-    heard = [1] * len(tx.statuses)  # every packet is delivered in its raw phase
-    rx = (Receiver(1), Receiver(2))
+    heard = np.ones(len(tx.statuses), dtype=np.uint8)  # every packet is delivered in its raw phase
+    rx = (Receiver(), Receiver())
     t = 0
     for i in range(len(tx._rounds)):
         engine = tx._engines[i] or tx._open(i, t)
-        t = run_phases(engine, t, (heard, heard), tx._bits, rx)
+        t = run_phases(engine, t, heard, heard, tx._bits, rx)
 
 
 def message(plan, seed):
@@ -497,6 +500,7 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
         pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw statuses
         pytest.param(_multicast, id="Receiver._record_xor"),  # XOR resolution
         pytest.param(_multicast, id="_Engine._heads"),  # pad and bare heads
+        pytest.param(_report_erased, id="_report_erased"),  # observed erased raw slots
     ],
 )
 def test_per_slot_methods_read_no_enum_class(fn):
@@ -652,7 +656,7 @@ def drive_engine(engine, bits, slots, start_t, rx=None):
     observer, as an observed reference run does; return per slot the symbol
     sent, then the stage, statuses, waiting virtual queues and boundaries
     after it."""
-    links = tuple([0] * start_t + list(link) for link in zip(*slots))
+    s1, s2 = inject([(0, 0)] * start_t + slots)
     log = []
 
     def record(t, action, tx):
@@ -665,7 +669,7 @@ def drive_engine(engine, bits, slots, start_t, rx=None):
             list(engine.boundaries.values()),
         ))
 
-    run_phases(engine, start_t, links, bits, rx or (Receiver(1), Receiver(2)), record)
+    run_phases(engine, start_t, s1, s2, bits, rx or (Receiver(), Receiver()), record)
     return log
 
 
@@ -724,14 +728,14 @@ def test_receiver_observe_and_decode():
     # a5 ^ b2 (bit 0) reaches user 1 only, who resolves a5 on arrival
     b2 = PacketId(2, 1)
     a5 = PacketId(1, 4)
-    rx = (Receiver(1), Receiver(2))
+    rx = (Receiver(), Receiver())
     slots = [(0, 1), (1, 0), (1, 0)]
     drive_engine(new_engine([a5], [b2], 0, ""), ([0, 0, 0, 0, 1], [0, 1]), slots, 0, rx)
     assert rx[0].overheard[b2] == 1
     ok, recovered = rx[0].decode(5)
     assert not ok  # only a5 of the five own packets is known
     assert recovered[4] == 1  # 0 ^ overheard 1
-    rx2 = (Receiver(1), Receiver(2))
+    rx2 = (Receiver(), Receiver())
     own = [PacketId(1, i) for i in range(3)]
     drive_engine(new_engine(own, [], 0, ""), ([1, 1, 1], []), [(1, 0)] * 3, 0, rx2)
     ok2, rec2 = rx2[0].decode(3)
@@ -750,7 +754,7 @@ def test_receiver_rejects_unresolvable_multicast():
 
 
 def test_decode_fails_without_covering_observation():
-    rx = (Receiver(1), Receiver(2))
+    rx = (Receiver(), Receiver())
     engine = new_engine([], [PacketId(2, 0), PacketId(2, 1)], 0, "")
     drive_engine(engine, ([], [0, 0]), [(0, 1)], 0, rx)
     ok, _ = rx[1].decode(2)
@@ -899,16 +903,81 @@ def test_deadline_free_run_extends_the_channel_inside_a_phase(phase, m1, m2):
     ends = [stats.phase_boundaries[key] for key in ("raw1", "raw2", "multicast")]
     k = ("raw1", "raw2", "multicast").index(phase)
     assert ([0] + ends)[k] < plan.n < ends[k]
-    # the batched driver over the same slots, with the round's limit past its end
-    horizon = ends[-1]
+    assert_batched_agrees_past_n(p, plan, 0, stats)
+
+
+def assert_batched_agrees_past_n(p, plan, seed, stats):
+    """The batched driver over the deadline-free run's sampled slots, with the
+    round's limit at the run's last slot, ends each phase where it did."""
+    horizon = stats.phase_boundaries["multicast"]
     s1, s2 = ChannelSampler(
         build_schedule(plan.n, p.eta, 0, p.delta_a, 0.0, p.delta_b),
-        np.random.SeedSequence(0).spawn(2)[0],
+        np.random.SeedSequence(seed).spawn(2)[0],
     ).slots(1, horizon + 1)
     longer = dataclasses.replace(plan, n=horizon)
     block = _run_block(longer, s1.view(bool)[None], s2.view(bool)[None])
     assert {key: int(v[0]) for key, v in block.boundaries.items()} == stats.phase_boundaries
     assert block.decode_ok[:, 0].tolist() == [stats.decode_ok_1, stats.decode_ok_2] == [True, True]
+
+
+# The raw phases walk only the slots some link hears.  Intra, two packets per
+# user and round, round A's limit n_a = 6; each case's slots, and the round A
+# and B stage ends (raw1, raw2, multicast) they give.
+HEARD_WALK_CASES = {
+    # round A hears slot 0 and nothing after it, so raw1's walk runs out of
+    # heard slots before its limit; round B is clean
+    "all_erased_to_stop": (
+        [(1, 0)] + [(0, 0)] * 5 + [(1, 1)] * 6, [None, None, None], [8, 10, 10],
+    ),
+    # a heard slot at stop - 1 ends raw1 in round A's last slot; the heard
+    # slot at stop is round B's
+    "heard_at_stop_minus_1_ends_the_phase": (
+        [(1, 0)] + [(0, 0)] * 4 + [(1, 0)] + [(1, 1)] * 6, [6, None, None], [8, 10, 10],
+    ),
+    # the same slots with raw1 still one packet short at the limit
+    "heard_at_stop_minus_1_leaves_the_phase_open": (
+        [(0, 0)] * 5 + [(1, 0)] + [(1, 1)] * 6, [None, None, None], [8, 10, 10],
+    ),
+    # round A ends at slot 4; round B starts at 6 inside the erased run 4-7
+    "round_start_inside_an_erased_run": (
+        [(1, 1)] * 4 + [(0, 0)] * 4 + [(1, 1)] * 4, [2, 4, 4], [10, 12, 12],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HEARD_WALK_CASES)
+def test_heard_walk_edges(case):
+    slots, ends_a, ends_b = HEARD_WALK_CASES[case]
+    p = ModeParams(0.5, 0.0, 0.5)
+    plan = SchemePlan(
+        scheme=Scheme.INTRA_MODAL, n=12, n_a=6, m1=4, m2=4, alpha=0.0, guard=0,
+        run_a=2, run_b=2,
+    )
+    channel = inject(slots)
+    # the observer sees each slot once and in order, and observed = unobserved
+    log, _, _, stats = observe_erased_slots(p, plan, 0, channel=channel)
+    assert [t for t, _, _ in log] == list(range(ends_b[-1]))
+    assert stats == run_trial(p, plan.n, 0, 0.0, plan, 0, channel=channel, driver="batched")
+    stages = ("raw1", "raw2", "multicast")
+    assert [stats.phase_boundaries["a_" + key] for key in stages] == ends_a
+    assert [stats.phase_boundaries["b_" + key] for key in stages] == ends_b
+
+
+def test_heard_walk_finds_the_first_heard_slot_in_the_second_extension():
+    # mode A is clean and mode B erases a slot on both links with probability
+    # about 1 - 2e-4: raw1 ends at n_a = 5, and at seed 11 no slot from 5 to
+    # n + 4096 is heard, so raw2's first heard slot lies in the channel's
+    # second 4,096-slot extension past n = 10; user 1 overhears b0 there, and
+    # the bare head reaches user 2 later in that extension
+    p = ModeParams(0.0, 0.9999, 0.5)
+    n = 10
+    plan = SchemePlan(scheme=Scheme.INTER_MODAL, n=n, n_a=5, m1=5, m2=1, alpha=1.0, guard=0)
+    log, _, _, stats = observe_erased_slots(p, plan, 11, run_to_completion=True)
+    ends = [stats.phase_boundaries[key] for key in ("raw1", "raw2", "multicast")]
+    assert ends[0] == 5
+    assert n + 4096 < ends[1] < ends[2] <= n + 2 * 4096
+    assert [t for t, _, _ in log] == list(range(ends[2]))
+    assert_batched_agrees_past_n(p, plan, 11, stats)
 
 
 def test_driver_equivalence_on_grid():
