@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -88,9 +89,6 @@ class ProtocolError(RuntimeError):
 # member lookup such as ``Phase.RAW1`` costs about ten times a global read, and
 # a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
 _RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
-_AWAITING = PacketStatus.AWAITING
-_OVERHEARD_ONLY = PacketStatus.OVERHEARD_ONLY
-_DELIVERED = PacketStatus.DELIVERED
 _new = tuple.__new__
 
 
@@ -372,23 +370,17 @@ class _Engine:
     Per user u (0 or 1), ``q[u]`` is the raw-phase queue with its head at
     ``pos[u]``, and ``v[u]`` is the virtual queue (packets the other user
     overheard) with its head at ``vpos[u]``.  ``_raw_phase`` and ``_multicast``
-    move them; ``_advance`` ends the stages.
+    move the heads and fill ``v``; ``_advance`` ends the stages.
     """
 
     def __init__(
-        self,
-        pkts1: list[PacketId],
-        pkts2: list[PacketId],
-        statuses: dict[PacketId, PacketStatus],
-        start_t: int,
-        label: str,
+        self, pkts1: list[PacketId], pkts2: list[PacketId], start_t: int, label: str,
         boundaries: dict[str, Optional[int]],
     ):
         self.q = (pkts1, pkts2)
         self.pos = [0, 0]
         self.v: tuple[list[PacketId], list[PacketId]] = ([], [])
         self.vpos = [0, 0]
-        self.statuses = statuses
         self.label = label
         self.boundaries = boundaries
         self.stage = _RAW1
@@ -430,8 +422,43 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
     return ids[:m]
 
 
+class _Statuses(Mapping):
+    """Each packet's status, read from what the receivers know: DELIVERED if
+    its own receiver holds it, OVERHEARD_ONLY if only the other one does,
+    AWAITING if an observed run sent it in a slot erased on both links, else
+    FRESH.  Keys are user 1's ids, then user 2's; others are missing."""
+
+    # observers read statuses per slot, and an Enum member lookup is slow
+    _FRESH, _AWAITING, _OVERHEARD_ONLY, _DELIVERED = PacketStatus  # in definition order
+
+    def __init__(self, pids: list[list[PacketId]], rx: tuple[Receiver, Receiver], awaiting: set):
+        self._pids, self._rx, self._awaiting = pids, rx, awaiting
+
+    def __getitem__(self, pid: PacketId) -> PacketStatus:
+        try:  # the id at its own place in its user's list, or a foreign key
+            user, i = pid
+            known = self._pids[user - 1][i] == pid
+        except (TypeError, ValueError, IndexError):
+            known = False
+        if not known:
+            raise KeyError(pid)
+        own = self._rx[user - 1]
+        if i in own.received_own or i in own.resolved:
+            return self._DELIVERED
+        if pid in self._rx[2 - user].overheard:
+            return self._OVERHEARD_ONLY
+        return self._AWAITING if pid in self._awaiting else self._FRESH
+
+    def __iter__(self):
+        return iter(self._pids[0] + self._pids[1])
+
+    def __len__(self) -> int:
+        return len(self._pids[0]) + len(self._pids[1])
+
+
 class Transmitter:
-    """Causal transmitter state: the plan's rounds, queues and per-packet statuses.
+    """Causal transmitter state: the plan's rounds and queues, the receiver
+    pair ``rx`` that feedback reports on, and ``statuses``, a read-only view of it.
 
     The reference loop runs the rounds in order and the phases of the current
     round, ``_cursor``.  A round waits for its start slot and is abandoned at
@@ -443,9 +470,9 @@ class Transmitter:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self._bits = (bits1.tolist(), bits2.tolist())
         self._pids = [_packet_ids(u, plan.message_size(u)) for u in (1, 2)]
-        self.statuses: dict[PacketId, PacketStatus] = dict.fromkeys(
-            self._pids[0] + self._pids[1], PacketStatus.FRESH
-        )
+        self.rx = (Receiver(), Receiver())
+        self._awaiting: set[PacketId] = set()
+        self.statuses = _Statuses(self._pids, self.rx, self._awaiting)
         self.boundaries: dict[str, Optional[int]] = {}
         self._rounds = plan.rounds()
         self._engines: list[Optional[_Engine]] = [None] * len(self._rounds)
@@ -461,12 +488,8 @@ class Transmitter:
         first1 = sum(r.m1 for r in self._rounds[:i])  # packet indices run on
         first2 = sum(r.m2 for r in self._rounds[:i])
         engine = self._engines[i] = _Engine(
-            self._pids[0][first1 : first1 + spec.m1],
-            self._pids[1][first2 : first2 + spec.m2],
-            self.statuses,
-            t,
-            spec.label,
-            self.boundaries,
+            self._pids[0][first1 : first1 + spec.m1], self._pids[1][first2 : first2 + spec.m2],
+            t, spec.label, self.boundaries,
         )
         return engine
 
@@ -500,7 +523,7 @@ class Transmitter:
 class Receiver:
     """Receiver-side bookkeeping: own packets heard uncoded, overheard packets
     of the other user, and own packets resolved from XORs as they arrive, as
-    the phase loops record them."""
+    the phase loops record them; the transmitter's statuses read them."""
 
     def __init__(self):
         self.received_own: dict[int, int] = {}
@@ -596,7 +619,6 @@ def _trial_stats(
 # Reference driver
 # ---------------------------------------------------------------------------
 
-_Pair = tuple[list[int], list[int]]  # per user: the message bits
 _Links = tuple[bytearray, bytearray, list[int]]  # per link its slot states, then the heard slots
 
 
@@ -608,49 +630,46 @@ def _link_states(s1: np.ndarray, s2: np.ndarray) -> _Links:
 
 
 def _report_erased(
-    statuses: dict[PacketId, PacketStatus], pid: PacketId, bit: int, start: int, stop: int,
-    observer: Callable, tx: Optional[Transmitter],
+    pid: PacketId, bit: int, start: int, stop: int, observer: Callable, tx: Transmitter
 ) -> None:
     """Show the observer the raw slots [start, stop), each erased on both
     links: the head ``pid`` turns AWAITING and goes out again in each."""
     if start < stop:
-        statuses[pid] = _AWAITING
+        tx._awaiting.add(pid)
         for t in range(start, stop):
             observer(t, _new(Action, ("raw", (pid,), bit)), tx)
 
 
 def _raw_phase(
-    engine: _Engine, t: int, stop: int, links: _Links, sent: _Pair, rx: tuple[Receiver, Receiver],
-    observer: Optional[Callable], tx: Optional[Transmitter],
+    engine: _Engine, t: int, stop: int, links: _Links, observer: Optional[Callable],
+    tx: Transmitter,
 ) -> int:
     """Run ``engine``'s raw phase from slot ``t`` until it ends or the slots
     reach ``stop``; return the next slot.  RAW1 sends user 1's packets and
     RAW2 user 2's, with links, bits and receivers swapped.  The head stays
-    until a receiver hears it: DELIVERED if its own user did, else
-    OVERHEARD_ONLY and queued for multicast.  So the loop walks the heard
-    slots in [t, stop), one per packet, paired with the queue from its head.
-    A slot erased on both links only turns the head AWAITING, so an
-    unobserved run never visits it, and an observed run reports each such
-    slot before the next heard slot, or before returning at ``stop``."""
+    until a receiver hears it; if its own user did not, it is queued for
+    multicast.  So the loop walks the heard slots in [t, stop), one per
+    packet, paired with the queue from its head.  A slot erased on both
+    links changes no receiver, so an unobserved run never visits it, and an
+    observed run reports each such slot before the next heard slot, or
+    before returning at ``stop``."""
     u = 0 if engine.stage is _RAW1 else 1
-    queue, v, statuses = engine.q[u], engine.v[u], engine.statuses
+    queue, v = engine.q[u], engine.v[u]
     own, other, heard = links[u], links[1 - u], links[2]
-    bits = sent[u]
-    got, overheard = rx[u].received_own, rx[1 - u].overheard
+    bits = tx._bits[u]
+    got, overheard = tx.rx[u].received_own, tx.rx[1 - u].overheard
     pos, end = engine.pos[u], len(queue)
     i = bisect_left(heard, t)
     j = bisect_left(heard, stop, i, min(len(heard), i + end - pos))
     for pid, th in zip(queue[pos:], heard[i:j]):
         if observer is not None:
-            _report_erased(statuses, pid, bits[pid[1]], t, th, observer, tx)
+            _report_erased(pid, bits[pid[1]], t, th, observer, tx)
         if own[th]:
             bit = got[pid[1]] = bits[pid[1]]
-            statuses[pid] = _DELIVERED
             if other[th]:
                 overheard[pid] = bit
         else:
             overheard[pid] = bits[pid[1]]
-            statuses[pid] = _OVERHEARD_ONLY
             v.append(pid)
         if observer is not None:
             t = th + 1
@@ -662,7 +681,7 @@ def _raw_phase(
     if pos < end:  # no slot after the last one sent is heard before stop
         if observer is not None:
             pid = queue[pos]
-            _report_erased(statuses, pid, bits[pid[1]], t, stop, observer, tx)
+            _report_erased(pid, bits[pid[1]], t, stop, observer, tx)
         t = stop
     else:
         t = heard[j - 1] + 1
@@ -674,8 +693,8 @@ def _raw_phase(
 
 
 def _multicast(
-    engine: _Engine, t: int, stop: int, links: _Links, sent: _Pair, rx: tuple[Receiver, Receiver],
-    observer: Optional[Callable], tx: Optional[Transmitter],
+    engine: _Engine, t: int, stop: int, links: _Links, observer: Optional[Callable],
+    tx: Transmitter,
 ) -> int:
     """Run ``engine``'s multicast phase from slot ``t`` until both virtual
     queues drain or the slots reach ``stop``; return the next slot.  Each slot
@@ -689,8 +708,8 @@ def _multicast(
     v1, v2 = engine.v
     vpos1, vpos2 = engine.vpos
     end1, end2 = len(v1), len(v2)
+    sent, rx = tx._bits, tx.rx
     bits1, bits2 = sent
-    statuses = engine.statuses
     over1, over2 = rx[0].overheard, rx[1].overheard
     res1, res2 = rx[0].resolved, rx[1].resolved
     while (vpos1 < end1 or vpos2 < end2) and t < stop:
@@ -720,10 +739,8 @@ def _multicast(
                     raise ProtocolError("multicast symbol not resolvable")
                 res2[side2[1]] = bit ^ known
         if heard1 and vpos1 < end1:
-            statuses[side1] = _DELIVERED
             vpos1 += 1
         if heard2 and vpos2 < end2:
-            statuses[side2] = _DELIVERED
             vpos2 += 1
         t += 1
         if observer is not None:
@@ -751,7 +768,6 @@ def _run_reference(
     sampler: Optional[ChannelSampler],
 ) -> TrialStats:
     tx = Transmitter(plan, bits1, bits2)
-    rx = (Receiver(), Receiver())
     links = _link_states(s1, s2)
     horizon = len(s1)
     t = 0
@@ -782,11 +798,11 @@ def _run_reference(
                 links[2].extend([horizon + th for th in ext_heard])
                 horizon += 4096
             phase = _multicast if engine.stage is _MULTICAST else _raw_phase
-            t = phase(engine, t, min(limit, horizon), links, tx._bits, rx, observer, tx)
+            t = phase(engine, t, min(limit, horizon), links, observer, tx)
     tx._cursor = len(tx._rounds)  # every round is over
 
     ok = []
-    for receiver, bits in zip(rx, (bits1, bits2)):
+    for receiver, bits in zip(tx.rx, (bits1, bits2)):
         decoded, recovered = receiver.decode(len(bits))
         # every recovered packet must match the message, whether or not it
         # decoded; the uint8 array's bytes, not the transmitter's copy of it

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bpecsim import protocol
 from bpecsim.channel import ChannelSampler, build_schedule, floor_index
@@ -14,13 +16,11 @@ from bpecsim.protocol import (
     PacketStatus,
     Phase,
     ProtocolError,
-    Receiver,
     Scheme,
     SchemePlan,
     Transmitter,
     _PACKET_IDS,
     _Engine,
-    _link_states,
     _multicast,
     _nofb_share,
     _nofb_slots,
@@ -291,28 +291,6 @@ def test_xor_feedback_dequeues_only_delivered_side():
     assert checkpoints[2] == (2, [], [b1])
 
 
-def run_phases(engine, t, s1, s2, bits, rx, observer=None):
-    """Run ``engine``'s phase loops from slot ``t`` over the 0/1 link states
-    ``s1``/``s2``, picking each by the stage as the reference loop does, until
-    the round is DONE or the slots run out; return the next slot."""
-    links = _link_states(s1, s2)
-    while engine.stage is not Phase.DONE and t < len(s1):
-        phase = _multicast if engine.stage is Phase.MULTICAST else _raw_phase
-        t = phase(engine, t, len(s1), links, bits, rx, observer, None)
-    return t
-
-
-def settle(tx):
-    """Run the transmitter's rounds in order through the phase loops, with
-    every slot heard on both links, until every round is DONE."""
-    heard = np.ones(len(tx.statuses), dtype=np.uint8)  # every packet is delivered in its raw phase
-    rx = (Receiver(), Receiver())
-    t = 0
-    for i in range(len(tx._rounds)):
-        engine = tx._engines[i] or tx._open(i, t)
-        t = run_phases(engine, t, heard, heard, tx._bits, rx)
-
-
 def message(plan, seed):
     """The message bits ``run_trial`` draws from the second child of its seed."""
     msg = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
@@ -497,7 +475,7 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
         pytest.param(_run_reference, id="_run_reference"),
         pytest.param(_Engine._advance, id="_Engine._advance"),
         pytest.param(_raw_phase, id="Receiver._record_raw"),  # raw stores
-        pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw statuses
+        pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw queues
         pytest.param(_multicast, id="Receiver._record_xor"),  # XOR resolution
         pytest.param(_multicast, id="_Engine._heads"),  # pad and bare heads
         pytest.param(_report_erased, id="_report_erased"),  # observed erased raw slots
@@ -575,21 +553,6 @@ def test_unobserved_reference_builds_no_raw_phase_action(monkeypatch, scheme):
     assert {action.kind for action in actions if action is not None} == {"raw", "xor"}
 
 
-def test_transmitters_share_packet_ids_but_not_statuses():
-    plan = plan_scheme(CAPACITY, 400, Scheme.INTER_MODAL, 1.0)
-    bits = message(plan, 6)
-    a, b = Transmitter(plan, *bits), Transmitter(plan, *bits)
-    assert list(a.statuses) == list(b.statuses)
-    assert all(x is y for x, y in zip(a.statuses, b.statuses))
-    assert a.statuses is not b.statuses
-    fresh = [PacketStatus.FRESH] * (plan.message_size(1) + plan.message_size(2))
-    assert list(a.statuses.values()) == list(b.statuses.values()) == fresh
-    settle(a)
-    assert set(a.statuses.values()) == {PacketStatus.DELIVERED}
-    assert a.phase is Phase.DONE
-    assert list(b.statuses.values()) == fresh
-
-
 def test_packet_ids_answer_long_short_long_requests():
     def expected(user, m):
         return [PacketId(user, i) for i in range(m)]
@@ -634,7 +597,7 @@ def test_second_reference_trial_builds_no_packet_ids():
 
 
 # ---------------------------------------------------------------------------
-# one round's engine on packet lists no plan produces today
+# one round's edge cases and the receivers, through observed trials
 # ---------------------------------------------------------------------------
 
 F, W, O, D = (
@@ -643,122 +606,172 @@ F, W, O, D = (
     PacketStatus.OVERHEARD_ONLY,
     PacketStatus.DELIVERED,
 )
+# ModeParams that match micro_plan's single mode
+MICRO = ModeParams(0.5, 0.0, 1.0)
 
 
-def new_engine(pkts1, pkts2, start_t, label):
-    statuses = dict.fromkeys(pkts1 + pkts2, F)
-    boundaries = {label + phase: None for phase in ("raw1", "raw2", "multicast")}
-    return _Engine(pkts1, pkts2, statuses, start_t, label, boundaries)
-
-
-def drive_engine(engine, bits, slots, start_t, rx=None):
-    """Run ``engine``'s phase loops over ``slots`` from ``start_t`` with an
-    observer, as an observed reference run does; return per slot the symbol
-    sent, then the stage, statuses, waiting virtual queues and boundaries
-    after it."""
-    s1, s2 = inject([(0, 0)] * start_t + slots)
-    log = []
+def watch(plan, slots, seed=1, p=MICRO, corrupt=None):
+    """Run ``plan`` observed over the injected ``slots``; return per slot the
+    symbol sent, then the phase, statuses, waiting virtual queues and phase
+    boundaries after it, the last transmitter the observer saw and the
+    stats, which unobserved and batched runs must give too.  ``corrupt(t,
+    tx)`` runs after each entry is logged."""
+    log, last = [], [None]
 
     def record(t, action, tx):
+        assert t == len(log)
         log.append((
-            action,
-            engine.stage,
-            list(engine.statuses.values()),
-            engine.v[0][engine.vpos[0] :],
-            engine.v[1][engine.vpos[1] :],
-            list(engine.boundaries.values()),
+            action, tx.phase, list(tx.statuses.values()), tx.v_1_given_2, tx.v_2_given_1,
+            list(tx.boundaries.values()),
         ))
+        last[0] = tx
+        if corrupt is not None:
+            corrupt(t, tx)
 
-    run_phases(engine, start_t, s1, s2, bits, rx or (Receiver(), Receiver()), record)
-    return log
+    channel = inject(slots)
+    stats = run_trial(p, plan.n, 0, 0.0, plan, seed, channel=channel, observer=record)
+    for driver in ("reference", "batched"):
+        assert run_trial(p, plan.n, 0, 0.0, plan, seed, channel=channel, driver=driver) == stats
+    return log, last[0], stats
+
+
+def test_transmitters_share_packet_ids_but_not_statuses():
+    # a trial on a clean channel delivers every packet; a later trial of the
+    # same plan on a channel erased on both links reuses its packet ids but
+    # leaves its statuses as they were
+    plan = micro_plan(6, m1=2, m2=1, tail=1)
+    _, a, _ = watch(plan, [(1, 1)] * 6)
+    erased, b, _ = watch(plan, [(0, 0)] * 6)
+    ids = [PacketId(1, 0), PacketId(1, 1), PacketId(1, 2), PacketId(2, 0), PacketId(2, 1)]
+    assert list(a.statuses) == list(b.statuses) == ids
+    assert all(x is y for x, y in zip(a.statuses, b.statuses))
+    assert a.statuses is not b.statuses
+    assert list(a.statuses.values()) == [D] * 5
+    assert a.phase is Phase.DONE
+    # the erased run resends user 1's first packet, which turns AWAITING
+    assert [entry[2] for entry in erased] == [[W, F, F, F, F]] * 6
 
 
 def test_engine_with_unequal_packet_lists():
-    # three packets for user 1 and one for user 2, from slot 5; the bits of
-    # the two users differ at the indices sent, so a swapped list shows
-    a1, a2, a3, b2 = PacketId(1, 1), PacketId(1, 2), PacketId(1, 3), PacketId(2, 2)
-    engine = new_engine([a1, a2, a3], [b2], 5, "x_")
-    assert engine.stage is Phase.RAW1
-    assert engine.boundaries == {"x_raw1": None, "x_raw2": None, "x_multicast": None}
-    bits = ([0, 1, 0, 1], [1, 1, 1, 0])
+    # three packets for user 1 and one for user 2; at seed 1 user 1's bits
+    # are 1, 0, 1 and user 2's is 0, so a swapped list shows
+    plan = micro_plan(8, m1=3, m2=1)
+    x, y = (bits.tolist() for bits in message(plan, 1))
+    assert (x, y) == ([1, 0, 1], [0])
+    a0, a1, a2, b0 = PacketId(1, 0), PacketId(1, 1), PacketId(1, 2), PacketId(2, 0)
     slots = [(0, 0), (0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (0, 1), (1, 0)]
     R1, R2, MC, DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
     none3 = [None, None, None]
-    assert drive_engine(engine, bits, slots, 5) == [
-        (("raw", (a1,), 1), R1, [W, F, F, F], [], [], none3),  # erased on both
-        (("raw", (a1,), 1), R1, [O, F, F, F], [a1], [], none3),
-        (("raw", (a2,), 0), R1, [O, D, F, F], [a1], [], none3),
-        (("raw", (a3,), 1), R2, [O, D, O, F], [a1, a3], [], [9, None, None]),
-        (("raw", (b2,), 1), MC, [O, D, O, O], [a1, a3], [b2], [9, 10, None]),
-        (("xor", (a1, b2), 0), MC, [D, D, O, D], [a3], [], [9, 10, None]),
-        # user 2's queue is empty: its side repeats b2, and its ACK moves nothing
-        (("xor", (a3, b2), 0), MC, [D, D, O, D], [a3], [], [9, 10, None]),
-        (("xor", (a3, b2), 0), DONE, [D, D, D, D], [], [], [9, 10, 13]),
+    log, _, stats = watch(plan, slots)
+    assert log == [
+        (("raw", (a0,), 1), R1, [W, F, F, F], [], [], none3),  # erased on both
+        (("raw", (a0,), 1), R1, [O, F, F, F], [a0], [], none3),
+        (("raw", (a1,), 0), R1, [O, D, F, F], [a0], [], none3),
+        (("raw", (a2,), 1), R2, [O, D, O, F], [a0, a2], [], [4, None, None]),
+        (("raw", (b0,), 0), MC, [O, D, O, O], [a0, a2], [b0], [4, 5, None]),
+        (("xor", (a0, b0), 1), MC, [D, D, O, D], [a2], [], [4, 5, None]),
+        # user 2's queue is empty: its side repeats b0, and its ACK moves nothing
+        (("xor", (a2, b0), 1), MC, [D, D, O, D], [a2], [], [4, 5, None]),
+        (("xor", (a2, b0), 1), DONE, [D, D, D, D], [], [], [4, 5, 8]),
     ]
+    assert stats.decode_ok_1 and stats.decode_ok_2
 
 
 def test_engine_with_no_packets_for_user_1():
     # RAW1 ends in the start slot; multicast has only user 2's queue, so its
     # head goes out uncoded
+    plan = micro_plan(5, m1=0, m2=2)
+    assert message(plan, 1)[1].tolist() == [1, 0]
     b0, b1 = PacketId(2, 0), PacketId(2, 1)
-    engine = new_engine([], [b0, b1], 0, "")
-    assert engine.stage is Phase.RAW2
-    assert engine.boundaries == {"raw1": 0, "raw2": None, "multicast": None}
-    bits = ([], [1, 0])
     slots = [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1)]
     R2, MC, DONE = Phase.RAW2, Phase.MULTICAST, Phase.DONE
-    assert drive_engine(engine, bits, slots, 0) == [
+    log, _, stats = watch(plan, slots)
+    assert log == [
         (("raw", (b0,), 1), R2, [O, F], [], [b0], [0, None, None]),
         (("raw", (b1,), 0), MC, [O, D], [], [b0], [0, 2, None]),
         (("raw", (b0,), 1), MC, [O, D], [], [b0], [0, 2, None]),  # user 1's ACK
         (("raw", (b0,), 1), MC, [O, D], [], [b0], [0, 2, None]),  # erased on both
         (("raw", (b0,), 1), DONE, [D, D], [], [], [0, 2, 5]),
     ]
+    assert stats.decode_ok_1 and stats.decode_ok_2
 
 
 def test_engine_with_no_packets_ends_every_stage_at_its_start():
-    engine = new_engine([], [], 7, "b_")
-    assert engine.stage is Phase.DONE
-    assert engine.boundaries == {"b_raw1": 7, "b_raw2": 7, "b_multicast": 7}
-    assert engine.statuses == {} and engine.v == ([], [])
+    # intra with no packets: round A ends every stage at slot 0, and round B
+    # at its start slot n_a = 7 after the run idles until then
+    plan = SchemePlan(
+        scheme=Scheme.INTRA_MODAL, n=10, n_a=7, m1=0, m2=0, alpha=0.0, guard=0,
+        run_a=0, run_b=0,
+    )
+    ends = [0, 0, 0, 7, 7, 7]
+    log, tx, stats = watch(plan, [(1, 1)] * 10, p=ModeParams(0.5, 0.0, 0.7))
+    assert log == [(None, Phase.DONE, [], [], [], ends)] * 7
+    assert tx.statuses == {} and len(tx.statuses) == 0
+    assert list(stats.phase_boundaries.values()) == ends
 
 
 def test_receiver_observe_and_decode():
-    # user 2 overhears a5 and user 1 overhears b2 in the raw phases; the XOR
-    # a5 ^ b2 (bit 0) reaches user 1 only, who resolves a5 on arrival
-    b2 = PacketId(2, 1)
-    a5 = PacketId(1, 4)
-    rx = (Receiver(), Receiver())
-    slots = [(0, 1), (1, 0), (1, 0)]
-    drive_engine(new_engine([a5], [b2], 0, ""), ([0, 0, 0, 0, 1], [0, 1]), slots, 0, rx)
-    assert rx[0].overheard[b2] == 1
-    ok, recovered = rx[0].decode(5)
-    assert not ok  # only a5 of the five own packets is known
-    assert recovered[4] == 1  # 0 ^ overheard 1
-    rx2 = (Receiver(), Receiver())
-    own = [PacketId(1, i) for i in range(3)]
-    drive_engine(new_engine(own, [], 0, ""), ([1, 1, 1], []), [(1, 0)] * 3, 0, rx2)
-    ok2, rec2 = rx2[0].decode(3)
-    assert ok2 and rec2 == {0: 1, 1: 1, 2: 1}
+    # a0 and a1 are overheard by user 2 and b0 by user 1 in the raw phases;
+    # slot 3's XOR a0 ^ b0 (bit 0) reaches user 1 only, who resolves a0 on
+    # arrival as 0 ^ the overheard 1
+    plan = micro_plan(4, m1=2)
+    assert [bits.tolist() for bits in message(plan, 0)] == [[1, 0], [1]]
+    a0, a1, b0 = PacketId(1, 0), PacketId(1, 1), PacketId(2, 0)
+    log, tx, stats = watch(plan, [(0, 1), (0, 1), (1, 0), (1, 0)], seed=0)
+    assert log[3][0] == ("xor", (a0, b0), 0)
+    assert tx.rx[0].overheard == {b0: 1}
+    assert tx.rx[1].overheard == {a0: 1, a1: 0}
+    assert tx.rx[0].decode(2) == (False, {0: 1})  # a1 never reaches user 1
+    assert tx.rx[1].decode(1) == (False, {})
+    assert not stats.decode_ok_1 and not stats.decode_ok_2
+    # user 1 hears each of its three packets uncoded
+    plan = micro_plan(3, m1=3, m2=0)
+    x = message(plan, 1)[0].tolist()
+    _, tx, stats = watch(plan, [(1, 0)] * 3)
+    assert tx.rx[0].decode(3) == (True, dict(enumerate(x)))
+    assert stats.decode_ok_1 and stats.bits_delivered_1 == 3
 
 
 def test_receiver_rejects_unresolvable_multicast():
-    # the raw phases fill both virtual queues, then an XOR reaches receivers
-    # that know neither the own packet nor the overheard partner
-    engine = new_engine([PacketId(1, 0)], [PacketId(2, 0)], 0, "")
-    bits = ([0], [1])
-    drive_engine(engine, bits, [(0, 1), (1, 0)], 0)
-    assert engine.stage is Phase.MULTICAST
-    with pytest.raises(ProtocolError, match="multicast symbol not resolvable"):
-        drive_engine(engine, bits, [(1, 0)], 2)
+    # the raw phases fill both virtual queues; then both receivers forget
+    # what they overheard, and the XOR reaches user 1, then user 2, who
+    # cannot resolve it
+    def forget(t, tx):
+        if t == 1:
+            assert tx.phase is Phase.MULTICAST
+            for receiver in tx.rx:
+                receiver.overheard.clear()
+
+    for last in ((1, 0), (0, 1)):
+        with pytest.raises(ProtocolError, match="multicast symbol not resolvable"):
+            watch(micro_plan(3), [(0, 1), (1, 0), last], corrupt=forget)
 
 
 def test_decode_fails_without_covering_observation():
-    rx = (Receiver(), Receiver())
-    engine = new_engine([], [PacketId(2, 0), PacketId(2, 1)], 0, "")
-    drive_engine(engine, ([], [0, 0]), [(0, 1)], 0, rx)
-    ok, _ = rx[1].decode(2)
-    assert not ok
+    # user 2 hears b0 in the only slot, and b1 is never sent
+    plan = micro_plan(1, m1=0, m2=2)
+    y = message(plan, 1)[1].tolist()
+    _, tx, stats = watch(plan, [(0, 1)])
+    assert tx.rx[1].decode(2) == (False, {0: y[0]})
+    assert not stats.decode_ok_2 and stats.bits_delivered_2 == 0
+
+
+def test_statuses_miss_foreign_keys_as_a_dict_does():
+    # two packets for user 1 and one for user 2, all delivered
+    _, tx, _ = watch(micro_plan(3, m1=2), [(1, 1)] * 3)
+    ids = [PacketId(1, 0), PacketId(1, 1), PacketId(2, 0)]
+    assert tx.statuses == dict.fromkeys(ids, D) and len(tx.statuses) == 3
+    foreign = (
+        PacketId(1, 2), PacketId(1, -1), PacketId(2, 1), PacketId(0, 0), PacketId(3, 0),
+        None, 5, "ab", (1,), (1, 0.5),
+    )
+    for key in foreign:
+        assert key not in tx.statuses, key
+        assert tx.statuses.get(key) is None, key
+        with pytest.raises(KeyError):
+            tx.statuses[key]
+    # a key equal to an id finds it, as in a dict
+    assert (1, 1) in tx.statuses and tx.statuses[(1, 1)] is D
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +811,7 @@ def test_packet_conservation_and_queue_semantics():
     plan = plan_scheme(p, n, Scheme.INTER_MODAL, 1.0)
 
     def check(t, action, tx):
-        statuses = tx.statuses
+        statuses = dict(tx.statuses)  # one read of each packet's status per slot
         overheard_1 = {q for q, st in statuses.items() if q.user == 1 and st is PacketStatus.OVERHEARD_ONLY}
         overheard_2 = {q for q, st in statuses.items() if q.user == 2 and st is PacketStatus.OVERHEARD_ONLY}
         assert set(tx.v_1_given_2) == overheard_1
@@ -836,6 +849,78 @@ def test_status_progression_is_monotone():
             last[pid] = rank
 
     run_trial(p, n, 0, 0.0, plan, seed=3, observer=check)
+
+
+RANK = {F: 0, W: 1, O: 2, D: 3}
+
+
+@st.composite
+def small_trials(draw):
+    """A hand-made feedback plan at n <= 40, ModeParams that match it and
+    the injected slots of one trial."""
+    n = draw(st.integers(1, 40))
+    n_a = draw(st.integers(0, n))
+    size = st.integers(0, 12)
+    if draw(st.booleans()):
+        plan = SchemePlan(
+            scheme=Scheme.INTER_MODAL, n=n, n_a=n_a, m1=draw(size), m2=draw(size), alpha=1.0,
+            guard=0, tail1=draw(st.integers(0, 6)), tail2=draw(st.integers(0, 6)),
+        )
+    else:
+        run_a, run_b = draw(size), draw(size)
+        plan = SchemePlan(
+            scheme=Scheme.INTRA_MODAL, n=n, n_a=n_a, m1=run_a + run_b, m2=run_a + run_b,
+            alpha=0.0, guard=0, run_a=run_a, run_b=run_b,
+        )
+    slot = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    slots = draw(st.lists(slot, min_size=n, max_size=n))
+    return ModeParams(0.5, 0.5, min(1.0, (n_a + 0.5) / n)), plan, slots
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_trials())
+# no packets for user 1, then a chained tail with none for user 2
+@example((MICRO, micro_plan(6, m1=0, m2=3), [(1, 0), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1)]))
+@example((
+    MICRO,
+    dataclasses.replace(micro_plan(9, m1=2, m2=1), tail1=2),
+    [(0, 1), (1, 0), (0, 0), (1, 1), (1, 1), (0, 1), (0, 0), (1, 0), (1, 1)],
+))
+def test_statuses_follow_the_receivers_at_every_slot(trial):
+    # observed = unobserved = batched; the observer sees every slot once and
+    # in order; after each slot every packet keeps its place in the keys and
+    # no status moves back, a packet sent is never FRESH again, and each
+    # user's OVERHEARD_ONLY packets are its waiting virtual queue
+    p, plan, slots = trial
+    sizes = (plan.message_size(1), plan.message_size(2))
+    ids = [PacketId(u, i) for u, m in ((1, sizes[0]), (2, sizes[1])) for i in range(m)]
+    rank: dict[PacketId, int] = {}
+    seen = []
+
+    def check(t, action, tx):
+        seen.append(t)
+        items = list(tx.statuses.items())
+        assert [pid for pid, _ in items] == ids
+        for pid, status in items:
+            assert RANK[status] >= rank.get(pid, 0), (t, pid)
+            rank[pid] = RANK[status]
+        for pid in action.pids if action is not None else ():
+            assert tx.statuses[pid] is not F, (t, pid)
+        for user, waiting in ((1, tx.v_1_given_2), (2, tx.v_2_given_1)):
+            mine = [status for pid, status in items if pid.user == user]
+            assert sum(mine.count(status) for status in RANK) == sizes[user - 1]
+            overheard = [pid for pid, status in items if pid.user == user and status is O]
+            assert sorted(waiting) == overheard
+
+    channel = inject(slots)
+    stats = run_trial(p, plan.n, 0, 0.0, plan, 0, channel=channel, observer=check)
+    for driver in ("reference", "batched"):
+        assert run_trial(p, plan.n, 0, 0.0, plan, 0, channel=channel, driver=driver) == stats
+    end = stats.phase_boundaries[plan.rounds()[-1].label + "multicast"]
+    assert seen == list(range(plan.n if end is None else end))
+    for user, ok in ((1, stats.decode_ok_1), (2, stats.decode_ok_2)):
+        # a user decodes exactly when all its packets are DELIVERED
+        assert ok == all(rank.get(pid) == RANK[D] for pid in ids if pid.user == user)
 
 
 def test_completion_correctness_with_deadline_removed():
