@@ -16,7 +16,8 @@ per-slot reference driver that runs each phase as one loop, the raw phases
 over a per-trial index of the slots some link hears and multicast slot by
 slot (it supports per-slot observers and deadline-free runs), and a batched
 driver that jumps between resolution slots over a block of trials sharing
-one plan at once.
+one plan at once.  Each reference receiver keeps its own packets in one byte
+store, so decoding and the end-of-trial check each scan it once.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -90,6 +92,7 @@ class ProtocolError(RuntimeError):
 # a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
 _RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
 _new = tuple.__new__
+_UNKNOWN = 2  # a receiver's store byte for an own packet it does not know yet
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +445,7 @@ class _Statuses(Mapping):
             known = False
         if not known:
             raise KeyError(pid)
-        own = self._rx[user - 1]
-        if i in own.received_own or i in own.resolved:
+        if self._rx[user - 1].known[i] != _UNKNOWN:
             return self._DELIVERED
         if pid in self._rx[2 - user].overheard:
             return self._OVERHEARD_ONLY
@@ -470,7 +472,7 @@ class Transmitter:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self._bits = (bits1.tolist(), bits2.tolist())
         self._pids = [_packet_ids(u, plan.message_size(u)) for u in (1, 2)]
-        self.rx = (Receiver(), Receiver())
+        self.rx = (Receiver(len(self._pids[0])), Receiver(len(self._pids[1])))
         self._awaiting: set[PacketId] = set()
         self.statuses = _Statuses(self._pids, self.rx, self._awaiting)
         self.boundaries: dict[str, Optional[int]] = {}
@@ -521,21 +523,36 @@ class Transmitter:
 
 
 class Receiver:
-    """Receiver-side bookkeeping: own packets heard uncoded, overheard packets
-    of the other user, and own packets resolved from XORs as they arrive, as
-    the phase loops record them; the transmitter's statuses read them."""
+    """What a user's receiver knows, as the phase loops record it.  ``known``
+    is its own-packet store: byte i is packet i's bit once heard uncoded or
+    resolved from an XOR, else ``_UNKNOWN``.  ``overheard`` holds the other
+    user's packets that this receiver heard while their own user did not."""
 
-    def __init__(self):
-        self.received_own: dict[int, int] = {}
+    def __init__(self, m: int):
+        self.known = bytearray([_UNKNOWN]) * m
         self.overheard: dict[PacketId, int] = {}
-        self.resolved: dict[int, int] = {}
 
-    def decode(self, m: int) -> tuple[bool, dict[int, int]]:
-        """The own packets heard uncoded, and those resolved from XORs where
-        none was heard uncoded; ok when all ``m`` are known."""
-        recovered = {**self.resolved, **self.received_own}
-        ok = all(map(recovered.__contains__, range(m)))
-        return ok, recovered
+    def decode(self, m: int) -> tuple[bool, Mapping[int, int]]:
+        """Whether all ``m`` own packets are known, and a view of the known ones."""
+        return _UNKNOWN not in self.known[:m], _Known(self.known)
+
+
+class _Known(Mapping):
+    """The own packets a receiver knows, index to bit: a read-only view of its store."""
+
+    def __init__(self, store: bytearray):
+        self._store = store
+
+    def __getitem__(self, i: int) -> int:
+        if i in range(len(self._store)) and self._store[i] != _UNKNOWN:
+            return self._store[i]
+        raise KeyError(i)
+
+    def __iter__(self):
+        return compress(count(), map(_UNKNOWN.__ne__, self._store))
+
+    def __len__(self) -> int:
+        return len(self._store) - self._store.count(_UNKNOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +672,9 @@ def _raw_phase(
     before returning at ``stop``."""
     u = 0 if engine.stage is _RAW1 else 1
     queue, v = engine.q[u], engine.v[u]
-    own, other, heard = links[u], links[1 - u], links[2]
+    own, heard = links[u], links[2]
     bits = tx._bits[u]
-    got, overheard = tx.rx[u].received_own, tx.rx[1 - u].overheard
+    got, overheard = tx.rx[u].known, tx.rx[1 - u].overheard
     pos, end = engine.pos[u], len(queue)
     i = bisect_left(heard, t)
     j = bisect_left(heard, stop, i, min(len(heard), i + end - pos))
@@ -665,9 +682,7 @@ def _raw_phase(
         if observer is not None:
             _report_erased(pid, bits[pid[1]], t, th, observer, tx)
         if own[th]:
-            bit = got[pid[1]] = bits[pid[1]]
-            if other[th]:
-                overheard[pid] = bit
+            got[pid[1]] = bits[pid[1]]
         else:
             overheard[pid] = bits[pid[1]]
             v.append(pid)
@@ -711,7 +726,7 @@ def _multicast(
     sent, rx = tx._bits, tx.rx
     bits1, bits2 = sent
     over1, over2 = rx[0].overheard, rx[1].overheard
-    res1, res2 = rx[0].resolved, rx[1].resolved
+    got1, got2 = rx[0].known, rx[1].known
     while (vpos1 < end1 or vpos2 < end2) and t < stop:
         heard1, heard2 = s1[t], s2[t]
         if not (heard1 or heard2) and observer is None:
@@ -725,19 +740,16 @@ def _multicast(
             u = pid[0] - 1
             bit = sent[u][pid[1]]
             if links[u][t]:
-                rx[u].received_own[pid[1]] = bit
+                rx[u].known[pid[1]] = bit
         else:
             bit = bits1[side1[1]] ^ bits2[side2[1]]
-            if heard1:
-                known = over1.get(side2)
-                if known is None:
-                    raise ProtocolError("multicast symbol not resolvable")
-                res1[side1[1]] = bit ^ known
-            if heard2:
-                known = over2.get(side1)
-                if known is None:
-                    raise ProtocolError("multicast symbol not resolvable")
-                res2[side2[1]] = bit ^ known
+            try:
+                if heard1:
+                    got1[side1[1]] = bit ^ over1[side2]
+                if heard2:
+                    got2[side2[1]] = bit ^ over2[side1]
+            except KeyError:
+                raise ProtocolError("multicast symbol not resolvable") from None
         if heard1 and vpos1 < end1:
             vpos1 += 1
         if heard2 and vpos2 < end2:
@@ -797,23 +809,23 @@ def _run_reference(
                 links[1].extend(ext2)
                 links[2].extend([horizon + th for th in ext_heard])
                 horizon += 4096
-            phase = _multicast if engine.stage is _MULTICAST else _raw_phase
+            stage, t0 = engine.stage, t
+            phase = _multicast if stage is _MULTICAST else _raw_phase
             t = phase(engine, t, min(limit, horizon), links, observer, tx)
+            if t <= t0 and engine.stage is stage:  # the next call would start over
+                raise ProtocolError(f"the {stage.value} phase made no progress from slot {t0}")
     tx._cursor = len(tx._rounds)  # every round is over
 
-    ok = []
-    for receiver, bits in zip(tx.rx, (bits1, bits2)):
-        decoded, recovered = receiver.decode(len(bits))
-        # every recovered packet must match the message, whether or not it
-        # decoded; the uint8 array's bytes, not the transmitter's copy of it
-        message = bits.tobytes()
-        if list(map(message.__getitem__, recovered)) != list(recovered.values()):
-            raise ProtocolError("decoded bits differ from the message")
-        ok.append(decoded)
+    # every known packet must match the message, whether or not its user
+    # decoded; the uint8 arrays, not the transmitter's copy of them
+    known = np.frombuffer(tx.rx[0].known + tx.rx[1].known, dtype=np.uint8)
+    if ((known != np.concatenate((bits1, bits2))) & (known != _UNKNOWN)).any():
+        raise ProtocolError("decoded bits differ from the message")
+    ok = (tx.rx[0].decode(len(bits1))[0], tx.rx[1].decode(len(bits2))[0])
 
     first = tx._engines[0]
     return _trial_stats(
-        plan, schedule, s1, s2, (len(bits1), len(bits2)), tuple(ok), dict(tx.boundaries),
+        plan, schedule, s1, s2, (len(bits1), len(bits2)), ok, dict(tx.boundaries),
         tuple(map(len, first.v)),
     )
 

@@ -230,6 +230,41 @@ def test_reference_raises_when_a_raw_phase_bit_differs(monkeypatch):
         run_with_a1_flipped(monkeypatch, [(1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_reference_raises_when_a_bare_head_bit_differs(monkeypatch, observed):
+    # user 2 hears a1 and b1 uncoded, so only v_{1|2} holds a packet and
+    # slot 2 sends a1 bare; user 1 hears it and stores the flipped bit
+    sent = []
+    observer = (lambda t, a, tx: sent.append(a)) if observed else None
+    with pytest.raises(ProtocolError, match="decoded bits differ from the message"):
+        run_with_a1_flipped(monkeypatch, [(0, 1), (0, 1), (1, 0)], observer=observer)
+    a1, b1 = PacketId(1, 0), PacketId(2, 0)
+    expected = [("raw", (a1,)), ("raw", (b1,)), ("raw", (a1,))] if observed else []
+    assert [(a.kind, a.pids) for a in sent] == expected
+
+
+def test_reference_raises_when_a_phase_makes_no_progress(monkeypatch):
+    # an _Engine._advance that keeps an empty RAW2 open: the observed raw loop
+    # then returns its start slot without ending the stage, and the round loop
+    # raises instead of calling it again forever
+    advance = _Engine._advance
+
+    def keep_empty_raw2_open(engine, t_next):
+        if engine.stage is Phase.RAW1:
+            engine.boundaries[engine.label + "raw1"] = t_next
+            engine.stage = Phase.RAW2
+        else:
+            advance(engine, t_next)
+
+    monkeypatch.setattr(_Engine, "_advance", keep_empty_raw2_open)
+    with pytest.raises(ProtocolError, match="raw2 phase made no progress from slot 1"):
+        run_trial(
+            ModeParams(0.5, 0.0, 1.0), 4, 0, 0.0, micro_plan(4, m2=0), seed=1,
+            channel=inject([(1, 0)] * 4),
+            observer=lambda t, a, tx: None,
+        )
+
+
 def test_raw_retransmits_on_double_erasure():
     actions = []
     stats = run_trial(
