@@ -16,17 +16,19 @@ per-slot reference driver that runs each phase as one loop, the raw phases
 over a per-trial index of the slots some link hears and multicast slot by
 slot (it supports per-slot observers and deadline-free runs), and a batched
 driver that jumps between resolution slots over a block of trials sharing
-one plan at once.  Each reference receiver keeps its own packets in one byte
-store, so decoding and the end-of-trial check each scan it once.
+one plan at once.  The reference loops carry per-user packet indices, and
+each reference receiver keeps its own packets and the ones it overheard in
+two byte stores, so decoding and the end-of-trial check each scan one;
+``PacketId``s are built only for observers and the transmitter's views.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -92,7 +94,7 @@ class ProtocolError(RuntimeError):
 # a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
 _RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
 _new = tuple.__new__
-_UNKNOWN = 2  # a receiver's store byte for an own packet it does not know yet
+_UNKNOWN = 2  # a receiver's store byte for a packet it does not know yet
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +370,22 @@ def plan_scheme(p: ModeParams, n: int, scheme: Scheme, guard_coeff: float) -> Sc
 
 
 class _Engine:
-    """One three-phase round over a fixed pair of packet lists.
+    """One three-phase round over a fixed pair of packet-index ranges.
 
-    Per user u (0 or 1), ``q[u]`` is the raw-phase queue with its head at
-    ``pos[u]``, and ``v[u]`` is the virtual queue (packets the other user
+    Per user u (0 or 1), ``q[u]`` is the raw-phase queue, the ``range`` of
+    the user's packet indices the round sends, with its head at ``pos[u]``,
+    and ``v[u]`` is the virtual queue (indices of packets the other user
     overheard) with its head at ``vpos[u]``.  ``_raw_phase`` and ``_multicast``
     move the heads and fill ``v``; ``_advance`` ends the stages.
     """
 
     def __init__(
-        self, pkts1: list[PacketId], pkts2: list[PacketId], start_t: int, label: str,
+        self, pkts1: range, pkts2: range, start_t: int, label: str,
         boundaries: dict[str, Optional[int]],
     ):
         self.q = (pkts1, pkts2)
         self.pos = [0, 0]
-        self.v: tuple[list[PacketId], list[PacketId]] = ([], [])
+        self.v: tuple[list[int], list[int]] = ([], [])
         self.vpos = [0, 0]
         self.label = label
         self.boundaries = boundaries
@@ -425,37 +428,75 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
     return ids[:m]
 
 
+# A packet's status by its own receiver's store byte, the other receiver's
+# store byte (each 0, 1 or _UNKNOWN = 2) and its awaiting flag: DELIVERED once
+# its own receiver holds it, else OVERHEARD_ONLY once the other one does
+_F, _W, _O, _D = PacketStatus  # in definition order
+_STATUS = (
+    ((_D, _D),) * 3,
+    ((_D, _D),) * 3,
+    ((_O, _O), (_O, _O), (_F, _W)),
+)
+
+
 class _Statuses(Mapping):
     """Each packet's status, read from what the receivers know: DELIVERED if
     its own receiver holds it, OVERHEARD_ONLY if only the other one does,
     AWAITING if an observed run sent it in a slot erased on both links, else
-    FRESH.  Keys are user 1's ids, then user 2's; others are missing."""
+    FRESH.  Keys are user 1's ids, then user 2's; others are missing.  Items
+    and values come from one pass over each user's stores."""
 
-    # observers read statuses per slot, and an Enum member lookup is slow
-    _FRESH, _AWAITING, _OVERHEARD_ONLY, _DELIVERED = PacketStatus  # in definition order
-
-    def __init__(self, pids: list[list[PacketId]], rx: tuple[Receiver, Receiver], awaiting: set):
-        self._pids, self._rx, self._awaiting = pids, rx, awaiting
+    def __init__(
+        self, pids: list[list[PacketId]], rx: tuple[Receiver, Receiver],
+        awaiting: tuple[bytearray, bytearray],
+    ):
+        self._pids = pids
+        # per user: its ids, its own receiver's store, the other receiver's
+        # store and its awaiting flags, each indexed by packet index
+        self._users = tuple(
+            (pids[u], rx[u].known, rx[1 - u].overheard, awaiting[u]) for u in (0, 1)
+        )
 
     def __getitem__(self, pid: PacketId) -> PacketStatus:
         try:  # the id at its own place in its user's list, or a foreign key
             user, i = pid
-            known = self._pids[user - 1][i] == pid
+            pids, own, other, waits = self._users[user - 1]
+            found = pids[i] == pid
         except (TypeError, ValueError, IndexError):
-            known = False
-        if not known:
+            found = False
+        if not found:
             raise KeyError(pid)
-        if self._rx[user - 1].known[i] != _UNKNOWN:
-            return self._DELIVERED
-        if pid in self._rx[2 - user].overheard:
-            return self._OVERHEARD_ONLY
-        return self._AWAITING if pid in self._awaiting else self._FRESH
+        return _STATUS[own[i]][other[i]][waits[i]]
 
     def __iter__(self):
-        return iter(self._pids[0] + self._pids[1])
+        return chain(*self._pids)
 
     def __len__(self) -> int:
         return len(self._pids[0]) + len(self._pids[1])
+
+    def items(self) -> ItemsView:
+        return _StatusItems(self)
+
+    def values(self) -> ValuesView:
+        return _StatusValues(self)
+
+    def _all(self) -> list[PacketStatus]:
+        """Every packet's status in key order."""
+        return [
+            _STATUS[own_byte][other_byte][waits_byte]
+            for _, own, other, waits in self._users
+            for own_byte, other_byte, waits_byte in zip(own, other, waits)
+        ]
+
+
+class _StatusItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._all())
+
+
+class _StatusValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._all())
 
 
 class Transmitter:
@@ -465,6 +506,9 @@ class Transmitter:
     The reference loop runs the rounds in order and the phases of the current
     round, ``_cursor``.  A round waits for its start slot and is abandoned at
     its limit; a chained round opens when the previous round finishes.
+    ``_pids`` holds each user's shared ``PacketId``s, which only the views and
+    the observer boundary read, and ``_awaiting`` one flag byte per packet
+    that an observed run sent in a slot erased on both links.
     """
 
     def __init__(self, plan: SchemePlan, bits1: np.ndarray, bits2: np.ndarray):
@@ -472,8 +516,9 @@ class Transmitter:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self._bits = (bits1.tolist(), bits2.tolist())
         self._pids = [_packet_ids(u, plan.message_size(u)) for u in (1, 2)]
-        self.rx = (Receiver(len(self._pids[0])), Receiver(len(self._pids[1])))
-        self._awaiting: set[PacketId] = set()
+        m1, m2 = len(self._pids[0]), len(self._pids[1])
+        self.rx = (Receiver(m1, m2), Receiver(m2, m1))
+        self._awaiting = (bytearray(m1), bytearray(m2))
         self.statuses = _Statuses(self._pids, self.rx, self._awaiting)
         self.boundaries: dict[str, Optional[int]] = {}
         self._rounds = plan.rounds()
@@ -490,7 +535,7 @@ class Transmitter:
         first1 = sum(r.m1 for r in self._rounds[:i])  # packet indices run on
         first2 = sum(r.m2 for r in self._rounds[:i])
         engine = self._engines[i] = _Engine(
-            self._pids[0][first1 : first1 + spec.m1], self._pids[1][first2 : first2 + spec.m2],
+            range(first1, first1 + spec.m1), range(first2, first2 + spec.m2),
             t, spec.label, self.boundaries,
         )
         return engine
@@ -507,10 +552,11 @@ class Transmitter:
 
     def _waiting(self, user: int) -> list[PacketId]:
         """The user's overheard packets not yet resolved, round by round."""
+        pids = self._pids[user - 1]
         out = []
         for engine in self._engines:
             if engine is not None:
-                out.extend(engine.v[user - 1][engine.vpos[user - 1] :])
+                out.extend(pids[i] for i in engine.v[user - 1][engine.vpos[user - 1] :])
         return out
 
     @property
@@ -523,14 +569,16 @@ class Transmitter:
 
 
 class Receiver:
-    """What a user's receiver knows, as the phase loops record it.  ``known``
-    is its own-packet store: byte i is packet i's bit once heard uncoded or
-    resolved from an XOR, else ``_UNKNOWN``.  ``overheard`` holds the other
-    user's packets that this receiver heard while their own user did not."""
+    """What a user's receiver knows, as the phase loops record it, in two
+    byte stores indexed by packet index.  ``known`` holds its own packets:
+    byte i is packet i's bit once heard uncoded or resolved from an XOR,
+    else ``_UNKNOWN``.  ``overheard`` holds the other user's packets: byte i
+    is that packet's bit once this receiver heard it while its own user did
+    not, else ``_UNKNOWN``."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, m_other: int):
         self.known = bytearray([_UNKNOWN]) * m
-        self.overheard: dict[PacketId, int] = {}
+        self.overheard = bytearray([_UNKNOWN]) * m_other
 
     def decode(self, m: int) -> tuple[bool, Mapping[int, int]]:
         """Whether all ``m`` own packets are known, and a view of the known ones."""
@@ -652,7 +700,7 @@ def _report_erased(
     """Show the observer the raw slots [start, stop), each erased on both
     links: the head ``pid`` turns AWAITING and goes out again in each."""
     if start < stop:
-        tx._awaiting.add(pid)
+        tx._awaiting[pid[0] - 1][pid[1]] = 1
         for t in range(start, stop):
             observer(t, _new(Action, ("raw", (pid,), bit)), tx)
 
@@ -678,25 +726,26 @@ def _raw_phase(
     pos, end = engine.pos[u], len(queue)
     i = bisect_left(heard, t)
     j = bisect_left(heard, stop, i, min(len(heard), i + end - pos))
-    for pid, th in zip(queue[pos:], heard[i:j]):
+    for k, th in zip(queue[pos:], heard[i:j]):
         if observer is not None:
-            _report_erased(pid, bits[pid[1]], t, th, observer, tx)
+            pid = tx._pids[u][k]
+            _report_erased(pid, bits[k], t, th, observer, tx)
         if own[th]:
-            got[pid[1]] = bits[pid[1]]
+            got[k] = bits[k]
         else:
-            overheard[pid] = bits[pid[1]]
-            v.append(pid)
+            overheard[k] = bits[k]
+            v.append(k)
         if observer is not None:
             t = th + 1
             engine.pos[u] += 1
             if engine.pos[u] == end:
                 engine._advance(t)
-            observer(th, _new(Action, ("raw", (pid,), bits[pid[1]])), tx)
+            observer(th, _new(Action, ("raw", (pid,), bits[k])), tx)
     pos += j - i
     if pos < end:  # no slot after the last one sent is heard before stop
         if observer is not None:
-            pid = queue[pos]
-            _report_erased(pid, bits[pid[1]], t, stop, observer, tx)
+            k = queue[pos]
+            _report_erased(tx._pids[u][k], bits[k], t, stop, observer, tx)
         t = stop
     else:
         t = heard[j - 1] + 1
@@ -718,7 +767,9 @@ def _multicast(
     packet, known to both receivers, so the other head stays decodable; if
     the other queue never held a packet, the head goes out bare.  A receiver
     resolves its own side of an XOR on arrival from the side it overheard; a
-    packet's bit never changes, so this gives what resolving at the end would."""
+    packet's bit never changes, so this gives what resolving at the end would.
+    Sides are packet indices, so a missing side is tested with ``is None``:
+    index 0 is falsy."""
     s1, s2, _ = links
     v1, v2 = engine.v
     vpos1, vpos2 = engine.vpos
@@ -736,20 +787,24 @@ def _multicast(
         side2 = v2[vpos2] if vpos2 < end2 else v2[-1] if end2 else None
         if side1 is None or side2 is None:
             # a bare head: the other receiver overheard it in the raw phase
-            pid = side1 or side2
-            u = pid[0] - 1
-            bit = sent[u][pid[1]]
+            u, k = (0, side1) if side2 is None else (1, side2)
+            bit = sent[u][k]
             if links[u][t]:
-                rx[u].known[pid[1]] = bit
+                rx[u].known[k] = bit
         else:
-            bit = bits1[side1[1]] ^ bits2[side2[1]]
-            try:
-                if heard1:
-                    got1[side1[1]] = bit ^ over1[side2]
-                if heard2:
-                    got2[side2[1]] = bit ^ over2[side1]
-            except KeyError:
-                raise ProtocolError("multicast symbol not resolvable") from None
+            bit = bits1[side1] ^ bits2[side2]
+            # a side a receiver did not overhear reads _UNKNOWN, whose XOR
+            # with a bit is no bit
+            if heard1:
+                mine = bit ^ over1[side2]
+                if mine > 1:
+                    raise ProtocolError("multicast symbol not resolvable")
+                got1[side1] = mine
+            if heard2:
+                mine = bit ^ over2[side1]
+                if mine > 1:
+                    raise ProtocolError("multicast symbol not resolvable")
+                got2[side2] = mine
         if heard1 and vpos1 < end1:
             vpos1 += 1
         if heard2 and vpos2 < end2:
@@ -759,8 +814,10 @@ def _multicast(
             engine.vpos[:] = vpos1, vpos2
             if vpos1 == end1 and vpos2 == end2:
                 engine._advance(t)
-            pids = (side1, side2) if side1 and side2 else (side1 or side2,)
-            observer(t - 1, _new(Action, ("xor" if side1 and side2 else "raw", pids, bit)), tx)
+            ids = tx._pids
+            bare = side1 is None or side2 is None
+            pids = (ids[u][k],) if bare else (ids[0][side1], ids[1][side2])
+            observer(t - 1, _new(Action, ("raw" if bare else "xor", pids, bit)), tx)
     if observer is None:  # an observed run wrote back after each slot
         engine.vpos[:] = vpos1, vpos2
         if vpos1 == end1 and vpos2 == end2:

@@ -20,6 +20,7 @@ from bpecsim.protocol import (
     SchemePlan,
     Transmitter,
     _PACKET_IDS,
+    _UNKNOWN,
     _Engine,
     _multicast,
     _nofb_share,
@@ -754,8 +755,9 @@ def test_receiver_observe_and_decode():
     a0, a1, b0 = PacketId(1, 0), PacketId(1, 1), PacketId(2, 0)
     log, tx, stats = watch(plan, [(0, 1), (0, 1), (1, 0), (1, 0)], seed=0)
     assert log[3][0] == ("xor", (a0, b0), 0)
-    assert tx.rx[0].overheard == {b0: 1}
-    assert tx.rx[1].overheard == {a0: 1, a1: 0}
+    # each overheard store holds one byte per packet of the other user
+    assert tx.rx[0].overheard == bytes([1])  # b0
+    assert tx.rx[1].overheard == bytes([1, 0])  # a0, a1
     assert tx.rx[0].decode(2) == (False, {0: 1})  # a1 never reaches user 1
     assert tx.rx[1].decode(1) == (False, {})
     assert not stats.decode_ok_1 and not stats.decode_ok_2
@@ -768,14 +770,15 @@ def test_receiver_observe_and_decode():
 
 
 def test_receiver_rejects_unresolvable_multicast():
-    # the raw phases fill both virtual queues; then both receivers forget
-    # what they overheard, and the XOR reaches user 1, then user 2, who
-    # cannot resolve it
+    # the raw phases fill both virtual queues; then both receivers' overheard
+    # stores are reset to unknown, and the XOR reaches user 1, then user 2,
+    # who cannot resolve it
     def forget(t, tx):
         if t == 1:
             assert tx.phase is Phase.MULTICAST
             for receiver in tx.rx:
-                receiver.overheard.clear()
+                assert _UNKNOWN not in receiver.overheard
+                receiver.overheard[:] = bytes([_UNKNOWN]) * len(receiver.overheard)
 
     for last in ((1, 0), (0, 1)):
         with pytest.raises(ProtocolError, match="multicast symbol not resolvable"):
@@ -923,9 +926,10 @@ def small_trials(draw):
 ))
 def test_statuses_follow_the_receivers_at_every_slot(trial):
     # observed = unobserved = batched; the observer sees every slot once and
-    # in order; after each slot every packet keeps its place in the keys and
-    # no status moves back, a packet sent is never FRESH again, and each
-    # user's OVERHEARD_ONLY packets are its waiting virtual queue
+    # in order; after each slot every packet keeps its place in the keys, the
+    # bulk reads equal the per-key lookups and no status moves back, a packet
+    # sent is never FRESH again, and each user's OVERHEARD_ONLY packets are
+    # its waiting virtual queue
     p, plan, slots = trial
     sizes = (plan.message_size(1), plan.message_size(2))
     ids = [PacketId(u, i) for u, m in ((1, sizes[0]), (2, sizes[1])) for i in range(m)]
@@ -936,6 +940,9 @@ def test_statuses_follow_the_receivers_at_every_slot(trial):
         seen.append(t)
         items = list(tx.statuses.items())
         assert [pid for pid, _ in items] == ids
+        lookups = {pid: tx.statuses[pid] for pid in ids}
+        assert dict(tx.statuses) == dict(items) == lookups
+        assert list(tx.statuses.values()) == list(lookups.values())
         for pid, status in items:
             assert RANK[status] >= rank.get(pid, 0), (t, pid)
             rank[pid] = RANK[status]
