@@ -18,16 +18,18 @@ slot (it supports per-slot observers and deadline-free runs), and a batched
 driver that jumps between resolution slots over a block of trials sharing
 one plan at once.  The reference loops carry per-user packet indices, and
 each reference receiver keeps its own packets and the ones it overheard in
-two byte stores, so decoding and the end-of-trial check each scan one;
-``PacketId``s are built only for observers and the transmitter's views.
+two byte stores, so decoding and the end-of-trial check each scan one.
+``PacketId``s and the packet-status dict are built only for observers,
+which see each packet's status written after every slot that sends it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress, count
 from typing import Callable, NamedTuple, Optional
 
@@ -93,6 +95,9 @@ class ProtocolError(RuntimeError):
 # member lookup such as ``Phase.RAW1`` costs about ten times a global read, and
 # a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
 _RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
+_AWAITING, _OVERHEARD_ONLY, _DELIVERED = (
+    PacketStatus.AWAITING, PacketStatus.OVERHEARD_ONLY, PacketStatus.DELIVERED
+)
 _new = tuple.__new__
 _UNKNOWN = 2  # a receiver's store byte for a packet it does not know yet
 
@@ -428,98 +433,23 @@ def _packet_ids(user: int, m: int) -> list[PacketId]:
     return ids[:m]
 
 
-# A packet's status by its own receiver's store byte, the other receiver's
-# store byte (each 0, 1 or _UNKNOWN = 2) and its awaiting flag: DELIVERED once
-# its own receiver holds it, else OVERHEARD_ONLY once the other one does
-_F, _W, _O, _D = PacketStatus  # in definition order
-_STATUS = (
-    ((_D, _D),) * 3,
-    ((_D, _D),) * 3,
-    ((_O, _O), (_O, _O), (_F, _W)),
-)
-
-
-class _Statuses(Mapping):
-    """Each packet's status, read from what the receivers know: DELIVERED if
-    its own receiver holds it, OVERHEARD_ONLY if only the other one does,
-    AWAITING if an observed run sent it in a slot erased on both links, else
-    FRESH.  Keys are user 1's ids, then user 2's; others are missing.  Items
-    and values come from one pass over each user's stores."""
-
-    def __init__(
-        self, pids: list[list[PacketId]], rx: tuple[Receiver, Receiver],
-        awaiting: tuple[bytearray, bytearray],
-    ):
-        self._pids = pids
-        # per user: its ids, its own receiver's store, the other receiver's
-        # store and its awaiting flags, each indexed by packet index
-        self._users = tuple(
-            (pids[u], rx[u].known, rx[1 - u].overheard, awaiting[u]) for u in (0, 1)
-        )
-
-    def __getitem__(self, pid: PacketId) -> PacketStatus:
-        try:  # the id at its own place in its user's list, or a foreign key
-            user, i = pid
-            pids, own, other, waits = self._users[user - 1]
-            found = pids[i] == pid
-        except (TypeError, ValueError, IndexError):
-            found = False
-        if not found:
-            raise KeyError(pid)
-        return _STATUS[own[i]][other[i]][waits[i]]
-
-    def __iter__(self):
-        return chain(*self._pids)
-
-    def __len__(self) -> int:
-        return len(self._pids[0]) + len(self._pids[1])
-
-    def items(self) -> ItemsView:
-        return _StatusItems(self)
-
-    def values(self) -> ValuesView:
-        return _StatusValues(self)
-
-    def _all(self) -> list[PacketStatus]:
-        """Every packet's status in key order."""
-        return [
-            _STATUS[own_byte][other_byte][waits_byte]
-            for _, own, other, waits in self._users
-            for own_byte, other_byte, waits_byte in zip(own, other, waits)
-        ]
-
-
-class _StatusItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._all())
-
-
-class _StatusValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._all())
-
-
 class Transmitter:
     """Causal transmitter state: the plan's rounds and queues, the receiver
-    pair ``rx`` that feedback reports on, and ``statuses``, a read-only view of it.
+    pair ``rx`` that feedback reports on, and each packet's status.
 
     The reference loop runs the rounds in order and the phases of the current
     round, ``_cursor``.  A round waits for its start slot and is abandoned at
     its limit; a chained round opens when the previous round finishes.
-    ``_pids`` holds each user's shared ``PacketId``s, which only the views and
-    the observer boundary read, and ``_awaiting`` one flag byte per packet
-    that an observed run sent in a slot erased on both links.
+    ``_pids``, each user's shared ``PacketId``s, and ``statuses`` are built on
+    first read, so only observed runs and the virtual-queue views build them.
     """
 
     def __init__(self, plan: SchemePlan, bits1: np.ndarray, bits2: np.ndarray):
         if plan.scheme is Scheme.NO_FEEDBACK:
             raise ProtocolError("the no-feedback baseline has no transmitter state")
         self._bits = (bits1.tolist(), bits2.tolist())
-        self._pids = [_packet_ids(u, plan.message_size(u)) for u in (1, 2)]
-        m1, m2 = len(self._pids[0]), len(self._pids[1])
+        m1, m2 = plan.message_size(1), plan.message_size(2)
         self.rx = (Receiver(m1, m2), Receiver(m2, m1))
-        self._awaiting = (bytearray(m1), bytearray(m2))
-        self.statuses = _Statuses(self._pids, self.rx, self._awaiting)
         self.boundaries: dict[str, Optional[int]] = {}
         self._rounds = plan.rounds()
         self._engines: list[Optional[_Engine]] = [None] * len(self._rounds)
@@ -539,6 +469,17 @@ class Transmitter:
             t, spec.label, self.boundaries,
         )
         return engine
+
+    @cached_property
+    def _pids(self) -> list[list[PacketId]]:
+        return [_packet_ids(u, len(r.known)) for u, r in enumerate(self.rx, 1)]
+
+    @cached_property
+    def statuses(self) -> dict[PacketId, PacketStatus]:
+        """Each packet's status, user 1's ids first: FRESH until sent, then
+        AWAITING, OVERHEARD_ONLY or DELIVERED as an observed run writes it
+        after each slot (``_show``)."""
+        return dict.fromkeys(chain(*self._pids), PacketStatus.FRESH)
 
     @property
     def phase(self) -> Phase:
@@ -694,15 +635,24 @@ def _link_states(s1: np.ndarray, s2: np.ndarray) -> _Links:
     return bytearray(s1.tobytes()), bytearray(s2.tobytes()), heard
 
 
-def _report_erased(
-    pid: PacketId, bit: int, start: int, stop: int, observer: Callable, tx: Transmitter
+def _show(
+    t: int, sent: tuple[tuple[int, int], ...], bit: int, observer: Callable, tx: Transmitter
 ) -> None:
-    """Show the observer the raw slots [start, stop), each erased on both
-    links: the head ``pid`` turns AWAITING and goes out again in each."""
-    if start < stop:
-        tx._awaiting[pid[0] - 1][pid[1]] = 1
-        for t in range(start, stop):
-            observer(t, _new(Action, ("raw", (pid,), bit)), tx)
+    """Write the status of each ``(user index, packet index)`` that slot ``t``
+    sent from the receivers' stores, then show the observer the symbol: only
+    the packets a slot sends can change status."""
+    ids, rx, statuses = tx._pids, tx.rx, tx.statuses
+    pids = []
+    for u, k in sent:
+        pid = ids[u][k]
+        pids.append(pid)
+        if rx[u].known[k] != _UNKNOWN:
+            statuses[pid] = _DELIVERED
+        elif rx[1 - u].overheard[k] != _UNKNOWN:
+            statuses[pid] = _OVERHEARD_ONLY
+        else:  # erased on both links
+            statuses[pid] = _AWAITING
+    observer(t, _new(Action, ("raw" if len(sent) == 1 else "xor", tuple(pids), bit)), tx)
 
 
 def _raw_phase(
@@ -716,8 +666,8 @@ def _raw_phase(
     multicast.  So the loop walks the heard slots in [t, stop), one per
     packet, paired with the queue from its head.  A slot erased on both
     links changes no receiver, so an unobserved run never visits it, and an
-    observed run reports each such slot before the next heard slot, or
-    before returning at ``stop``."""
+    observed run shows each such slot, whose head turns AWAITING, before
+    the next heard slot, or before returning at ``stop``."""
     u = 0 if engine.stage is _RAW1 else 1
     queue, v = engine.q[u], engine.v[u]
     own, heard = links[u], links[2]
@@ -728,8 +678,8 @@ def _raw_phase(
     j = bisect_left(heard, stop, i, min(len(heard), i + end - pos))
     for k, th in zip(queue[pos:], heard[i:j]):
         if observer is not None:
-            pid = tx._pids[u][k]
-            _report_erased(pid, bits[k], t, th, observer, tx)
+            for erased in range(t, th):
+                _show(erased, ((u, k),), bits[k], observer, tx)
         if own[th]:
             got[k] = bits[k]
         else:
@@ -740,12 +690,13 @@ def _raw_phase(
             engine.pos[u] += 1
             if engine.pos[u] == end:
                 engine._advance(t)
-            observer(th, _new(Action, ("raw", (pid,), bits[k])), tx)
+            _show(th, ((u, k),), bits[k], observer, tx)
     pos += j - i
     if pos < end:  # no slot after the last one sent is heard before stop
         if observer is not None:
             k = queue[pos]
-            _report_erased(tx._pids[u][k], bits[k], t, stop, observer, tx)
+            for erased in range(t, stop):
+                _show(erased, ((u, k),), bits[k], observer, tx)
         t = stop
     else:
         t = heard[j - 1] + 1
@@ -814,10 +765,8 @@ def _multicast(
             engine.vpos[:] = vpos1, vpos2
             if vpos1 == end1 and vpos2 == end2:
                 engine._advance(t)
-            ids = tx._pids
             bare = side1 is None or side2 is None
-            pids = (ids[u][k],) if bare else (ids[0][side1], ids[1][side2])
-            observer(t - 1, _new(Action, ("raw" if bare else "xor", pids, bit)), tx)
+            _show(t - 1, ((u, k),) if bare else ((0, side1), (1, side2)), bit, observer, tx)
     if observer is None:  # an observed run wrote back after each slot
         engine.vpos[:] = vpos1, vpos2
         if vpos1 == end1 and vpos2 == end2:

@@ -27,9 +27,9 @@ from bpecsim.protocol import (
     _nofb_slots,
     _packet_ids,
     _raw_phase,
-    _report_erased,
     _run_block,
     _run_reference,
+    _show,
     plan_scheme,
     run_trial,
 )
@@ -514,7 +514,7 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
         pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw queues
         pytest.param(_multicast, id="Receiver._record_xor"),  # XOR resolution
         pytest.param(_multicast, id="_Engine._heads"),  # pad and bare heads
-        pytest.param(_report_erased, id="_report_erased"),  # observed erased raw slots
+        pytest.param(_show, id="_report_erased"),  # observed erased raw slots
     ],
 )
 def test_per_slot_methods_read_no_enum_class(fn):
@@ -630,6 +630,31 @@ def test_second_reference_trial_builds_no_packet_ids():
     # the second trial's transmitter holds the first trial's ids
     assert during == [after_first]
     assert live_ids() == after_first
+
+
+def test_unobserved_reference_trial_builds_no_packet_ids_or_statuses(monkeypatch):
+    # only observers read ids and statuses, so an unobserved trial builds
+    # neither, and an observed one builds both once
+    plan = plan_scheme(CAPACITY, 1000, Scheme.INTER_MODAL, 1.0)
+    calls, transmitters = [], []
+    packet_ids, init = protocol._packet_ids, Transmitter.__init__
+
+    def counting(user, m):
+        calls.append((user, m))
+        return packet_ids(user, m)
+
+    def recording(tx, *args):
+        transmitters.append(tx)
+        init(tx, *args)
+
+    monkeypatch.setattr(protocol, "_packet_ids", counting)
+    monkeypatch.setattr(Transmitter, "__init__", recording)
+    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
+    assert calls == [] and len(transmitters) == 1
+    assert not {"_pids", "statuses"} & set(vars(transmitters[0]))
+    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, action, tx: None)
+    assert calls == [(1, plan.message_size(1)), (2, plan.message_size(2))]
+    assert {"_pids", "statuses"} <= set(vars(transmitters[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -841,31 +866,6 @@ def test_causality_replay():
     s2p[cut:] = s2p[cut:][perm]
     permuted = record((s1p, s2p))
     assert base[:cut] == permuted[:cut]
-
-
-def test_packet_conservation_and_queue_semantics():
-    p = ModeParams(0.7, 0.1, 0.6)
-    n = 300
-    plan = plan_scheme(p, n, Scheme.INTER_MODAL, 1.0)
-
-    def check(t, action, tx):
-        statuses = dict(tx.statuses)  # one read of each packet's status per slot
-        overheard_1 = {q for q, st in statuses.items() if q.user == 1 and st is PacketStatus.OVERHEARD_ONLY}
-        overheard_2 = {q for q, st in statuses.items() if q.user == 2 and st is PacketStatus.OVERHEARD_ONLY}
-        assert set(tx.v_1_given_2) == overheard_1
-        assert set(tx.v_2_given_1) == overheard_2
-        if tx.phase in (Phase.RAW1, Phase.RAW2):
-            for user, m in ((1, plan.m1), (2, plan.m2)):
-                core = [statuses[PacketId(user, i)] for i in range(m)]
-                delivered = sum(st is PacketStatus.DELIVERED for st in core)
-                queued = sum(st is PacketStatus.OVERHEARD_ONLY for st in core)
-                remaining = sum(
-                    st in (PacketStatus.FRESH, PacketStatus.AWAITING) for st in core
-                )
-                assert delivered + queued + remaining == m
-
-    for seed in range(50):
-        run_trial(p, n, 20, 0.4, plan, seed=seed, observer=check)
 
 
 def test_status_progression_is_monotone():
