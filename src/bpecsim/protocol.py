@@ -19,18 +19,18 @@ driver that jumps between resolution slots over a block of trials sharing
 one plan at once.  The reference loops carry per-user packet indices, and
 each reference receiver keeps its own packets and the ones it overheard in
 two byte stores, so decoding and the end-of-trial check each scan one.
-``PacketId``s and the packet-status dict are built only for observers,
-which see each packet's status written after every slot that sends it.
+Only observed runs build ``PacketId``s, ``Action``s and the packet-status
+dict; an observer sees each packet's status written after every slot that
+sends it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -91,14 +91,6 @@ class ProtocolError(RuntimeError):
     pass
 
 
-# The reference engine reads these per slot.  On CPython 3.10 and 3.11 an Enum
-# member lookup such as ``Phase.RAW1`` costs about ten times a global read, and
-# a NamedTuple's generated ``__new__`` adds a Python frame to ``tuple.__new__``.
-_RAW1, _RAW2, _MULTICAST, _DONE = Phase.RAW1, Phase.RAW2, Phase.MULTICAST, Phase.DONE
-_AWAITING, _OVERHEARD_ONLY, _DELIVERED = (
-    PacketStatus.AWAITING, PacketStatus.OVERHEARD_ONLY, PacketStatus.DELIVERED
-)
-_new = tuple.__new__
 _UNKNOWN = 2  # a receiver's store byte for a packet it does not know yet
 
 
@@ -394,43 +386,25 @@ class _Engine:
         self.vpos = [0, 0]
         self.label = label
         self.boundaries = boundaries
-        self.stage = _RAW1
+        self.stage = Phase.RAW1
         if not pkts1:
             self._advance(start_t)
 
     def _advance(self, t_next: int) -> None:
         """End the current stage, then each next stage with nothing to send;
         they all end at t_next, the slot count elapsed so far."""
-        if self.stage is _RAW1:
+        if self.stage is Phase.RAW1:
             self.boundaries[self.label + "raw1"] = t_next
-            self.stage = _RAW2
+            self.stage = Phase.RAW2
             if self.q[1]:
                 return
-        if self.stage is _RAW2:
+        if self.stage is Phase.RAW2:
             self.boundaries[self.label + "raw2"] = t_next
-            self.stage = _MULTICAST
+            self.stage = Phase.MULTICAST
             if self.v[0] or self.v[1]:
                 return
         self.boundaries[self.label + "multicast"] = t_next
-        self.stage = _DONE
-
-
-# Per user, PacketId(user, 0), PacketId(user, 1), ... for the longest message
-# seen so far.  A NamedTuple stays tracked by the garbage collector, which
-# untracks only exact tuples, so building a trial's ids afresh would cost
-# about 0.9 ms at n = 1e4 and set off collections during the trial.
-_PACKET_IDS: dict[int, list[PacketId]] = {}
-
-
-def _packet_ids(user: int, m: int) -> list[PacketId]:
-    """``[PacketId(user, 0), ..., PacketId(user, m - 1)]``, the same objects in
-    every call.  The shared list is never mutated: a call that needs more ids
-    rebinds it to a longer copy, so a caller's list never changes and
-    concurrent calls still return correct ids."""
-    ids = _PACKET_IDS.get(user, [])
-    if len(ids) < m:
-        ids = _PACKET_IDS[user] = ids + [_new(PacketId, (user, i)) for i in range(len(ids), m)]
-    return ids[:m]
+        self.stage = Phase.DONE
 
 
 class Transmitter:
@@ -440,8 +414,8 @@ class Transmitter:
     The reference loop runs the rounds in order and the phases of the current
     round, ``_cursor``.  A round waits for its start slot and is abandoned at
     its limit; a chained round opens when the previous round finishes.
-    ``_pids``, each user's shared ``PacketId``s, and ``statuses`` are built on
-    first read, so only observed runs and the virtual-queue views build them.
+    ``_pids``, each user's ``PacketId``s, and ``statuses`` are built on first
+    read, so only observed runs and the virtual-queue views build them.
     """
 
     def __init__(self, plan: SchemePlan, bits1: np.ndarray, bits2: np.ndarray):
@@ -472,7 +446,7 @@ class Transmitter:
 
     @cached_property
     def _pids(self) -> list[list[PacketId]]:
-        return [_packet_ids(u, len(r.known)) for u, r in enumerate(self.rx, 1)]
+        return [[PacketId(u, i) for i in range(len(r.known))] for u, r in enumerate(self.rx, 1)]
 
     @cached_property
     def statuses(self) -> dict[PacketId, PacketStatus]:
@@ -487,7 +461,7 @@ class Transmitter:
         chained round reports FRESH_TAIL until it is done."""
         for i in range(self._cursor, len(self._rounds)):
             engine = self._engines[i]
-            if engine is None or engine.stage is not _DONE:
+            if engine is None or engine.stage is not Phase.DONE:
                 return Phase.FRESH_TAIL if self._rounds[i].chained else engine.stage
         return Phase.DONE
 
@@ -521,27 +495,12 @@ class Receiver:
         self.known = bytearray([_UNKNOWN]) * m
         self.overheard = bytearray([_UNKNOWN]) * m_other
 
-    def decode(self, m: int) -> tuple[bool, Mapping[int, int]]:
-        """Whether all ``m`` own packets are known, and a view of the known ones."""
-        return _UNKNOWN not in self.known[:m], _Known(self.known)
-
-
-class _Known(Mapping):
-    """The own packets a receiver knows, index to bit: a read-only view of its store."""
-
-    def __init__(self, store: bytearray):
-        self._store = store
-
-    def __getitem__(self, i: int) -> int:
-        if i in range(len(self._store)) and self._store[i] != _UNKNOWN:
-            return self._store[i]
-        raise KeyError(i)
-
-    def __iter__(self):
-        return compress(count(), map(_UNKNOWN.__ne__, self._store))
-
-    def __len__(self) -> int:
-        return len(self._store) - self._store.count(_UNKNOWN)
+    def decode(self, m: int) -> tuple[bool, dict[int, int]]:
+        """Whether own packets 0 to m - 1 are all known, and the known ones."""
+        if not 0 <= m <= len(self.known):
+            raise ValueError(f"a receiver of {len(self.known)} packets cannot decode {m}")
+        known = {i: bit for i, bit in enumerate(self.known) if bit != _UNKNOWN}
+        return _UNKNOWN not in self.known[:m], known
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +606,12 @@ def _show(
         pid = ids[u][k]
         pids.append(pid)
         if rx[u].known[k] != _UNKNOWN:
-            statuses[pid] = _DELIVERED
+            statuses[pid] = PacketStatus.DELIVERED
         elif rx[1 - u].overheard[k] != _UNKNOWN:
-            statuses[pid] = _OVERHEARD_ONLY
+            statuses[pid] = PacketStatus.OVERHEARD_ONLY
         else:  # erased on both links
-            statuses[pid] = _AWAITING
-    observer(t, _new(Action, ("raw" if len(sent) == 1 else "xor", tuple(pids), bit)), tx)
+            statuses[pid] = PacketStatus.AWAITING
+    observer(t, Action("raw" if len(sent) == 1 else "xor", tuple(pids), bit), tx)
 
 
 def _raw_phase(
@@ -668,7 +627,7 @@ def _raw_phase(
     links changes no receiver, so an unobserved run never visits it, and an
     observed run shows each such slot, whose head turns AWAITING, before
     the next heard slot, or before returning at ``stop``."""
-    u = 0 if engine.stage is _RAW1 else 1
+    u = 0 if engine.stage is Phase.RAW1 else 1
     queue, v = engine.q[u], engine.v[u]
     own, heard = links[u], links[2]
     bits = tx._bits[u]
@@ -802,7 +761,7 @@ def _run_reference(
                 for idle in range(t, start):
                     observer(idle, None, tx)
             t = start
-        while engine.stage is not _DONE and t < limit:
+        while engine.stage is not Phase.DONE and t < limit:
             if t >= horizon:  # only a deadline-free run reads past n
                 if sampler is None:
                     raise ProtocolError("deadline-free runs need a channel sampler")
@@ -816,7 +775,7 @@ def _run_reference(
                 links[2].extend([horizon + th for th in ext_heard])
                 horizon += 4096
             stage, t0 = engine.stage, t
-            phase = _multicast if stage is _MULTICAST else _raw_phase
+            phase = _multicast if stage is Phase.MULTICAST else _raw_phase
             t = phase(engine, t, min(limit, horizon), links, observer, tx)
             if t <= t0 and engine.stage is stage:  # the next call would start over
                 raise ProtocolError(f"the {stage.value} phase made no progress from slot {t0}")
@@ -827,7 +786,7 @@ def _run_reference(
     known = np.frombuffer(tx.rx[0].known + tx.rx[1].known, dtype=np.uint8)
     if ((known != np.concatenate((bits1, bits2))) & (known != _UNKNOWN)).any():
         raise ProtocolError("decoded bits differ from the message")
-    ok = (tx.rx[0].decode(len(bits1))[0], tx.rx[1].decode(len(bits2))[0])
+    ok = (_UNKNOWN not in tx.rx[0].known, _UNKNOWN not in tx.rx[1].known)
 
     first = tx._engines[0]
     return _trial_stats(

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import math
 
 import numpy as np
@@ -16,20 +15,15 @@ from bpecsim.protocol import (
     PacketStatus,
     Phase,
     ProtocolError,
+    Receiver,
     Scheme,
     SchemePlan,
     Transmitter,
-    _PACKET_IDS,
     _UNKNOWN,
     _Engine,
-    _multicast,
     _nofb_share,
     _nofb_slots,
-    _packet_ids,
-    _raw_phase,
     _run_block,
-    _run_reference,
-    _show,
     plan_scheme,
     run_trial,
 )
@@ -503,26 +497,6 @@ def test_slot_erased_on_both_links_changes_nothing_without_deadlines():
     assert len(log) == stats.phase_boundaries["b_multicast"]
 
 
-# A per-slot rule keeps the id of the method that first applied it, so its case
-# keeps its name when the rule moves into another function
-@pytest.mark.parametrize(
-    "fn",
-    [
-        pytest.param(_run_reference, id="_run_reference"),
-        pytest.param(_Engine._advance, id="_Engine._advance"),
-        pytest.param(_raw_phase, id="Receiver._record_raw"),  # raw stores
-        pytest.param(_raw_phase, id="_Engine.apply_feedback"),  # raw queues
-        pytest.param(_multicast, id="Receiver._record_xor"),  # XOR resolution
-        pytest.param(_multicast, id="_Engine._heads"),  # pad and bare heads
-        pytest.param(_show, id="_report_erased"),  # observed erased raw slots
-    ],
-)
-def test_per_slot_methods_read_no_enum_class(fn):
-    # CPython 3.10 and 3.11 take about ten times a global read for an Enum
-    # member lookup, so the per-slot path reads the members from module constants
-    assert not {"Phase", "PacketStatus"} & set(fn.__code__.co_names)
-
-
 def test_reference_builds_namedtuple_instances():
     plan = plan_scheme(CAPACITY, 400, Scheme.INTER_MODAL, 1.0)
     sent = []
@@ -542,21 +516,24 @@ def test_reference_builds_namedtuple_instances():
 
 
 def record_new(monkeypatch):
-    """Record the class of each object the package builds with ``protocol._new``."""
+    """Record the class of each ``Action`` and ``PacketId`` the package builds."""
     built = []
-    new = protocol._new
 
-    def recording(cls, args):
-        built.append(cls)
-        return new(cls, args)
+    def recording(cls):
+        def build(*args):
+            built.append(cls)
+            return cls(*args)
 
-    monkeypatch.setattr(protocol, "_new", recording)
+        return build
+
+    for cls in (Action, PacketId):
+        monkeypatch.setattr(protocol, cls.__name__, recording(cls))
     return built
 
 
 def observed_and_unobserved(monkeypatch, plan):
     """The capacity point at n = 1e4, seed 1: the observed run's actions, then
-    the ``_new`` calls of the unobserved run, whose stats must equal the
+    the ids and actions the unobserved run builds, whose stats must equal the
     observed and the batched runs' stats."""
     built = record_new(monkeypatch)
     actions = []
@@ -564,7 +541,7 @@ def observed_and_unobserved(monkeypatch, plan):
         CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, a, tx: actions.append(a)
     )
     assert Action in built
-    built.clear()  # the observed run interned the plan's packet ids
+    built.clear()  # count the unobserved run's builds only
     unobserved = run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
     assert unobserved == observed == run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="batched")
     return actions, built
@@ -589,71 +566,23 @@ def test_unobserved_reference_builds_no_raw_phase_action(monkeypatch, scheme):
     assert {action.kind for action in actions if action is not None} == {"raw", "xor"}
 
 
-def test_packet_ids_answer_long_short_long_requests():
-    def expected(user, m):
-        return [PacketId(user, i) for i in range(m)]
-
-    # past the longest lists interned so far, so each user's list grows here
-    base = {u: len(_PACKET_IDS.get(u, [])) for u in (1, 2)}
-    sizes = {1: (base[1] + 70, 3, base[1] + 160), 2: (base[2] + 20, 0, base[2] + 45)}
-    earlier = {}
-    for step in range(3):
-        for user, steps in sizes.items():
-            m = steps[step]
-            ids = _packet_ids(user, m)
-            assert ids == expected(user, m)
-            assert all(type(pid) is PacketId for pid in ids)
-            if step == 0:
-                earlier[user] = ids
-    for user, ids in earlier.items():
-        # a later, longer request leaves a list returned before unchanged
-        assert ids == expected(user, sizes[user][0])
-        assert all(x is y for x, y in zip(ids, _packet_ids(user, sizes[user][2])))
-
-
-def test_second_reference_trial_builds_no_packet_ids():
-    plan = plan_scheme(CAPACITY, 1000, Scheme.INTER_MODAL, 1.0)
-
-    def live_ids():
-        gc.collect()
-        return sum(type(o) is PacketId for o in gc.get_objects())
-
-    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    after_first = live_ids()
-    during = []
-
-    def count_once(t, action, tx):
-        if not during:
-            during.append(live_ids())
-
-    run_trial(CAPACITY, plan.n, 0, 0.0, plan, 2, observer=count_once)
-    # the second trial's transmitter holds the first trial's ids
-    assert during == [after_first]
-    assert live_ids() == after_first
-
-
 def test_unobserved_reference_trial_builds_no_packet_ids_or_statuses(monkeypatch):
     # only observers read ids and statuses, so an unobserved trial builds
-    # neither, and an observed one builds both once
+    # neither, and an observed one builds both, each id once
     plan = plan_scheme(CAPACITY, 1000, Scheme.INTER_MODAL, 1.0)
-    calls, transmitters = [], []
-    packet_ids, init = protocol._packet_ids, Transmitter.__init__
-
-    def counting(user, m):
-        calls.append((user, m))
-        return packet_ids(user, m)
+    built, transmitters = record_new(monkeypatch), []
+    init = Transmitter.__init__
 
     def recording(tx, *args):
         transmitters.append(tx)
         init(tx, *args)
 
-    monkeypatch.setattr(protocol, "_packet_ids", counting)
     monkeypatch.setattr(Transmitter, "__init__", recording)
     run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, driver="reference")
-    assert calls == [] and len(transmitters) == 1
+    assert built == [] and len(transmitters) == 1
     assert not {"_pids", "statuses"} & set(vars(transmitters[0]))
     run_trial(CAPACITY, plan.n, 0, 0.0, plan, 1, observer=lambda t, action, tx: None)
-    assert calls == [(1, plan.message_size(1)), (2, plan.message_size(2))]
+    assert built.count(PacketId) == plan.message_size(1) + plan.message_size(2)
     assert {"_pids", "statuses"} <= set(vars(transmitters[1]))
 
 
@@ -698,14 +627,13 @@ def watch(plan, slots, seed=1, p=MICRO, corrupt=None):
 
 def test_transmitters_share_packet_ids_but_not_statuses():
     # a trial on a clean channel delivers every packet; a later trial of the
-    # same plan on a channel erased on both links reuses its packet ids but
+    # same plan on a channel erased on both links has equal packet ids but
     # leaves its statuses as they were
     plan = micro_plan(6, m1=2, m2=1, tail=1)
     _, a, _ = watch(plan, [(1, 1)] * 6)
     erased, b, _ = watch(plan, [(0, 0)] * 6)
     ids = [PacketId(1, 0), PacketId(1, 1), PacketId(1, 2), PacketId(2, 0), PacketId(2, 1)]
     assert list(a.statuses) == list(b.statuses) == ids
-    assert all(x is y for x, y in zip(a.statuses, b.statuses))
     assert a.statuses is not b.statuses
     assert list(a.statuses.values()) == [D] * 5
     assert a.phase is Phase.DONE
@@ -791,7 +719,13 @@ def test_receiver_observe_and_decode():
     x = message(plan, 1)[0].tolist()
     _, tx, stats = watch(plan, [(1, 0)] * 3)
     assert tx.rx[0].decode(3) == (True, dict(enumerate(x)))
+    assert tx.rx[0].decode(0) == (True, dict(enumerate(x)))
     assert stats.decode_ok_1 and stats.bits_delivered_1 == 3
+    # m runs from 0 to the number of packets the receiver holds
+    assert Receiver(0, 0).decode(0) == (True, {})
+    for receiver, m in ((tx.rx[0], 4), (tx.rx[0], -1), (tx.rx[1], 1), (Receiver(0, 0), 3)):
+        with pytest.raises(ValueError, match="cannot decode"):
+            receiver.decode(m)
 
 
 def test_receiver_rejects_unresolvable_multicast():
@@ -926,23 +860,20 @@ def small_trials(draw):
 ))
 def test_statuses_follow_the_receivers_at_every_slot(trial):
     # observed = unobserved = batched; the observer sees every slot once and
-    # in order; after each slot every packet keeps its place in the keys, the
-    # bulk reads equal the per-key lookups and no status moves back, a packet
-    # sent is never FRESH again, and each user's OVERHEARD_ONLY packets are
-    # its waiting virtual queue
+    # in order; after each slot every packet keeps its place in the keys and
+    # no status moves back, a packet sent is never FRESH again, and each
+    # user's OVERHEARD_ONLY packets are its waiting virtual queue
     p, plan, slots = trial
     sizes = (plan.message_size(1), plan.message_size(2))
     ids = [PacketId(u, i) for u, m in ((1, sizes[0]), (2, sizes[1])) for i in range(m)]
     rank: dict[PacketId, int] = {}
-    seen = []
+    seen, last = [], []
 
     def check(t, action, tx):
         seen.append(t)
+        last[:] = [tx]
         items = list(tx.statuses.items())
         assert [pid for pid, _ in items] == ids
-        lookups = {pid: tx.statuses[pid] for pid in ids}
-        assert dict(tx.statuses) == dict(items) == lookups
-        assert list(tx.statuses.values()) == list(lookups.values())
         for pid, status in items:
             assert RANK[status] >= rank.get(pid, 0), (t, pid)
             rank[pid] = RANK[status]
@@ -961,8 +892,11 @@ def test_statuses_follow_the_receivers_at_every_slot(trial):
     end = stats.phase_boundaries[plan.rounds()[-1].label + "multicast"]
     assert seen == list(range(plan.n if end is None else end))
     for user, ok in ((1, stats.decode_ok_1), (2, stats.decode_ok_2)):
-        # a user decodes exactly when all its packets are DELIVERED
+        # a user decodes exactly when all its packets are DELIVERED, and
+        # exactly when its receiver decodes the whole message
         assert ok == all(rank.get(pid) == RANK[D] for pid in ids if pid.user == user)
+        if last:
+            assert last[0].rx[user - 1].decode(sizes[user - 1])[0] == ok
 
 
 def test_completion_correctness_with_deadline_removed():
