@@ -5,7 +5,9 @@ reproducible and independent of any execution order; aggregation is a
 deterministic reduction over trial indices.  That lets ``simulate`` run
 contiguous chunks of trial indices in forked child processes, up to one per
 core the process may use, and still report the same bytes as a one-core run.
-Within a chunk, trials run in blocks through ``protocol.run_block``.
+Within a chunk, trials run in blocks through ``protocol.run_block``; a chunk
+returns, and a forked worker pickles, one (2, trials) bool array of decode
+flags, which ``simulate`` turns into sum rates.
 
 Trial k's channel is keyed by ``channel_key(trial_seed(master_seed,
 k).spawn(1)[0])``: the Philox key of the first child of
@@ -192,7 +194,7 @@ def simulate(
     """Run independent trials and aggregate.
 
     A user whose block decode fails contributes zero bits for that trial, so
-    the per-trial sum rate is (bits_delivered_1 + bits_delivered_2) / n.
+    the per-trial sum rate is (m1 * decode_ok_1 + m2 * decode_ok_2) / n.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -204,30 +206,28 @@ def simulate(
     # memory does not grow with the chunk
     slab = _BLOCK_SLOTS - _BLOCK_SLOTS % per_block
 
-    def _trial_chunk(lo: int, hi: int) -> list[tuple[float, bool, bool]]:
-        """(sum_rate, decode_ok_1, decode_ok_2) of trials lo, ..., hi - 1."""
-        outcomes = []
+    def _trial_chunk(lo: int, hi: int) -> np.ndarray:
+        """(2, hi - lo) bool: user u + 1 decoded in trial lo + r."""
         if per_block == 1:
             # run_trial runs the block driver on one row, and a tracer that
-            # wraps it sees each long trial as its own call
-            for k in range(lo, hi):
-                stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
-                outcomes.append((stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2))
-            return outcomes
+            # wraps it sees each long trial as its own call; the generator
+            # drops each TrialStats once its flags are read
+            stats = (run_trial(p, n, n_t, delta_t, plan, trial_seed(master_seed, k))
+                     for k in range(lo, hi))
+            return np.array([(s.decode_ok_1, s.decode_ok_2) for s in stats]).T
+        blocks = []
         for start in range(lo, hi, slab):
             keys = _block_keys(master_seed, start, min(start + slab, hi))
             for first in range(0, len(keys), per_block):
                 block = keys[first : first + per_block]
-                outcomes += run_block(p, n, n_t, delta_t, plan, block).rows()
-        return outcomes
+                blocks.append(run_block(p, n, n_t, delta_t, plan, block).decode_ok)
+        return np.concatenate(blocks, axis=1)
 
     k = min(trials, _worker_count(trials, n))
     bounds = [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
-    chunks = _run_chunks(_trial_chunk, bounds)
-    outcomes = [outcome for chunk in chunks for outcome in chunk]
-    sum_rates = [sum_rate for sum_rate, _, _ in outcomes]
-    fail1 = sum(not ok1 for _, ok1, _ in outcomes)
-    fail2 = sum(not ok2 for _, _, ok2 in outcomes)
+    ok = np.concatenate(_run_chunks(_trial_chunk, bounds), axis=1)
+    bits = plan.message_size(1) * ok[0] + plan.message_size(2) * ok[1]
+    sum_rates = (bits / n).tolist()
     mean = _sum_in_order(sum_rates) / trials
     if trials > 1:
         var = _sum_in_order((x - mean) ** 2 for x in sum_rates) / (trials - 1)
@@ -238,8 +238,8 @@ def simulate(
         trials=trials,
         mean_sum_rate=mean,
         sum_rate_ci95=(mean - half, mean + half),
-        failure_rate_1=fail1 / trials,
-        failure_rate_2=fail2 / trials,
+        failure_rate_1=(trials - int(ok[0].sum())) / trials,
+        failure_rate_2=(trials - int(ok[1].sum())) / trials,
     )
 
 

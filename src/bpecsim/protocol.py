@@ -15,10 +15,12 @@ Two drivers iterate the same rounds and produce identical ``TrialStats``: a
 per-slot reference driver that runs each phase as one loop, the raw phases
 over a per-trial index of the slots some link hears and multicast slot by
 slot (it supports per-slot observers and deadline-free runs), and a batched
-driver that jumps between resolution slots over a block of trials sharing
-one plan at once.  The reference loops carry per-user packet indices, and
-each reference receiver keeps its own packets and the ones it overheard in
-two byte stores, so decoding and the end-of-trial check each scan one.
+driver that runs a block of trials sharing one plan as arrays: each phase
+end of every row is one hit query on a sorted slot index (``_hits``), and
+the block returns per-row decode flags, phase ends and backlogs.  The
+reference loops carry per-user packet indices, and each reference receiver
+keeps its own packets and the ones it overheard in two byte stores, so
+decoding and the end-of-trial check each scan one.
 Only observed runs build ``PacketId``s, ``Action``s and the packet-status
 dict; an observer sees each packet's status written after every slot that
 sends it.
@@ -553,14 +555,14 @@ def _trial_stats(
     schedule: ModeSchedule,
     s1: np.ndarray,
     s2: np.ndarray,
-    m: tuple[int, int],
     ok: tuple[bool, bool],
     boundaries: dict[str, Optional[int]],
     backlog: tuple[int, int],
 ) -> TrialStats:
-    """A trial's outcome; a user's ``m[u]``-packet message counts whole or not
-    at all.  ``raw_slots`` is where the first round's raw phases end, and
+    """A trial's outcome; a user's message, of the plan's size, counts whole or
+    not at all.  ``raw_slots`` is where the first round's raw phases end, and
     ``backlog`` holds that round's virtual queues, which count once they end."""
+    m = (plan.message_size(1), plan.message_size(2))
     rounds = plan.rounds()
     raw_slots = boundaries[rounds[0].label + "raw2"] if rounds else None
     finished = raw_slots is not None
@@ -790,8 +792,7 @@ def _run_reference(
 
     first = tx._engines[0]
     return _trial_stats(
-        plan, schedule, s1, s2, (len(bits1), len(bits2)), ok, dict(tx.boundaries),
-        tuple(map(len, first.v)),
+        plan, schedule, s1, s2, ok, dict(tx.boundaries), tuple(map(len, first.v))
     )
 
 
@@ -803,22 +804,20 @@ def _run_reference(
 class BlockOutcome(NamedTuple):
     """Per-row outcome of a block of trials that share one plan."""
 
-    n: int
-    m: tuple[int, int]  # message sizes
     decode_ok: np.ndarray  # (2, T) bool: user u + 1 decoded in row r
     boundaries: dict[str, np.ndarray]  # (T,) phase ends; -1 where a phase never ended
     backlog: np.ndarray  # (2, T) first round's virtual queues; valid where its raw phases ended
 
-    def rows(self) -> list[tuple[float, bool, bool]]:
-        """(sum_rate, decode_ok_1, decode_ok_2) per row, as ``TrialStats`` counts them."""
-        (m1, m2), n = self.m, self.n
-        ok1, ok2 = self.decode_ok.tolist()
-        return [(((m1 if a else 0) + (m2 if b else 0)) / n, a, b) for a, b in zip(ok1, ok2)]
 
-
-def _at(idx: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """idx[pos] with positions clipped into range; callers mask the clipped rows."""
-    return idx.take(pos, mode="clip") if idx.size else pos
+def _hits(idx: np.ndarray, t: np.ndarray, k, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(taken, end) per row: the first ``taken = min(k, hits in [t, stop))``
+    slots of the sorted slot index ``idx`` from slot t on, and the slot after
+    the last of them, or t where none is taken."""
+    i0 = np.searchsorted(idx, t)
+    taken = np.minimum(np.searchsorted(idx, stop) - i0, k)
+    # clipped positions fall in rows that take nothing, which keep t
+    last = idx.take(i0 + taken - 1, mode="clip") + 1 if idx.size else t
+    return taken, np.where(taken > 0, last, t)
 
 
 def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome:
@@ -826,11 +825,10 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
     jumping between resolution slots; each row matches the per-slot reference.
 
     Row r's slot t is r * n + t of the flattened block, so one index of the
-    useful slots and one per link serve all rows, and each phase end, count
-    or backlog is one searchsorted over the rows.
+    useful slots and one per link serve all rows, and each phase end is one
+    ``_hits`` query over the rows, of the useful slots or of one link's.
     """
     rows, n = b1.shape
-    sizes = (plan.message_size(1), plan.message_size(2))
     decode_ok = np.ones((2, rows), dtype=bool)
     backlog = np.zeros((2, rows), dtype=np.intp)
     if plan.scheme is Scheme.NO_FEEDBACK:
@@ -840,7 +838,7 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
                 # strided sums run faster on uint8 than on bool
                 got = b.view(np.uint8)[:, _nofb_slots(u + 1, start, stop)].sum(axis=1)
                 decode_ok[u] &= got >= fec[u]
-        return BlockOutcome(n, sizes, decode_ok, {}, backlog)
+        return BlockOutcome(decode_ok, {}, backlog)
 
     # flatnonzero is several times faster on bool than on uint8 arrays
     flat1, flat2 = b1.reshape(-1), b2.reshape(-1)
@@ -855,14 +853,11 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
         else:
             t, live = base + spec.start, np.ones(rows, dtype=bool)
         limit = base + spec.limit
-        useful_end = np.searchsorted(useful, limit)
         # raw phases: user 1's packets, then user 2's, each until somebody hears it
         resolved = []
         queues = []
         for u, m in enumerate((spec.m1, spec.m2)):
-            i0 = np.searchsorted(useful, t)
-            sent = np.minimum(useful_end - i0, m)
-            end = np.where(sent > 0, _at(useful, i0 + sent - 1) + 1, t)
+            sent, end = _hits(useful, t, m, limit)
             got = np.searchsorted(links[u], end) - np.searchsorted(links[u], t)
             resolved.append(np.where(live, got, 0))
             queues.append(sent - got)
@@ -872,17 +867,14 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
         # multicast: heads re-pair each slot, so each queue drains on its own link
         mc_end, done = t, live
         for u, (m, q) in enumerate(zip((spec.m1, spec.m2), queues)):
-            j0 = np.searchsorted(links[u], t)
-            drained = np.minimum(np.searchsorted(links[u], limit) - j0, q)
-            emptied = drained == q
-            last = np.where((q > 0) & emptied, _at(links[u], j0 + q - 1) + 1, t)
+            drained, last = _hits(links[u], t, q, limit)
             mc_end = np.maximum(mc_end, last)
-            done = done & emptied
+            done = done & (drained == q)
             decode_ok[u] &= resolved[u] + np.where(live, drained, 0) == m
         boundaries[spec.label + "multicast"] = np.where(done, mc_end - base, -1)
         if i == 0:
             backlog[:] = queues
-    return BlockOutcome(n, sizes, decode_ok, boundaries, backlog)
+    return BlockOutcome(decode_ok, boundaries, backlog)
 
 
 def _schedule(
@@ -976,6 +968,6 @@ def run_trial(
     out = _run_block(plan, s1.view(bool)[None], s2.view(bool)[None])
     boundaries = {k: int(v[0]) if v[0] >= 0 else None for k, v in out.boundaries.items()}
     return _trial_stats(
-        plan, schedule, s1, s2, out.m, tuple(out.decode_ok[:, 0].tolist()), boundaries,
+        plan, schedule, s1, s2, tuple(out.decode_ok[:, 0].tolist()), boundaries,
         tuple(out.backlog[:, 0].tolist()),
     )

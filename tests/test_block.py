@@ -1,7 +1,8 @@
 """The block driver: ``run_block`` runs many trials as one (trials x n) array
 problem, and each of its rows must equal ``run_trial`` on that row's seed.
 ``simulate`` runs its trials in such blocks, so its reports must equal a
-per-trial reduction wherever the blocks and the worker chunks are cut."""
+per-trial reduction wherever the blocks and the worker chunks are cut.  In a
+row that is still live, each hit query of the block reads fresh slots."""
 import functools
 import math
 import operator
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox, SeedSequence
 
-from bpecsim import montecarlo
+from bpecsim import montecarlo, protocol
 from bpecsim.channel import (
     ChannelSampler,
     build_schedule,
@@ -20,9 +21,11 @@ from bpecsim.channel import (
     floor_index,
     sample_block,
 )
-from bpecsim.montecarlo import AggregateStats, simulate, trial_seed
+from bpecsim.montecarlo import AggregateStats, default_transient_length, simulate, trial_seed
 from bpecsim.protocol import Scheme, plan_scheme, run_block, run_trial
 from bpecsim.rates import ModeParams, UnsupportedParametersError
+from test_differential import RANDOM_DRAW_SEEDS, REALISTIC_DRAWS, plans, random_draws
+from test_exhaustive import PLANS, every_realization
 
 # erasure probabilities, with the degenerate modes drawn often
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -45,11 +48,10 @@ def numpy_keys(master, lo, hi):
 
 def assert_rows_match_run_trial(p, n, n_t, delta_t, plan, master, first, size):
     block = run_block(p, n, n_t, delta_t, plan, numpy_keys(master, first, first + size))
-    rows = block.rows()
-    assert len(rows) == size
+    assert block.decode_ok.shape == (2, size) and block.decode_ok.dtype == bool
     for r in range(size):
         stats = run_trial(p, n, n_t, delta_t, plan, trial_seed(master, first + r))
-        assert rows[r] == (stats.sum_rate, stats.decode_ok_1, stats.decode_ok_2)
+        assert block.decode_ok[:, r].tolist() == [stats.decode_ok_1, stats.decode_ok_2]
         ends = {k: (int(v[r]) if v[r] >= 0 else None) for k, v in block.boundaries.items()}
         assert list(ends.items()) == list(stats.phase_boundaries.items())
         if stats.backlog_1 is not None:
@@ -98,9 +100,76 @@ def test_block_of_no_seeds_has_no_rows(scheme):
     p = ModeParams(0.75, 0.125, 0.5)
     plan = plan_scheme(p, 1000, scheme, 3.0)
     block = run_block(p, 1000, 100, 0.5, plan, numpy_keys(1, 0, 0))
-    assert block.rows() == []
+    assert block.decode_ok.dtype == bool
     assert block.decode_ok.shape == block.backlog.shape == (2, 0)
     assert all(ends.shape == (0,) for ends in block.boundaries.values())
+
+
+@pytest.fixture
+def hit_windows(monkeypatch):
+    """The (index, t, end) of each ``protocol._hits`` query, in call order:
+    the slots ``[t, end)`` it read of the sorted index in each row.  A query
+    that got fewer hits than it asked for read every slot up to its stop."""
+    windows = []
+    hits = protocol._hits
+
+    def recording_hits(idx, t, k, stop):
+        taken, end = hits(idx, t, k, stop)
+        windows.append((idx, t, np.where(taken == k, end, stop)))
+        return taken, end
+
+    monkeypatch.setattr(protocol, "_hits", recording_hits)
+    return windows
+
+
+def assert_windows_are_fresh(plan, block, windows):
+    """In each row, the queries that run while the row is live read slots
+    that no earlier query read on the same link: a round's raw1 is live where
+    the round started, its raw2 where raw1 ended and each drain where raw2
+    ended.  A useful slot is one some link hears, so the raw phases' windows
+    on the useful index count for both links."""
+    boundaries, rows = block.boundaries, block.decode_ok.shape[1]
+    live, before = [], None
+    for spec in plan.rounds():
+        started = np.ones(rows, bool)
+        if spec.chained:
+            started = boundaries[before.label + "multicast"] >= 0
+        raw1, raw2 = (boundaries[spec.label + phase] >= 0 for phase in ("raw1", "raw2"))
+        live += [started, raw1, raw2, raw2]  # raw1, raw2 and the two drains
+        before = spec
+    assert len(windows) == len(live)
+    useful = windows[0][0]
+    links = {id(idx): idx for idx, _, _ in windows if idx is not useful}
+    assert len(links) == 2
+    for link in links.values():
+        read_to = np.zeros(rows, np.intp)  # each row's windows so far end here
+        for (idx, t, end), rows_live in zip(windows, live):
+            if idx is useful or idx is link:
+                stale = rows_live & ((t < read_to) | (end < t))
+                assert not stale.any(), f"rows {np.flatnonzero(stale)[:5]} read a slot again"
+                read_to = np.where(rows_live, end, read_to)
+    windows.clear()
+
+
+@pytest.mark.parametrize("name", PLANS)
+def test_hit_windows_are_fresh_in_every_realization(hit_windows, name):
+    _, plan = PLANS[name]
+    block = protocol._run_block(plan, *every_realization(plan.n))
+    assert_windows_are_fresh(plan, block, hit_windows)
+
+
+def test_hit_windows_are_fresh_on_the_differential_draws(hit_windows):
+    # the random and the realistic draws of the driver oracle, with as many
+    # trials to a block as simulate runs, up to 64
+    draws = [draw for seed in RANDOM_DRAW_SEEDS for draw in random_draws(seed)]
+    for delta_a, delta_b, eta, n, n_t, delta_t, _, guard, seed, _ in REALISTIC_DRAWS.values():
+        n_t = default_transient_length(n, eta) if n_t is None else n_t
+        draws.append(((ModeParams(delta_a, delta_b, eta), n, n_t, delta_t, guard), seed))
+    for (p, n, n_t, delta_t, guard), seed in draws:
+        keys = montecarlo._block_keys(seed, 0, min(64, max(1, montecarlo._BLOCK_SLOTS // n)))
+        for plan in plans(p, n, guard):
+            block = run_block(p, n, n_t, delta_t, plan, keys)
+            assert_windows_are_fresh(plan, block, hit_windows)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
