@@ -15,12 +15,12 @@ Two drivers iterate the same rounds and produce identical ``TrialStats``: a
 per-slot reference driver that runs each phase as one loop, the raw phases
 over a per-trial index of the slots some link hears and multicast slot by
 slot (it supports per-slot observers and deadline-free runs), and a batched
-driver that runs a block of trials sharing one plan as arrays: each phase
-end of every row is one hit query on a sorted slot index (``_hits``), and
-the block returns per-row decode flags, phase ends and backlogs.  The
-reference loops carry per-user packet indices, and each reference receiver
-keeps its own packets and the ones it overheard in two byte stores, so
-decoding and the end-of-trial check each scan one.
+driver that runs a block of trials sharing one plan as arrays: ``_rounds``
+applies the round rules to every row at once and asks a ``_SlotChannel``
+where each phase ends, and the block returns per-row decode flags, phase
+ends and backlogs.  The reference loops carry per-user packet indices, and
+each reference receiver keeps its own packets and the ones it overheard in
+two byte stores, so decoding and the end-of-trial check each scan one.
 Only observed runs build ``PacketId``s, ``Action``s and the packet-status
 dict; an observer sees each packet's status written after every slot that
 sends it.
@@ -809,42 +809,100 @@ class BlockOutcome(NamedTuple):
     backlog: np.ndarray  # (2, T) first round's virtual queues; valid where its raw phases ended
 
 
-def _hits(idx: np.ndarray, t: np.ndarray, k, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(taken, end) per row: the first ``taken = min(k, hits in [t, stop))``
-    slots of the sorted slot index ``idx`` from slot t on, and the slot after
-    the last of them, or t where none is taken."""
+def _hits(idx: np.ndarray, t: np.ndarray, k, i1) -> tuple[np.ndarray, np.ndarray]:
+    """(taken, end) per row: the first ``taken = min(k, i1 - i0)`` entries of
+    the sorted slot index ``idx`` from i0, its first entry at or after slot t,
+    and the slot after the last of them, or t where none is taken; i1 is
+    where the window's stop falls in ``idx``."""
     i0 = np.searchsorted(idx, t)
-    taken = np.minimum(np.searchsorted(idx, stop) - i0, k)
+    taken = np.minimum(i1 - i0, k)
     # clipped positions fall in rows that take nothing, which keep t
     last = idx.take(i0 + taken - 1, mode="clip") + 1 if idx.size else t
     return taken, np.where(taken > 0, last, t)
 
 
-def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome:
-    """Replay the plan's rounds in every row of (T, n) bool link states by
-    jumping between resolution slots; each row matches the per-slot reference.
+class _SlotChannel:
+    """A block's sampled slots, answering the two questions ``_rounds`` asks
+    of them.  Slots are numbered across the flattened (T, n) block: row r's
+    slot t is ``base[r] + t`` = r * n + t, so one sorted index of the useful
+    slots (those some link hears) serves every row's raw phases.  A limit is
+    a slot of each row; where a round's limit falls in the useful index is
+    searched once per round.
 
-    Row r's slot t is r * n + t of the flattened block, so one index of the
-    useful slots and one per link serve all rows, and each phase end is one
-    ``_hits`` query over the rows, of the useful slots or of one link's.
+    A block of several rows also indexes each link's slots once, and every
+    answer is a ``_hits`` query over the rows.  A one-row block (every
+    ``run_trial``, and every ``simulate`` trial longer than half a block)
+    builds no link index and answers in Python ints: a raw phase counts its
+    sender's link slots in its own window, and a drain indexes its link's
+    slots in its own window only, a small part of a long row.
     """
-    rows, n = b1.shape
+
+    def __init__(self, b1: np.ndarray, b2: np.ndarray):
+        rows, n = b1.shape
+        self.base = np.arange(rows, dtype=np.intp) * n
+        # flatnonzero is several times faster on bool than on uint8 arrays
+        self._flat = b1.reshape(-1), b2.reshape(-1)
+        self._useful = np.flatnonzero(self._flat[0] | self._flat[1])
+        self._links = None
+        if rows != 1:
+            self._links = np.flatnonzero(self._flat[0]), np.flatnonzero(self._flat[1])
+        self._limit = None  # the limit that _stops last looked up
+
+    def raw(self, u: int, t: np.ndarray, m: int, limit: int):
+        """(sent, end, got) per row: a raw phase of user u + 1 from slot t
+        sends ``sent = min(m, useful slots in [t, limit))`` packets, one per
+        useful slot, and ends after the last of them (at t if it sends none);
+        the sender's own link heard ``got`` of them."""
+        i1 = self._stops(limit)[1]
+        if self._links is None:
+            start = int(t[0])
+            i0 = int(self._useful.searchsorted(start))
+            sent = min(m, int(i1[0]) - i0)
+            end = int(self._useful[i0 + sent - 1]) + 1 if sent else start
+            got = np.count_nonzero(self._flat[u][start:end])
+            return np.array([sent]), np.array([end]), got
+        sent, end = _hits(self._useful, t, m, i1)
+        link = self._links[u]
+        return sent, end, np.searchsorted(link, end) - np.searchsorted(link, t)
+
+    def drain(self, u: int, t: np.ndarray, q: np.ndarray, limit: int):
+        """(drained, last) per row: link u + 1 drains ``drained = min(q,
+        heard slots in [t, limit))`` queued packets, one per heard slot, and
+        the last of them is the slot before ``last`` (t if it drains none)."""
+        if self._links is None:
+            start = int(t[0])
+            hits = np.flatnonzero(self._flat[u][start:limit])
+            drained = min(int(q[0]), hits.size)
+            last = start + int(hits[drained - 1]) + 1 if drained else start
+            return np.array([drained]), np.array([last])
+        link = self._links[u]
+        return _hits(link, t, q, np.searchsorted(link, self._stops(limit)[0]))
+
+    def _stops(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``limit`` as a slot of the flattened block, and where it
+        falls in the useful index; a round's four questions share both."""
+        if limit != self._limit:
+            at = self.base + limit
+            self._limit, self._at = limit, (at, np.searchsorted(self._useful, at))
+        return self._at
+
+
+def _rounds(plan: SchemePlan, channel: _SlotChannel) -> BlockOutcome:
+    """Replay the plan's rounds in every row of the channel's block at once,
+    one channel question per phase end; each row matches the per-slot
+    reference.  A row stays live while its raw phases send all their packets
+    before the round's limit, and a round is done where both queues drained
+    before it.  A user decodes where each round's packets reached it, on its
+    own link in a raw phase or by its drain.
+
+    In a live row each question reads only slots that no earlier question
+    about the same link read: raw1 reads [t, end1) of the useful slots (both
+    links), raw2 [end1, end2), and each drain its own link from end2.
+    """
+    base = channel.base
+    rows = base.size
     decode_ok = np.ones((2, rows), dtype=bool)
     backlog = np.zeros((2, rows), dtype=np.intp)
-    if plan.scheme is Scheme.NO_FEEDBACK:
-        # a user decodes once each per-mode stream got as many slots as packets
-        for u, b in enumerate((b1, b2)):
-            for start, stop, fec in ((0, plan.n_a, plan.fec_a), (plan.n_a, n, plan.fec_b)):
-                # strided sums run faster on uint8 than on bool
-                got = b.view(np.uint8)[:, _nofb_slots(u + 1, start, stop)].sum(axis=1)
-                decode_ok[u] &= got >= fec[u]
-        return BlockOutcome(decode_ok, {}, backlog)
-
-    # flatnonzero is several times faster on bool than on uint8 arrays
-    flat1, flat2 = b1.reshape(-1), b2.reshape(-1)
-    useful = np.flatnonzero(flat1 | flat2)
-    links = (np.flatnonzero(flat1), np.flatnonzero(flat2))
-    base = np.arange(rows, dtype=np.intp) * n
     boundaries: dict[str, np.ndarray] = {}
     mc_end = done = None
     for i, spec in enumerate(plan.rounds()):
@@ -852,13 +910,11 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
             t, live = np.where(done, mc_end, base), done
         else:
             t, live = base + spec.start, np.ones(rows, dtype=bool)
-        limit = base + spec.limit
         # raw phases: user 1's packets, then user 2's, each until somebody hears it
         resolved = []
         queues = []
         for u, m in enumerate((spec.m1, spec.m2)):
-            sent, end = _hits(useful, t, m, limit)
-            got = np.searchsorted(links[u], end) - np.searchsorted(links[u], t)
+            sent, end, got = channel.raw(u, t, m, spec.limit)
             resolved.append(np.where(live, got, 0))
             queues.append(sent - got)
             live = live & (sent == m)
@@ -867,7 +923,7 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
         # multicast: heads re-pair each slot, so each queue drains on its own link
         mc_end, done = t, live
         for u, (m, q) in enumerate(zip((spec.m1, spec.m2), queues)):
-            drained, last = _hits(links[u], t, q, limit)
+            drained, last = channel.drain(u, t, q, spec.limit)
             mc_end = np.maximum(mc_end, last)
             done = done & (drained == q)
             decode_ok[u] &= resolved[u] + np.where(live, drained, 0) == m
@@ -875,6 +931,22 @@ def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome
         if i == 0:
             backlog[:] = queues
     return BlockOutcome(decode_ok, boundaries, backlog)
+
+
+def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome:
+    """Run the plan in every row of (T, n) bool link states; each row matches
+    the per-slot reference."""
+    if plan.scheme is not Scheme.NO_FEEDBACK:
+        return _rounds(plan, _SlotChannel(b1, b2))
+    # a user decodes once each per-mode stream got as many slots as packets
+    rows, n = b1.shape
+    decode_ok = np.ones((2, rows), dtype=bool)
+    for u, b in enumerate((b1, b2)):
+        for start, stop, fec in ((0, plan.n_a, plan.fec_a), (plan.n_a, n, plan.fec_b)):
+            # strided sums run faster on uint8 than on bool
+            got = b.view(np.uint8)[:, _nofb_slots(u + 1, start, stop)].sum(axis=1)
+            decode_ok[u] &= got >= fec[u]
+    return BlockOutcome(decode_ok, {}, np.zeros((2, rows), dtype=np.intp))
 
 
 def _schedule(

@@ -22,7 +22,7 @@ from bpecsim.channel import (
     sample_block,
 )
 from bpecsim.montecarlo import AggregateStats, default_transient_length, simulate, trial_seed
-from bpecsim.protocol import Scheme, plan_scheme, run_block, run_trial
+from bpecsim.protocol import Scheme, SchemePlan, plan_scheme, run_block, run_trial
 from bpecsim.rates import ModeParams, UnsupportedParametersError
 from test_differential import RANDOM_DRAW_SEEDS, REALISTIC_DRAWS, plans, random_draws
 from test_exhaustive import PLANS, every_realization
@@ -105,29 +105,96 @@ def test_block_of_no_seeds_has_no_rows(scheme):
     assert all(ends.shape == (0,) for ends in block.boundaries.values())
 
 
+N_LONG = 2**15 + 1  # above half a block: simulate runs each trial as a block of one
+P_T = ModeParams(0.75, 0.125, 0.5)  # with n_t = 2000 and delta_t = 0.5, a transient
+P01 = ModeParams(0.5, 0.0, 0.5)  # with delta_t = 1, pieces of p = 1/2, 0 and 1
+
+
+def _plan(scheme, m, tail=0, run_a=0, run_b=0):
+    """A hand-made plan at N_LONG, with mode A on the first half."""
+    n_a = floor_index(0.5 * N_LONG)
+    return SchemePlan(scheme, N_LONG, n_a, m, m, 1.0, 0, tail, tail, run_a, run_b)
+
+
+# name: (p, n_t, delta_t, plan, (a phase that ended, one that did not) in the same row)
+ONE_ROW_CASES = {
+    # round a's drains stop at its limit in one row
+    "transient": (
+        P_T, 2000, 0.5, plan_scheme(P_T, N_LONG, Scheme.INTRA_MODAL, 0.0), ("a_raw2", "a_multicast")
+    ),
+    # the tail's raw2 never ends
+    "p0-p1-pieces": (
+        P01, 1000, 1.0, plan_scheme(P01, N_LONG, Scheme.INTER_MODAL, 0.0), ("tail_raw1", "tail_raw2")
+    ),
+    # raw1 takes every useful slot up to the last, which mode B hears: each
+    # drain's window [n, n) is empty
+    "raw-never-ends": (P01, 1000, 1.0, _plan(Scheme.INTER_MODAL, N_LONG), (None, "raw1")),
+    # round a's raw2 reaches the mode boundary in two rows
+    "raw-cut": (
+        P_T, 0, 0.0, _plan(Scheme.INTRA_MODAL, 4600, run_a=3600, run_b=1000), ("a_raw1", "a_raw2")
+    ),
+    # a drain stops at the limit
+    "drain-cut": (
+        P_T, 2000, 0.5, plan_scheme(P_T, N_LONG, Scheme.INTER_MODAL, 0.0),
+        ("tail_raw2", "tail_multicast"),
+    ),
+    # the chained tail finishes in two rows and is cut by the limit in one
+    "chained-tail-cut": (
+        P01, 1000, 1.0, _plan(Scheme.INTER_MODAL, 11_000, tail=1000), ("multicast", "tail_multicast")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ONE_ROW_CASES)
+def test_a_block_of_one_equals_its_row_of_a_block(case):
+    # a block of one row indexes no link slots; a block of three indexes them
+    p, n_t, delta_t, plan, (ended, cut) = ONE_ROW_CASES[case]
+    keys = montecarlo._block_keys(5, 0, 3)
+    block = run_block(p, N_LONG, n_t, delta_t, plan, keys)
+    ends = block.boundaries
+    assert ((ends[ended] >= 0 if ended else True) & (ends[cut] == -1)).any()
+    for r in range(3):
+        row = run_block(p, N_LONG, n_t, delta_t, plan, keys[r : r + 1])
+        assert row.decode_ok.tolist() == block.decode_ok[:, [r]].tolist()
+        assert {k: v.tolist() for k, v in row.boundaries.items()} == {
+            k: [v[r]] for k, v in ends.items()
+        }
+        assert row.backlog.tolist() == block.backlog[:, [r]].tolist()
+
+
 @pytest.fixture
-def hit_windows(monkeypatch):
-    """The (index, t, end) of each ``protocol._hits`` query, in call order:
-    the slots ``[t, end)`` it read of the sorted index in each row.  A query
-    that got fewer hits than it asked for read every slot up to its stop."""
+def channel_windows(monkeypatch):
+    """Each question a ``protocol._SlotChannel`` answers, in call order: its
+    kind and user, the links it read and the slots ``[t, end)`` of each row
+    it read of those links.  A raw phase reads the useful slots, which count
+    for both links; a drain reads its own link.  A question that got fewer
+    slots than it asked for read up to its limit."""
     windows = []
-    hits = protocol._hits
+    raw, drain = protocol._SlotChannel.raw, protocol._SlotChannel.drain
 
-    def recording_hits(idx, t, k, stop):
-        taken, end = hits(idx, t, k, stop)
-        windows.append((idx, t, np.where(taken == k, end, stop)))
-        return taken, end
+    def recording_raw(channel, u, t, m, limit):
+        sent, end, got = raw(channel, u, t, m, limit)
+        base = channel.base
+        windows.append((("raw", u), (0, 1), t - base, np.where(sent == m, end - base, limit)))
+        return sent, end, got
 
-    monkeypatch.setattr(protocol, "_hits", recording_hits)
+    def recording_drain(channel, u, t, q, limit):
+        drained, last = drain(channel, u, t, q, limit)
+        base = channel.base
+        windows.append((("drain", u), (u,), t - base, np.where(drained == q, last - base, limit)))
+        return drained, last
+
+    monkeypatch.setattr(protocol._SlotChannel, "raw", recording_raw)
+    monkeypatch.setattr(protocol._SlotChannel, "drain", recording_drain)
     return windows
 
 
 def assert_windows_are_fresh(plan, block, windows):
-    """In each row, the queries that run while the row is live read slots
-    that no earlier query read on the same link: a round's raw1 is live where
-    the round started, its raw2 where raw1 ended and each drain where raw2
-    ended.  A useful slot is one some link hears, so the raw phases' windows
-    on the useful index count for both links."""
+    """In each row, the questions that run while the row is live read slots
+    that no earlier question read on the same link: a round's raw1 is live
+    where the round started, its raw2 where raw1 ended and each drain where
+    raw2 ended.  Each round asks raw1, raw2 and then link 1's and link 2's
+    drains, of one channel of the block's rows."""
     boundaries, rows = block.boundaries, block.decode_ok.shape[1]
     live, before = [], None
     for spec in plan.rounds():
@@ -135,16 +202,15 @@ def assert_windows_are_fresh(plan, block, windows):
         if spec.chained:
             started = boundaries[before.label + "multicast"] >= 0
         raw1, raw2 = (boundaries[spec.label + phase] >= 0 for phase in ("raw1", "raw2"))
-        live += [started, raw1, raw2, raw2]  # raw1, raw2 and the two drains
+        live += [started, raw1, raw2, raw2]
         before = spec
-    assert len(windows) == len(live)
-    useful = windows[0][0]
-    links = {id(idx): idx for idx, _, _ in windows if idx is not useful}
-    assert len(links) == 2
-    for link in links.values():
+    questions = [("raw", 0), ("raw", 1), ("drain", 0), ("drain", 1)] * len(plan.rounds())
+    assert [w[0] for w in windows] == questions
+    assert all(t.shape == end.shape == (rows,) for _, _, t, end in windows)
+    for link in (0, 1):
         read_to = np.zeros(rows, np.intp)  # each row's windows so far end here
-        for (idx, t, end), rows_live in zip(windows, live):
-            if idx is useful or idx is link:
+        for (_, links, t, end), rows_live in zip(windows, live):
+            if link in links:
                 stale = rows_live & ((t < read_to) | (end < t))
                 assert not stale.any(), f"rows {np.flatnonzero(stale)[:5]} read a slot again"
                 read_to = np.where(rows_live, end, read_to)
@@ -152,15 +218,21 @@ def assert_windows_are_fresh(plan, block, windows):
 
 
 @pytest.mark.parametrize("name", PLANS)
-def test_hit_windows_are_fresh_in_every_realization(hit_windows, name):
+def test_hit_windows_are_fresh_in_every_realization(channel_windows, name):
+    # all realizations as the rows of one block, then every 7th as a block of
+    # one; 7 is odd, so the sampled rows still take every state of the first slots
     _, plan = PLANS[name]
-    block = protocol._run_block(plan, *every_realization(plan.n))
-    assert_windows_are_fresh(plan, block, hit_windows)
+    b1, b2 = every_realization(plan.n)
+    block = protocol._run_block(plan, b1, b2)
+    assert_windows_are_fresh(plan, block, channel_windows)
+    for r in range(0, len(b1), 7):
+        row = protocol._run_block(plan, b1[r : r + 1], b2[r : r + 1])
+        assert_windows_are_fresh(plan, row, channel_windows)
 
 
-def test_hit_windows_are_fresh_on_the_differential_draws(hit_windows):
+def test_hit_windows_are_fresh_on_the_differential_draws(channel_windows):
     # the random and the realistic draws of the driver oracle, with as many
-    # trials to a block as simulate runs, up to 64
+    # trials to a block as simulate runs, up to 64, and the first as a block of one
     draws = [draw for seed in RANDOM_DRAW_SEEDS for draw in random_draws(seed)]
     for delta_a, delta_b, eta, n, n_t, delta_t, _, guard, seed, _ in REALISTIC_DRAWS.values():
         n_t = default_transient_length(n, eta) if n_t is None else n_t
@@ -168,8 +240,9 @@ def test_hit_windows_are_fresh_on_the_differential_draws(hit_windows):
     for (p, n, n_t, delta_t, guard), seed in draws:
         keys = montecarlo._block_keys(seed, 0, min(64, max(1, montecarlo._BLOCK_SLOTS // n)))
         for plan in plans(p, n, guard):
-            block = run_block(p, n, n_t, delta_t, plan, keys)
-            assert_windows_are_fresh(plan, block, hit_windows)
+            for block_keys in {len(keys): keys, 1: keys[:1]}.values():
+                block = run_block(p, n, n_t, delta_t, plan, block_keys)
+                assert_windows_are_fresh(plan, block, channel_windows)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.INTER_MODAL, Scheme.INTRA_MODAL])
