@@ -821,20 +821,44 @@ def _hits(idx: np.ndarray, t: np.ndarray, k, i1) -> tuple[np.ndarray, np.ndarray
     return taken, np.where(taken > 0, last, t)
 
 
+_STEP = 1 << 13  # slots that a one-row search counts at a time
+
+
+def _first_hits(row: np.ndarray, start: int, stop: int, k: int) -> tuple[int, int]:
+    """(taken, end): the first ``taken = min(k, hits in [start, stop))`` true
+    slots of a bool row from slot start, and the slot after the last of them,
+    or start where none is taken.  It counts hits ``_STEP`` slots at a time
+    and indexes only the step that holds the k-th hit, or where there are
+    fewer, the last step that holds any."""
+    lo, need, last = start, k, None
+    while need and lo < stop:
+        hi = min(stop, lo + _STEP)
+        c = np.count_nonzero(row[lo:hi])
+        if c >= need:
+            return k, lo + int(np.flatnonzero(row[lo:hi])[need - 1]) + 1
+        if c:
+            last = lo, hi
+        need -= c
+        lo = hi
+    if last is None:
+        return k - need, start
+    return k - need, last[0] + int(np.flatnonzero(row[last[0] : last[1]])[-1]) + 1
+
+
 class _SlotChannel:
     """A block's sampled slots, answering the two questions ``_rounds`` asks
     of them.  Slots are numbered across the flattened (T, n) block: row r's
-    slot t is ``base[r] + t`` = r * n + t, so one sorted index of the useful
-    slots (those some link hears) serves every row's raw phases.  A limit is
-    a slot of each row; where a round's limit falls in the useful index is
-    searched once per round.
+    slot t is ``base[r] + t`` = r * n + t.  A limit is a slot of each row.
 
-    A block of several rows also indexes each link's slots once, and every
-    answer is a ``_hits`` query over the rows.  A one-row block (every
-    ``run_trial``, and every ``simulate`` trial longer than half a block)
-    builds no link index and answers in Python ints: a raw phase counts its
-    sender's link slots in its own window, and a drain indexes its link's
-    slots in its own window only, a small part of a long row.
+    A block of several rows indexes the useful slots (those some link hears)
+    and each link's slots once for all rows, and every answer is a ``_hits``
+    query over the rows; where a round's limit falls in the useful index is
+    searched once per round.  A one-row block (every ``run_trial``, and every
+    ``simulate`` trial longer than half a block) builds no index and answers
+    in Python ints: each phase end is a ``_first_hits`` search of the useful
+    or the link row from the phase's start, which counts the slots the phase
+    spans and indexes at most one ``_STEP`` of them, and a raw phase counts
+    its sender's link slots in its own window.
     """
 
     def __init__(self, b1: np.ndarray, b2: np.ndarray):
@@ -842,9 +866,11 @@ class _SlotChannel:
         self.base = np.arange(rows, dtype=np.intp) * n
         # flatnonzero is several times faster on bool than on uint8 arrays
         self._flat = b1.reshape(-1), b2.reshape(-1)
-        self._useful = np.flatnonzero(self._flat[0] | self._flat[1])
+        # the useful slots' sorted index, or in a one-row block their bool row
+        self._useful = self._flat[0] | self._flat[1]
         self._links = None
         if rows != 1:
+            self._useful = np.flatnonzero(self._useful)
             self._links = np.flatnonzero(self._flat[0]), np.flatnonzero(self._flat[1])
         self._limit = None  # the limit that _stops last looked up
 
@@ -853,15 +879,12 @@ class _SlotChannel:
         sends ``sent = min(m, useful slots in [t, limit))`` packets, one per
         useful slot, and ends after the last of them (at t if it sends none);
         the sender's own link heard ``got`` of them."""
-        i1 = self._stops(limit)[1]
         if self._links is None:
             start = int(t[0])
-            i0 = int(self._useful.searchsorted(start))
-            sent = min(m, int(i1[0]) - i0)
-            end = int(self._useful[i0 + sent - 1]) + 1 if sent else start
+            sent, end = _first_hits(self._useful, start, limit, m)
             got = np.count_nonzero(self._flat[u][start:end])
             return np.array([sent]), np.array([end]), got
-        sent, end = _hits(self._useful, t, m, i1)
+        sent, end = _hits(self._useful, t, m, self._stops(limit)[1])
         link = self._links[u]
         return sent, end, np.searchsorted(link, end) - np.searchsorted(link, t)
 
@@ -870,10 +893,7 @@ class _SlotChannel:
         heard slots in [t, limit))`` queued packets, one per heard slot, and
         the last of them is the slot before ``last`` (t if it drains none)."""
         if self._links is None:
-            start = int(t[0])
-            hits = np.flatnonzero(self._flat[u][start:limit])
-            drained = min(int(q[0]), hits.size)
-            last = start + int(hits[drained - 1]) + 1 if drained else start
+            drained, last = _first_hits(self._flat[u], int(t[0]), limit, int(q[0]))
             return np.array([drained]), np.array([last])
         link = self._links[u]
         return _hits(link, t, q, np.searchsorted(link, self._stops(limit)[0]))

@@ -162,6 +162,25 @@ def test_a_block_of_one_equals_its_row_of_a_block(case):
         assert row.backlog.tolist() == block.backlog[:, [r]].tolist()
 
 
+def test_first_hits_equals_a_full_index():
+    # rows of several steps from empty to full, some with an erased run longer
+    # than a step, against each row's full index of hits, from every kind of
+    # start, stop and k
+    step = protocol._STEP
+    rng = np.random.default_rng(3)
+    for density in (0.0, 0.0002, 0.3, 0.9, 1.0):
+        for gap in (False, True):
+            row = rng.random(3 * step + 123) < density
+            row[step // 2 : 2 * step] &= not gap
+            idx = np.flatnonzero(row)
+            for _ in range(40):
+                start, stop = sorted(rng.integers(0, row.size + 1, size=2))
+                k = int(rng.choice([0, 1, 2, step - 1, step, step + 1, row.size]))
+                hits = idx[(idx >= start) & (idx < stop)][:k]
+                end = int(hits[-1]) + 1 if hits.size else start
+                assert protocol._first_hits(row, int(start), int(stop), k) == (hits.size, end)
+
+
 @pytest.fixture
 def channel_windows(monkeypatch):
     """Each question a ``protocol._SlotChannel`` answers, in call order: its
