@@ -833,7 +833,7 @@ def _first_hits(row: np.ndarray, start: int, stop: int, k: int) -> tuple[int, in
     lo, need, last = start, k, None
     while need and lo < stop:
         hi = min(stop, lo + _STEP)
-        c = np.count_nonzero(row[lo:hi])
+        c = int(np.count_nonzero(row[lo:hi]))
         if c >= need:
             return k, lo + int(np.flatnonzero(row[lo:hi])[need - 1]) + 1
         if c:
@@ -845,56 +845,65 @@ def _first_hits(row: np.ndarray, start: int, stop: int, k: int) -> tuple[int, in
     return k - need, last[0] + int(np.flatnonzero(row[last[0] : last[1]])[-1]) + 1
 
 
+def _pick(c, x, y):
+    """``np.where`` for a one-row block, whose answers are Python ints."""
+    return x if c else y
+
+
 class _SlotChannel:
     """A block's sampled slots, answering the two questions ``_rounds`` asks
-    of them.  Slots are numbered across the flattened (T, n) block: row r's
-    slot t is ``base[r] + t`` = r * n + t.  A limit is a slot of each row.
+    of them, and the few operations whose fast form differs between one row
+    and several.  Slots are numbered across the flattened (T, n) block: row
+    r's slot t is ``base[r] + t`` = r * n + t.  A limit is a slot of each row.
 
     A block of several rows indexes the useful slots (those some link hears)
     and each link's slots once for all rows, and every answer is a ``_hits``
     query over the rows; where a round's limit falls in the useful index is
     searched once per round.  A one-row block (every ``run_trial``, and every
-    ``simulate`` trial longer than half a block) builds no index and answers
-    in Python ints: each phase end is a ``_first_hits`` search of the useful
-    or the link row from the phase's start, which counts the slots the phase
-    spans and indexes at most one ``_STEP`` of them, and a raw phase counts
-    its sender's link slots in its own window.
+    ``simulate`` trial longer than half a block) builds no index, and its
+    questions, answers and ``base`` (0) are Python ints, on which ``_rounds``
+    runs as on arrays: each phase end is a ``_first_hits`` search of the
+    useful or the link row from the phase's start, which counts the slots the
+    phase spans and indexes at most one ``_STEP`` of them, and a raw phase
+    counts its sender's link slots in its own window.
     """
 
     def __init__(self, b1: np.ndarray, b2: np.ndarray):
-        rows, n = b1.shape
-        self.base = np.arange(rows, dtype=np.intp) * n
+        self.rows, n = b1.shape
         # flatnonzero is several times faster on bool than on uint8 arrays
         self._flat = b1.reshape(-1), b2.reshape(-1)
         # the useful slots' sorted index, or in a one-row block their bool row
         self._useful = self._flat[0] | self._flat[1]
         self._links = None
-        if rows != 1:
-            self._useful = np.flatnonzero(self._useful)
-            self._links = np.flatnonzero(self._flat[0]), np.flatnonzero(self._flat[1])
+        if self.rows == 1:
+            # on ints, np.where and np.maximum cost ten times a conditional
+            self.base, self.every_row, self.where, self.maximum = 0, True, _pick, max
+            return
+        self.base = np.arange(self.rows, dtype=np.intp) * n
+        self.every_row = np.ones(self.rows, dtype=bool)
+        self.where, self.maximum = np.where, np.maximum
+        self._useful = np.flatnonzero(self._useful)
+        self._links = np.flatnonzero(self._flat[0]), np.flatnonzero(self._flat[1])
         self._limit = None  # the limit that _stops last looked up
 
-    def raw(self, u: int, t: np.ndarray, m: int, limit: int):
+    def raw(self, u: int, t, m: int, limit: int):
         """(sent, end, got) per row: a raw phase of user u + 1 from slot t
         sends ``sent = min(m, useful slots in [t, limit))`` packets, one per
         useful slot, and ends after the last of them (at t if it sends none);
         the sender's own link heard ``got`` of them."""
         if self._links is None:
-            start = int(t[0])
-            sent, end = _first_hits(self._useful, start, limit, m)
-            got = np.count_nonzero(self._flat[u][start:end])
-            return np.array([sent]), np.array([end]), got
+            sent, end = _first_hits(self._useful, t, limit, m)
+            return sent, end, int(np.count_nonzero(self._flat[u][t:end]))
         sent, end = _hits(self._useful, t, m, self._stops(limit)[1])
         link = self._links[u]
         return sent, end, np.searchsorted(link, end) - np.searchsorted(link, t)
 
-    def drain(self, u: int, t: np.ndarray, q: np.ndarray, limit: int):
+    def drain(self, u: int, t, q, limit: int):
         """(drained, last) per row: link u + 1 drains ``drained = min(q,
         heard slots in [t, limit))`` queued packets, one per heard slot, and
         the last of them is the slot before ``last`` (t if it drains none)."""
         if self._links is None:
-            drained, last = _first_hits(self._flat[u], int(t[0]), limit, int(q[0]))
-            return np.array([drained]), np.array([last])
+            return _first_hits(self._flat[u], t, limit, q)
         link = self._links[u]
         return _hits(link, t, q, np.searchsorted(link, self._stops(limit)[0]))
 
@@ -913,44 +922,50 @@ def _rounds(plan: SchemePlan, channel: _SlotChannel) -> BlockOutcome:
     reference.  A row stays live while its raw phases send all their packets
     before the round's limit, and a round is done where both queues drained
     before it.  A user decodes where each round's packets reached it, on its
-    own link in a raw phase or by its drain.
+    own link in a raw phase or by its drain.  The per-row values are arrays,
+    or in a one-row block ints and bools, until the outcome is built.
 
     In a live row each question reads only slots that no earlier question
     about the same link read: raw1 reads [t, end1) of the useful slots (both
     links), raw2 [end1, end2), and each drain its own link from end2.
     """
-    base = channel.base
-    rows = base.size
-    decode_ok = np.ones((2, rows), dtype=bool)
-    backlog = np.zeros((2, rows), dtype=np.intp)
-    boundaries: dict[str, np.ndarray] = {}
-    mc_end = done = None
+    base, where, maximum = channel.base, channel.where, channel.maximum
+    decode_ok = [channel.every_row] * 2  # rebound, never updated in place
+    boundaries = {}
+    mc_end = done = backlog = None
     for i, spec in enumerate(plan.rounds()):
         if spec.chained:  # starts where the previous round finished, if it did
-            t, live = np.where(done, mc_end, base), done
+            t, live = where(done, mc_end, base), done
         else:
-            t, live = base + spec.start, np.ones(rows, dtype=bool)
+            t, live = base + spec.start, channel.every_row
         # raw phases: user 1's packets, then user 2's, each until somebody hears it
         resolved = []
         queues = []
         for u, m in enumerate((spec.m1, spec.m2)):
             sent, end, got = channel.raw(u, t, m, spec.limit)
-            resolved.append(np.where(live, got, 0))
+            resolved.append(where(live, got, 0))
             queues.append(sent - got)
             live = live & (sent == m)
-            boundaries[spec.label + ("raw1", "raw2")[u]] = np.where(live, end - base, -1)
+            boundaries[spec.label + ("raw1", "raw2")[u]] = where(live, end - base, -1)
             t = end
         # multicast: heads re-pair each slot, so each queue drains on its own link
         mc_end, done = t, live
         for u, (m, q) in enumerate(zip((spec.m1, spec.m2), queues)):
             drained, last = channel.drain(u, t, q, spec.limit)
-            mc_end = np.maximum(mc_end, last)
+            mc_end = maximum(mc_end, last)
             done = done & (drained == q)
-            decode_ok[u] &= resolved[u] + np.where(live, drained, 0) == m
-        boundaries[spec.label + "multicast"] = np.where(done, mc_end - base, -1)
+            decode_ok[u] = decode_ok[u] & (resolved[u] + where(live, drained, 0) == m)
+        boundaries[spec.label + "multicast"] = where(done, mc_end - base, -1)
         if i == 0:
-            backlog[:] = queues
-    return BlockOutcome(decode_ok, boundaries, backlog)
+            backlog = queues
+    rows = channel.rows
+    if rows == 1:  # a one-row block's ints, as arrays of one row
+        boundaries = dict(zip(boundaries, np.array([*boundaries.values()], np.intp)[:, None]))
+    return BlockOutcome(
+        np.array(decode_ok, dtype=bool).reshape(2, rows),
+        boundaries,
+        np.array(backlog, dtype=np.intp).reshape(2, rows),
+    )
 
 
 def _run_block(plan: SchemePlan, b1: np.ndarray, b2: np.ndarray) -> BlockOutcome:

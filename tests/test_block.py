@@ -162,6 +162,31 @@ def test_a_block_of_one_equals_its_row_of_a_block(case):
         assert row.backlog.tolist() == block.backlog[:, [r]].tolist()
 
 
+def assert_outcome_arrays(outcome, rows):
+    """``run_block``'s contract: numpy arrays of these dtypes and shapes."""
+    assert type(outcome.decode_ok) is np.ndarray
+    assert outcome.decode_ok.dtype == bool and outcome.decode_ok.shape == (2, rows)
+    assert type(outcome.backlog) is np.ndarray
+    assert outcome.backlog.dtype == np.intp and outcome.backlog.shape == (2, rows)
+    for ends in outcome.boundaries.values():
+        assert type(ends) is np.ndarray and ends.dtype == np.intp and ends.shape == (rows,)
+
+
+@pytest.mark.parametrize("case", ["raw-never-ends", "chained-tail-cut"])
+def test_a_block_of_one_keeps_the_array_contract(case):
+    # a block of one row runs the rounds on Python ints; its outcome holds the
+    # arrays a block of three holds, with -1 where a phase never ended
+    p, n_t, delta_t, plan, (_, cut) = ONE_ROW_CASES[case]
+    keys = montecarlo._block_keys(5, 0, 3)
+    assert_outcome_arrays(run_block(p, N_LONG, n_t, delta_t, plan, keys), 3)
+    never = []
+    for r in range(3):
+        row = run_block(p, N_LONG, n_t, delta_t, plan, keys[r : r + 1])
+        assert_outcome_arrays(row, 1)
+        never.append(row.boundaries[cut].tolist() == [-1])
+    assert any(never)
+
+
 def test_first_hits_equals_a_full_index():
     # rows of several steps from empty to full, some with an erased run longer
     # than a step, against each row's full index of hits, from every kind of
@@ -181,6 +206,15 @@ def test_first_hits_equals_a_full_index():
                 assert protocol._first_hits(row, int(start), int(stop), k) == (hits.size, end)
 
 
+def as_rows(channel, *values):
+    """A channel's per-row questions and answers as arrays: a one-row channel
+    asks and answers in Python ints, taken here as one row."""
+    if channel.rows != 1:
+        return values
+    assert all(type(v) is int for v in values), values
+    return tuple(np.array([v]) for v in values)
+
+
 @pytest.fixture
 def channel_windows(monkeypatch):
     """Each question a ``protocol._SlotChannel`` answers, in call order: its
@@ -192,16 +226,18 @@ def channel_windows(monkeypatch):
     raw, drain = protocol._SlotChannel.raw, protocol._SlotChannel.drain
 
     def recording_raw(channel, u, t, m, limit):
-        sent, end, got = raw(channel, u, t, m, limit)
+        answer = raw(channel, u, t, m, limit)
         base = channel.base
+        t, sent, end, _ = as_rows(channel, t, *answer)
         windows.append((("raw", u), (0, 1), t - base, np.where(sent == m, end - base, limit)))
-        return sent, end, got
+        return answer
 
     def recording_drain(channel, u, t, q, limit):
-        drained, last = drain(channel, u, t, q, limit)
+        answer = drain(channel, u, t, q, limit)
         base = channel.base
+        t, q, drained, last = as_rows(channel, t, q, *answer)
         windows.append((("drain", u), (u,), t - base, np.where(drained == q, last - base, limit)))
-        return drained, last
+        return answer
 
     monkeypatch.setattr(protocol._SlotChannel, "raw", recording_raw)
     monkeypatch.setattr(protocol._SlotChannel, "drain", recording_drain)
